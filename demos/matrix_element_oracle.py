@@ -14,8 +14,8 @@ Run:  python3 demos/matrix_element_oracle.py
 
 from fractions import Fraction
 
-from qoscpoly import (HALF_HALF, HALF_ZERO, LadderFamily, MatElParams,
-                      QContext, matel_closed, matel_oracle)
+from qoscpoly import (FAMILIES, HAHN, HALF_HALF, HALF_ZERO, QGAUSSIAN,
+                      MatElParams, QContext, matel_closed, matel_oracle)
 
 
 def main():
@@ -26,8 +26,8 @@ def main():
     print(f"mu = 1/2, nu = 0, alpha = {params['alpha']}, "
           f"beta = {params['beta']}\n")
 
-    for family in LadderFamily:
-        print(f"{family.value}:")
+    for family in FAMILIES:
+        print(f"{family.name}:")
         for n in range(3):
             for r in range(3):
                 p = MatElParams(n=n, r=r, **params)
@@ -42,8 +42,8 @@ def main():
     ctx0 = ctx.with_omega(0)
     for n in range(3):
         p = MatElParams(n=n, r=n, **params)
-        h = matel_oracle(ctx0, LadderFamily.HAHN, p)
-        g = matel_oracle(ctx0, LadderFamily.QGAUSSIAN, p)
+        h = matel_oracle(ctx0, HAHN, p)
+        g = matel_oracle(ctx0, QGAUSSIAN, p)
         print(f"  L[{n},{n}] hahn = {h}  gaussian = {g}"
               f"  [{'ok' if h == g else 'MISMATCH'}]")
 

@@ -17,16 +17,17 @@ from .hahn import (SampledFn, hahn_antiderivative, hahn_derivative_poly,
                    hahn_integral_numeric, leibniz_residuals)
 from .matel import (MatElParams, basic_hyp_terminating, matel_closed,
                     matel_oracle, special_form_checks, u_polynomial)
-from .operators import (LadderFamily, algebra_relations_check,
-                        difference_equation_residual, jackson_derivative,
-                        ladder_apply, ladder_apply_analytic, scale_x, shift_x)
+from .operators import (FAMILIES, HAHN, QFACTORIAL, QGAUSSIAN, Family,
+                        algebra_relations_check, difference_equation_residual,
+                        jackson_derivative, ladder_apply,
+                        ladder_apply_analytic, scale_x)
 from .poly import Poly
 from .qarith import (q_binomial, q_double_factorial_even, q_factorial, q_int,
-                     q_int_at, q_pochhammer, q_pochhammer_inf, q_pow_half)
+                     q_int_at, q_pochhammer, q_pochhammer_inf)
 from .report import VerificationReport
 from .series import (TruncSeries, emu_series, eqw_eval,
                      exp_pair_identity_residual, gaussian_genfun_lhs,
-                     hahn_genfun_lhs, series_mul, series_recip)
+                     hahn_genfun_lhs, series_recip)
 from .verify import RunConfig, run_suites
 
 __version__ = "0.1.0"

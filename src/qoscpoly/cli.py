@@ -18,7 +18,7 @@ from .context import HALF_HALF, HALF_ZERO, QContext, frac
 from .families import position_coefficients, qfactorial_u, qgaussian, hahn_factorial
 from .hahn import hahn_antiderivative, hahn_derivative_poly, hahn_integral_closed
 from .matel import MatElParams, matel_closed, matel_oracle
-from .operators import LadderFamily
+from .operators import FAMILIES
 from .qarith import q_factorial
 from .report import fmt_exact
 from .series import gaussian_genfun_lhs, hahn_genfun_lhs
@@ -118,13 +118,13 @@ def _table_rows(ctx: QContext, kind: str, nmax: int, order: int) -> list[dict]:
     if kind == "matel":
         mu = HALF_HALF if ctx.has_root else HALF_ZERO
         alpha = beta = Fraction(1)
-        for family in LadderFamily:
+        for family in FAMILIES:
             for n in range(nmax + 1):
                 for r in range(nmax + 1):
                     p = MatElParams(mu, mu, alpha, beta, n, r)
                     closed = matel_closed(ctx, family, p)
                     oracle = matel_oracle(ctx, family, p)
-                    rows.append({"family": family.value, "mu": str(mu.value),
+                    rows.append({"family": family.name, "mu": str(mu.value),
                                  "nu": str(mu.value), "alpha": str(alpha),
                                  "beta": str(beta), "n": n, "r": r,
                                  "closed": str(closed), "oracle": str(oracle),

@@ -11,6 +11,19 @@ computed two independent ways:
 
 The oracle is the ground truth; any exact mismatch with a closed form is
 reported as a documented discrepancy, never patched.
+
+One closed form serves all three families.  With d = |n - r| and
+(c, h) = (beta, nu) for r <= n, (alpha, mu) for n < r:
+
+  closed = (c sigma)^d q^(h d^2) * { r <= n: q^(-e d(n+r+1)/2) [n,r]_q
+                                     n <  r: q^(-(1-e) d(n+r-1)/2) / [d]_q! }
+           * U^(mu,nu)_min(n,r)(alpha beta (q-1) kappa q^(1-e+2hd); q^(1+d))
+
+and each printed formula is read off from its family's (e, sigma, kappa):
+
+  q-Gaussian   (0, 1,          1)
+  q-factorial  (1, 1,          1)
+  Hahn         (0, 1 - omega0, (1 + omega0)^2)
 """
 
 from __future__ import annotations
@@ -18,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .context import HalfInt, QContext, frac
-from .operators import LadderFamily, lowering_coeff, raising_coeff
+from .context import HALF_HALF, HalfInt, QContext, frac
+from .operators import Family, lowering_coeff, raising_coeff
 from .qarith import q_binomial, q_factorial
 
 
@@ -126,27 +139,21 @@ def basic_hyp_terminating(ctx: QContext, upper: list, lower: list, z) -> Fractio
     return total
 
 
-def _hahn_scale(ctx: QContext) -> Fraction:
-    # (1 - q - w)/(1 - q) = 1 - omega0: the scalar the Hahn exponential
-    # series attaches to each ladder power
-    return 1 - ctx.omega0
-
-
-def _series_weight(ctx: QContext, family: LadderFamily, half: HalfInt,
-                   c: Fraction, k: int) -> Fraction:
+def _series_weight(ctx: QContext, half: HalfInt, c: Fraction,
+                   k: int) -> Fraction:
     """k-th coefficient of the exponential operator series in the ladder op."""
-    if family is LadderFamily.HAHN:
-        c = c * _hahn_scale(ctx)
     return ctx.pow_half(half, k * k) * c ** k / q_factorial(ctx, k)
 
 
-def matel_oracle(ctx: QContext, family: LadderFamily, p: MatElParams) -> Fraction:
+def matel_oracle(ctx: QContext, family: Family, p: MatElParams) -> Fraction:
     """Brute-force matrix element from the exact ladder coefficients.
 
     Applies the lowering series (index i, truncating at i = n) followed by
     the raising series (index j pinned to r - n + i); no closed form and no
     analytic operator realization is involved.
     """
+    sigma = family.sigma(ctx)
+    alpha, beta = p.alpha * sigma, p.beta * sigma
     total = Fraction(0)
     for i in range(p.n + 1):
         j = p.r - p.n + i
@@ -158,68 +165,47 @@ def matel_oracle(ctx: QContext, family: LadderFamily, p: MatElParams) -> Fractio
         raise_path = Fraction(1)
         for t in range(j):
             raise_path *= raising_coeff(ctx, family, p.n - i + t)
-        total += (_series_weight(ctx, family, p.nu, p.beta, i) * lower_path
-                  * _series_weight(ctx, family, p.mu, p.alpha, j) * raise_path)
+        total += (_series_weight(ctx, p.nu, beta, i) * lower_path
+                  * _series_weight(ctx, p.mu, alpha, j) * raise_path)
     return total
 
 
-def matel_closed(ctx: QContext, family: LadderFamily, p: MatElParams) -> Fraction:
+def matel_closed(ctx: QContext, family: Family, p: MatElParams) -> Fraction:
     """Closed-form matrix element, exactly as the published branch formulas.
 
-    Evaluates the r <= n branch or the n <= r branch; at n = r both branches
-    are computed and must agree (the U-polynomial depends on mu+nu only).
+    Evaluates the r <= n branch or the n < r branch; at n = r the formula
+    is evaluated from both sides, which must agree (the U-polynomial
+    depends on mu+nu only).
     """
     if p.n == p.r:
-        lo = _closed_lower(ctx, family, p)
-        hi = _closed_upper(ctx, family, p)
+        lo = _closed(ctx, family, p, True)
+        hi = _closed(ctx, family, p, False)
         if lo != hi:
             raise AssertionError(
                 f"diagonal branch mismatch at n = r = {p.n}: {lo} vs {hi}")
         return lo
-    if p.r < p.n:
-        return _closed_lower(ctx, family, p)
-    return _closed_upper(ctx, family, p)
+    return _closed(ctx, family, p, p.r < p.n)
 
 
-def _closed_lower(ctx: QContext, family: LadderFamily, p: MatElParams) -> Fraction:
-    """Branch for r <= n."""
-    q = ctx.q
-    d = p.n - p.r
-    arg_scale = p.alpha * p.beta * (q - 1)
-    if family is LadderFamily.QGAUSSIAN:
-        pref = p.beta ** d * ctx.pow_half(p.nu, d * d) * q_binomial(ctx, p.n, p.r)
-        uarg = arg_scale * ctx.q_pow(1 + p.nu.twice * d)
-    elif family is LadderFamily.QFACTORIAL:
-        pref = (p.beta ** d * ctx.pow_half(p.nu, d * d)
-                * ctx.q_pow((-d) * (p.n + p.r + 1) // 2)
-                * q_binomial(ctx, p.n, p.r))
-        uarg = arg_scale * ctx.q_pow(p.nu.twice * d)
-    else:  # Hahn
-        scale = _hahn_scale(ctx)
-        pref = ((p.beta * scale) ** d * ctx.pow_half(p.nu, d * d)
-                * q_binomial(ctx, p.n, p.r))
-        uarg = arg_scale * (1 + ctx.omega0) ** 2 * ctx.q_pow(1 + p.nu.twice * d)
-    return pref * u_polynomial(ctx, p.mu, p.nu, p.r, ctx.q_pow(1 + d), uarg)
-
-
-def _closed_upper(ctx: QContext, family: LadderFamily, p: MatElParams) -> Fraction:
-    """Branch for n <= r."""
-    q = ctx.q
-    d = p.r - p.n
-    arg_scale = p.alpha * p.beta * (q - 1)
-    if family is LadderFamily.QGAUSSIAN:
-        pref = (p.alpha ** d * ctx.pow_half(p.mu, d * d)
-                * ctx.q_pow((-d) * (p.n + p.r - 1) // 2) / q_factorial(ctx, d))
-        uarg = arg_scale * ctx.q_pow(1 + p.mu.twice * d)
-    elif family is LadderFamily.QFACTORIAL:
-        pref = p.alpha ** d * ctx.pow_half(p.mu, d * d) / q_factorial(ctx, d)
-        uarg = arg_scale * ctx.q_pow(p.mu.twice * d)
-    else:  # Hahn
-        scale = _hahn_scale(ctx)
-        pref = ((p.alpha * scale) ** d * ctx.pow_half(p.mu, d * d)
-                * ctx.q_pow((-d) * (p.n + p.r - 1) // 2) / q_factorial(ctx, d))
-        uarg = arg_scale * (1 + ctx.omega0) ** 2 * ctx.q_pow(1 + p.mu.twice * d)
-    return pref * u_polynomial(ctx, p.nu, p.mu, p.n, ctx.q_pow(1 + d), uarg)
+def _closed(ctx: QContext, family: Family, p: MatElParams,
+            lower: bool) -> Fraction:
+    """The closed form on the r <= n side (lower) or the n <= r side."""
+    e, n, r = family.e, p.n, p.r
+    # the q-powers q^(h d^2) and q^(-e d(n+r+1)/2) or q^(-(1-e) d(n+r-1)/2)
+    # as one power of s = q^(1/2); d(n+r+1) and d(n+r-1) are always even
+    if lower:
+        d, c, h = n - r, p.beta, p.nu
+        pref = (ctx.pow_half(HALF_HALF, h.twice * d * d - e * d * (n + r + 1))
+                * q_binomial(ctx, n, r))
+    else:
+        d, c, h = r - n, p.alpha, p.mu
+        pref = (ctx.pow_half(HALF_HALF,
+                             h.twice * d * d - (1 - e) * d * (n + r - 1))
+                / q_factorial(ctx, d))
+    uarg = (p.alpha * p.beta * (ctx.q - 1) * family.kappa(ctx)
+            * ctx.q_pow(1 - e + h.twice * d))
+    return ((c * family.sigma(ctx)) ** d * pref
+            * u_polynomial(ctx, p.mu, p.nu, min(n, r), ctx.q_pow(1 + d), uarg))
 
 
 @dataclass(frozen=True)

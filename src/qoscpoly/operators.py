@@ -1,34 +1,25 @@
-"""Difference/scaling/shift operators and the ladder triples of each family.
+"""Difference/scaling operators and the ladder families.
 
-Every ladder pair is realized twice: as a banded action on family-basis
-coefficient vectors (the printed lowering/raising coefficients) and as an
-analytic operator acting exactly on polynomial coefficients.  The two
-realizations agreeing on basis elements is one of the core checks.
+A ``Family`` record holds the few constants that tell the three ladder
+families apart; one formula then gives every family's coefficients and
+eigen-relations.  Every ladder pair is realized twice: as a banded action
+on family-basis coefficient vectors (the printed lowering/raising
+coefficients) and as an analytic operator acting exactly on polynomial
+coefficients.  The two realizations agreeing on basis elements is one of
+the core checks.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .context import QContext
 from .families import Basis, FamilyVector, qgaussian
+from .hahn import hahn_derivative_poly
 from .poly import VAR_U, VAR_X, Poly
 from .qarith import q_int, q_int_recip
-
-
-class LadderFamily(enum.Enum):
-    QGAUSSIAN = "qgaussian"
-    QFACTORIAL = "qfactorial"
-    HAHN = "hahn"
-
-
-FAMILY_BASIS = {
-    LadderFamily.QGAUSSIAN: Basis.QGAUSSIAN,
-    LadderFamily.QFACTORIAL: Basis.QFACTORIAL,
-    LadderFamily.HAHN: Basis.HAHN_FACTORIAL,
-}
 
 
 def jackson_derivative(ctx: QContext, p: Poly) -> Poly:
@@ -45,34 +36,97 @@ def scale_x(ctx: QContext, p: Poly, e: int) -> Poly:
     return Poly((ctx.q_pow(e * n) * c for n, c in enumerate(p.coeffs)))
 
 
-def shift_x(ctx: QContext, p: Poly, h) -> Poly:
-    """p(x + h), expanded exactly."""
+# the analytic operators without a public name; see ladder_apply_analytic
+def _qgaussian_raise(ctx: QContext, p: Poly) -> Poly:
+    return Poly([-1, 1]) * scale_x(ctx, p, -1)
+
+
+def _check_u(p: Poly):
+    if p.var != VAR_U:
+        raise ValueError("q-factorial operators act on polynomials in u")
+
+
+def _qfactorial_lower(ctx: QContext, p: Poly) -> Poly:
+    _check_u(p)
+    diff = p.scale_arg(ctx.q) - p
+    # g(qu) - g(u) always has zero constant term
+    if diff.coeff(0) != 0:
+        raise AssertionError("lowering numerator not divisible by u")
+    return Poly(diff.coeffs[1:], VAR_U) / ctx.q
+
+
+def _qfactorial_raise(ctx: QContext, p: Poly) -> Poly:
+    _check_u(p)
+    return (Poly([1, -1], VAR_U) / (1 - ctx.q)) * p.scale_arg(1 / ctx.q)
+
+
+def _hahn_raise(ctx: QContext, p: Poly) -> Poly:
     if p.var != VAR_X:
-        raise ValueError("shifting acts on polynomials in x")
-    return p.shift(h)
+        raise ValueError("Hahn operators act on polynomials in x")
+    return Poly([0, 1]) * p.compose_affine(1 / ctx.q, -ctx.omega / ctx.q)
 
 
-def lowering_coeff(ctx: QContext, family: LadderFamily, n: int) -> Fraction:
+def _one(ctx: QContext) -> Fraction:
+    return Fraction(1)
+
+
+@dataclass(frozen=True)
+class Family:
+    """What distinguishes one ladder family; everything else is shared.
+
+    ``name`` labels record ids and table rows; ``lower`` and ``raise_`` are
+    the analytic operators (ctx, poly) -> poly.  ``e`` says which ladder
+    operator carries the q^-n factor: the lowering coefficient is
+    q^(-e n) [n]_q and the raising one q^(-(1-e) n).  ``sigma`` scales the
+    ladder argument of the exponential series and ``kappa`` the argument of
+    the closed-form U-polynomial.
+    """
+
+    name: str
+    basis: Basis
+    lower: Callable[[QContext, Poly], Poly]
+    raise_: Callable[[QContext, Poly], Poly]
+    e: int
+    sigma: Callable[[QContext], Fraction]
+    kappa: Callable[[QContext], Fraction]
+
+
+# Public operators are looked up by name at call time, so a rebinding of the
+# module name (bench/tracer.py does this) also reaches calls through a record.
+QGAUSSIAN = Family("qgaussian", Basis.QGAUSSIAN,
+                   lambda ctx, p: jackson_derivative(ctx, p), _qgaussian_raise,
+                   e=0, sigma=_one, kappa=_one)
+QFACTORIAL = Family("qfactorial", Basis.QFACTORIAL, _qfactorial_lower,
+                    _qfactorial_raise, e=1, sigma=_one, kappa=_one)
+# (1 - q - w)/(1 - q) = 1 - omega0 rides on each ladder power; kappa is the
+# printed (1 + omega0)^2, see the README's documented discrepancies
+HAHN = Family("hahn", Basis.HAHN_FACTORIAL,
+              lambda ctx, p: hahn_derivative_poly(ctx, p), _hahn_raise,
+              e=0, sigma=lambda ctx: 1 - ctx.omega0,
+              kappa=lambda ctx: (1 + ctx.omega0) ** 2)
+FAMILIES = (QGAUSSIAN, QFACTORIAL, HAHN)
+
+
+def lowering_coeff(ctx: QContext, family: Family, n: int) -> Fraction:
     """c with  a . basis_n = c * basis_{n-1} (0 on the ground element)."""
     if n == 0:
         return Fraction(0)
-    if family is LadderFamily.QFACTORIAL:
-        return ctx.q_pow(-n) * q_int(ctx, n)
-    return q_int(ctx, n)
+    c = q_int(ctx, n)
+    # q^(-e n) [n]_q with e in {0, 1}; e = 0 skips a multiply by q^0
+    return ctx.q_pow(-n) * c if family.e else c
 
 
-def raising_coeff(ctx: QContext, family: LadderFamily, n: int) -> Fraction:
+def raising_coeff(ctx: QContext, family: Family, n: int) -> Fraction:
     """c with  a^dag . basis_n = c * basis_{n+1}."""
-    if family is LadderFamily.QFACTORIAL:
-        return Fraction(1)
-    return ctx.q_pow(-n)
+    return Fraction(1) if family.e else ctx.q_pow(-n)
 
 
-def ladder_apply(ctx: QContext, family: LadderFamily, direction: str,
+def ladder_apply(ctx: QContext, family: Family, direction: str,
                  v: FamilyVector) -> FamilyVector:
     """Banded ladder action on a coefficient vector in the family basis."""
-    if v.basis is not FAMILY_BASIS[family]:
-        raise ValueError(f"vector basis {v.basis} does not match family {family}")
+    if v.basis is not family.basis:
+        raise ValueError(
+            f"vector basis {v.basis} does not match family {family.name}")
     n = len(v.coeffs)
     if direction == "lower":
         out = [lowering_coeff(ctx, family, k + 1) * v.coeff(k + 1)
@@ -85,7 +139,7 @@ def ladder_apply(ctx: QContext, family: LadderFamily, direction: str,
     return FamilyVector(v.basis, out or [0])
 
 
-def ladder_apply_analytic(ctx: QContext, family: LadderFamily, direction: str,
+def ladder_apply_analytic(ctx: QContext, family: Family, direction: str,
                           p: Poly) -> Poly:
     """Analytic operator realization applied exactly on coefficients.
 
@@ -94,34 +148,11 @@ def ladder_apply_analytic(ctx: QContext, family: LadderFamily, direction: str,
                               a^dag : g -> (1-u)/(1-q) * g(u/q).
     Hahn: a = D_{q,w}, a^dag : p -> x * p((x-w)/q).
     """
-    from .hahn import hahn_derivative_poly  # local import avoids a cycle
-
-    q = ctx.q
-    if family is LadderFamily.QFACTORIAL:
-        if p.var != VAR_U:
-            raise ValueError("q-factorial operators act on polynomials in u")
-        if direction == "lower":
-            diff = p.scale_arg(q) - p
-            # g(qu) - g(u) always has zero constant term
-            if diff.coeff(0) != 0:
-                raise AssertionError("lowering numerator not divisible by u")
-            return Poly(diff.coeffs[1:], VAR_U) / q
-        if direction == "raise":
-            return (Poly([1, -1], VAR_U) / (1 - q)) * p.scale_arg(1 / q)
-        raise ValueError(f"bad direction {direction!r}")
-    if p.var != VAR_X:
-        raise ValueError("operators of this family act on polynomials in x")
-    if family is LadderFamily.QGAUSSIAN:
-        if direction == "lower":
-            return jackson_derivative(ctx, p)
-        if direction == "raise":
-            return Poly([-1, 1]) * scale_x(ctx, p, -1)
-    if family is LadderFamily.HAHN:
-        if direction == "lower":
-            return hahn_derivative_poly(ctx, p)
-        if direction == "raise":
-            return Poly([0, 1]) * p.compose_affine(1 / q, -ctx.omega / q)
-    raise ValueError(f"bad family/direction {family!r}/{direction!r}")
+    if direction == "lower":
+        return family.lower(ctx, p)
+    if direction == "raise":
+        return family.raise_(ctx, p)
+    raise ValueError(f"bad direction {direction!r}")
 
 
 @dataclass(frozen=True)
@@ -135,26 +166,19 @@ class RelationCheck:
     rhs: Fraction
 
 
-def _basis_vector(family: LadderFamily, n: int) -> FamilyVector:
-    coeffs = [0] * n + [1]
-    return FamilyVector(FAMILY_BASIS[family], coeffs)
-
-
-def algebra_relations_check(ctx: QContext, family: LadderFamily,
+def algebra_relations_check(ctx: QContext, family: Family,
                             nmax: int) -> list[RelationCheck]:
     """Verify the oscillator-algebra eigen-relations on basis indices <= nmax.
 
-    For the q-Gaussian and Hahn families:
-        a a+ = q^-n [n+1],  a+ a = q^(1-n) [n],
-        [a, a+] = q^-n,     a a+ - q^-1 a+ a = 1.
-    For the q-factorial family:
-        a a+ = q^(-n-1) [n+1],  a+ a = q^-n [n],
-        [a, a+] = q^(-n-1),     a a+ - q^-1 a+ a = q^-1.
-    Plus the number-operator relations [N, a] = -a and [N, a+] = a+ for all.
+    With e = family.e (1 for q-factorial, 0 otherwise):
+        a a+ = q^(-n-e) [n+1],  a+ a = q^(1-n-e) [n],
+        [a, a+] = q^(-n-e),     a a+ - q^-1 a+ a = q^-e.
+    Plus the number-operator relations [N, a] = -a and [N, a+] = a+.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     q = ctx.q
+    e = family.e
     out = []
     for n in range(nmax + 1):
         low = lowering_coeff(ctx, family, n)
@@ -163,20 +187,12 @@ def algebra_relations_check(ctx: QContext, family: LadderFamily,
         aad = raising_coeff(ctx, family, n) * lowering_coeff(ctx, family, n + 1)
         ada = (lowering_coeff(ctx, family, n)
                * (raising_coeff(ctx, family, n - 1) if n > 0 else Fraction(0)))
-        if family is LadderFamily.QFACTORIAL:
-            expected = [
-                ("a.adag eigenvalue", aad, ctx.q_pow(-n - 1) * q_int(ctx, n + 1)),
-                ("adag.a eigenvalue", ada, ctx.q_pow(-n) * q_int(ctx, n)),
-                ("commutator", aad - ada, ctx.q_pow(-n - 1)),
-                ("q-commutator", aad - ada / q, 1 / q),
-            ]
-        else:
-            expected = [
-                ("a.adag eigenvalue", aad, ctx.q_pow(-n) * q_int(ctx, n + 1)),
-                ("adag.a eigenvalue", ada, ctx.q_pow(1 - n) * q_int(ctx, n)),
-                ("commutator", aad - ada, ctx.q_pow(-n)),
-                ("q-commutator", aad - ada / q, Fraction(1)),
-            ]
+        expected = [
+            ("a.adag eigenvalue", aad, ctx.q_pow(-n - e) * q_int(ctx, n + 1)),
+            ("adag.a eigenvalue", ada, ctx.q_pow(1 - n - e) * q_int(ctx, n)),
+            ("commutator", aad - ada, ctx.q_pow(-n - e)),
+            ("q-commutator", aad - ada / q, ctx.q_pow(-e)),
+        ]
         # [N, a] basis_n = -(a basis_n) and [N, a+] basis_n = a+ basis_n:
         # a maps n -> n-1 so N picks up (n-1) - n = -1 times the coefficient.
         expected.append(("number-lowering", (n - 1) * low - n * low, -low))

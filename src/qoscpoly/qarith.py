@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .context import HalfInt, QContext, frac
+from .context import QContext, frac
 
 
 def q_int_at(q: Fraction, n: int) -> Fraction:
@@ -80,11 +80,6 @@ def q_pochhammer_inf(ctx: QContext, z, tol) -> tuple[Fraction, int]:
         if factor == 0:
             return Fraction(0), k
     return value, k
-
-
-def q_pow_half(ctx: QContext, mu: HalfInt, e: int) -> Fraction:
-    """q**(mu*e) for half-integer mu, exact via the stored base root s."""
-    return ctx.pow_half(mu, e)
 
 
 def q_double_factorial_even(ctx: QContext, n: int) -> Fraction:

@@ -61,6 +61,7 @@ class TruncSeries:
         return TruncSeries.constant(other, self.order) - self
 
     def __mul__(self, other):
+        """Scalar multiple, or the Cauchy product valid to the smaller order."""
         if not isinstance(other, TruncSeries):
             c = frac(other)
             return TruncSeries([c * a for a in self.coeffs])
@@ -86,11 +87,6 @@ class TruncSeries:
 
     def __repr__(self):
         return f"TruncSeries({list(self.coeffs)!r})"
-
-
-def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    """Cauchy product, valid to the smaller operand order."""
-    return a * b
 
 
 def series_recip(a: TruncSeries) -> TruncSeries:

@@ -2,7 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from qoscpoly import QContext
+from qoscpoly import Family, QContext
+
+
+def pytest_make_parametrize_id(config, val, argname):
+    # Family parameters keep the test ids they had as members of the former
+    # LadderFamily enum, so results stay comparable across versions.
+    if isinstance(val, Family):
+        return f"LadderFamily.{val.name.upper()}"
+    return None
 
 
 @pytest.fixture

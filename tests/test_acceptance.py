@@ -12,12 +12,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from qoscpoly import (HALF_HALF, HALF_ZERO, Basis, LadderFamily, MatElParams,
-                      Poly, QContext, algebra_relations_check,
+from qoscpoly import (FAMILIES, HAHN, HALF_HALF, HALF_ZERO, QGAUSSIAN, Basis,
+                      MatElParams, Poly, QContext, algebra_relations_check,
                       basic_hyp_terminating, cli, connect_hahn_gaussian,
                       difference_equation_residual, expand_in_basis,
-                      exp_pair_identity_residual, gaussian_genfun_lhs,
-                      hahn_derivative_poly, hahn_exp_normalized,
+                      exp_pair_identity_residual, family_basis_poly,
+                      gaussian_genfun_lhs, hahn_derivative_poly,
+                      hahn_exp_normalized,
                       hahn_factorial, hahn_genfun_lhs, hahn_integral_closed,
                       jackson_derivative, ladder_apply, ladder_apply_analytic,
                       leibniz_residuals, matel_closed, matel_oracle,
@@ -27,7 +28,6 @@ from qoscpoly import (HALF_HALF, HALF_ZERO, Basis, LadderFamily, MatElParams,
                       vector_to_poly)
 from qoscpoly.families import FamilyVector
 from qoscpoly.hahn import hahn_antiderivative
-from qoscpoly.operators import FAMILY_BASIS
 from qoscpoly.report import DISCREPANCY
 from qoscpoly.series import e_type_series, recip_poch_series, TruncSeries
 from qoscpoly.verify import RunConfig, run_suites
@@ -43,14 +43,6 @@ def verdict(capsys, number, ok, description):
         print(f"[criterion {number:02d}] {'PASS' if ok else 'FAIL'} - "
               f"{description}")
     assert ok, f"criterion {number} failed: {description}"
-
-
-def family_poly(ctx, family, n):
-    if family is LadderFamily.QGAUSSIAN:
-        return qgaussian(ctx, n)
-    if family is LadderFamily.QFACTORIAL:
-        return qfactorial_u(ctx, n)
-    return hahn_factorial(ctx, n)
 
 
 def test_criterion_01_triple_construction(capsys):
@@ -77,23 +69,22 @@ def test_criterion_02_ladder_algebra(capsys):
     ok = True
     for s in (F(1, 2), F(3, 4)):
         ctx = QContext(s, F(1, 8))
-        for family in LadderFamily:
-            basis = FAMILY_BASIS[family]
+        for family in FAMILIES:
             for n in range(13):
-                pn = family_poly(ctx, family, n)
+                pn = family_basis_poly(ctx, family.basis, n)
                 for direction in ("lower", "raise"):
                     vec = ladder_apply(ctx, family, direction,
-                                       FamilyVector(basis, [0] * n + [1]))
+                                       FamilyVector(family.basis, [0] * n + [1]))
                     analytic = ladder_apply_analytic(ctx, family, direction, pn)
                     ok &= analytic == vector_to_poly(ctx, vec)
             ok &= all(c.passed
                       for c in algebra_relations_check(ctx, family, 12))
-        for family in (LadderFamily.QGAUSSIAN, LadderFamily.HAHN):
+        for family in (QGAUSSIAN, HAHN):
             p = Poly.one()
             for n in range(1, 11):
                 p = ladder_apply_analytic(ctx, family, "raise", p)
                 ok &= (ctx.q_pow(n * (n - 1) // 2) * p
-                       == family_poly(ctx, family, n))
+                       == family_basis_poly(ctx, family.basis, n))
     verdict(capsys, 2, ok,
             "analytic and basis ladder actions, eigen-relations, and "
             "repeated raising all exact")
@@ -192,7 +183,7 @@ def test_criterion_06_matrix_element_grid(capsys):
         for omega in (F(0), F(1, 8)):
             ctx = QContext(s, omega)
             ctx0 = ctx.with_omega(0)
-            for family in LadderFamily:
+            for family in FAMILIES:
                 for mu in HALVES:
                     for nu in HALVES:
                         for alpha in AB:
@@ -205,17 +196,13 @@ def test_criterion_06_matrix_element_grid(capsys):
                                         oracle = matel_oracle(ctx, family, p)
                                         cells += 1
                                         if closed != oracle:
-                                            if family is LadderFamily.HAHN:
+                                            if family is HAHN:
                                                 hahn_mismatches += 1
                                             else:
                                                 exact_ok = False
-                                        if (family is LadderFamily.HAHN
-                                                and omega != 0):
-                                            g = matel_closed(
-                                                ctx0,
-                                                LadderFamily.QGAUSSIAN, p)
-                                            h = matel_closed(
-                                                ctx0, LadderFamily.HAHN, p)
+                                        if family is HAHN and omega != 0:
+                                            g = matel_closed(ctx0, QGAUSSIAN, p)
+                                            h = matel_closed(ctx0, HAHN, p)
                                             reduction_ok &= g == h
     ok = exact_ok and reduction_ok and cells == 2 * 2 * 3 * 4 * 16 * 49
     verdict(capsys, 6, ok,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qoscpoly import cli
+from qoscpoly import QFACTORIAL, cli
 from qoscpoly.report import (DISCREPANCY, FAIL, PASS, VerificationReport,
                              record)
 from qoscpoly.verify import RunConfig, run_suites
@@ -64,6 +64,23 @@ class TestVerifyCommand:
             + FAST)
         assert code == cli.EXIT_OK
         assert "[documented-discrepancy]" in out
+
+    def test_wrong_closed_form_fails(self, capsys, monkeypatch):
+        # documented-discrepancy covers only the predicted Hahn cells, so a
+        # q-factorial closed form off by a factor of 2 fails the run
+        import qoscpoly.matel as matel
+        closed = matel.matel_closed
+
+        def doubled(ctx, family, p):
+            value = closed(ctx, family, p)
+            return 2 * value if family is QFACTORIAL else value
+
+        monkeypatch.setattr(matel, "matel_closed", doubled)
+        code, out, _ = run_cli(
+            capsys, ["verify", "--suite", "matrixelements", "--nmax", "2"])
+        assert code == cli.EXIT_VERIFICATION_FAILED
+        assert "[fail] matrixelements/closed-vs-oracle/qfactorial/" in out
+        assert "[fail] matrixelements/closed-vs-oracle/qgaussian/" not in out
 
     def test_json_schema(self, capsys):
         code, out, _ = run_cli(

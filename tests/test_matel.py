@@ -1,10 +1,12 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 
-from qoscpoly import (HALF_HALF, HALF_ZERO, LadderFamily, MatElParams,
-                      basic_hyp_terminating, matel_closed, matel_oracle,
-                      q_factorial, special_form_checks, u_polynomial)
+from qoscpoly import (FAMILIES, HAHN, HALF_HALF, HALF_ZERO, QFACTORIAL,
+                      QGAUSSIAN, MatElParams, QContext, basic_hyp_terminating,
+                      matel_closed, matel_oracle, q_factorial,
+                      special_form_checks, u_polynomial)
 
 HALVES = (HALF_ZERO, HALF_HALF)
 AB_VALUES = (F(0), F(1), F(-1, 2), F(1, 3))
@@ -66,7 +68,7 @@ class TestBasicHyp:
 class TestOracleBasics:
     def test_identity_operator(self, ctx_q14):
         # alpha = beta = 0 leaves basis elements untouched
-        for fam in LadderFamily:
+        for fam in FAMILIES:
             for n in range(5):
                 for r in range(5):
                     p = MatElParams(HALF_ZERO, HALF_ZERO, 0, 0, n, r)
@@ -84,7 +86,7 @@ class TestOracleBasics:
                 for t in range(d):
                     path *= ctx_q916.q_pow(-(n + t))
                 expect = a ** d / q_factorial(ctx_q916, d) * path
-                assert matel_oracle(ctx_q916, LadderFamily.QGAUSSIAN, p) == expect
+                assert matel_oracle(ctx_q916, QGAUSSIAN, p) == expect
 
     def test_pure_lowering(self, ctx_q916):
         from qoscpoly.qarith import q_int
@@ -97,7 +99,7 @@ class TestOracleBasics:
                 for t in range(d):
                     path *= q_int(ctx_q916, n - t)
                 expect = b ** d / q_factorial(ctx_q916, d) * path
-                assert matel_oracle(ctx_q916, LadderFamily.QGAUSSIAN, p) == expect
+                assert matel_oracle(ctx_q916, QGAUSSIAN, p) == expect
 
     def test_negative_indices_rejected(self):
         with pytest.raises(ValueError):
@@ -105,8 +107,7 @@ class TestOracleBasics:
 
 
 class TestClosedVsOracle:
-    @pytest.mark.parametrize("family", [LadderFamily.QGAUSSIAN,
-                                        LadderFamily.QFACTORIAL])
+    @pytest.mark.parametrize("family", [QGAUSSIAN, QFACTORIAL])
     def test_exact_match(self, ctx_q14, family):
         for mu in HALVES:
             for nu in HALVES:
@@ -125,36 +126,56 @@ class TestClosedVsOracle:
                 for n in range(4):
                     for r in range(4):
                         p = MatElParams(mu, nu, F(1, 3), F(-1, 2), n, r)
-                        assert (matel_closed(ctx0, LadderFamily.HAHN, p)
-                                == matel_oracle(ctx0, LadderFamily.HAHN, p))
+                        assert (matel_closed(ctx0, HAHN, p)
+                                == matel_oracle(ctx0, HAHN, p))
 
     def test_hahn_reduces_to_gaussian_at_omega_zero(self, ctx_q916):
         ctx0 = ctx_q916.with_omega(0)
         for n in range(5):
             for r in range(5):
                 p = MatElParams(HALF_HALF, HALF_ZERO, F(1, 3), F(1), n, r)
-                assert (matel_oracle(ctx0, LadderFamily.HAHN, p)
-                        == matel_oracle(ctx0, LadderFamily.QGAUSSIAN, p))
+                assert (matel_oracle(ctx0, HAHN, p)
+                        == matel_oracle(ctx0, QGAUSSIAN, p))
 
     def test_hahn_closed_form_discrepancy(self, ctx_q14):
         # the published Hahn closed form disagrees with the oracle whenever
         # alpha*beta != 0 and omega != 0; this stays surfaced, not patched
         p = MatElParams(HALF_ZERO, HALF_ZERO, F(1), F(1), 2, 2)
-        closed = matel_closed(ctx_q14, LadderFamily.HAHN, p)
-        oracle = matel_oracle(ctx_q14, LadderFamily.HAHN, p)
+        closed = matel_closed(ctx_q14, HAHN, p)
+        oracle = matel_oracle(ctx_q14, HAHN, p)
         assert closed != oracle
+
+    def test_hahn_kappa_variant_matches_oracle(self):
+        # the README's claim: with (1 - omega0)^2 in place of the printed
+        # (1 + omega0)^2 the Hahn closed form equals the oracle everywhere
+        variant = dataclasses.replace(
+            HAHN, kappa=lambda ctx: (1 - ctx.omega0) ** 2)
+        cells = 0
+        for s in (F(1, 2), F(3, 4)):
+            for omega in (F(0), F(1, 8), F(1, 3)):
+                ctx = QContext(s, omega)
+                for mu in HALVES:
+                    for nu in HALVES:
+                        for a in AB_VALUES:
+                            for b in AB_VALUES:
+                                for n in range(7):
+                                    for r in range(7):
+                                        p = MatElParams(mu, nu, a, b, n, r)
+                                        assert (matel_closed(ctx, variant, p)
+                                                == matel_oracle(ctx, HAHN, p))
+                                        cells += 1
+        assert cells == 18816
 
     def test_hahn_oracle_scale_is_exact(self, ctx_q14):
         # single-raise element picks up exactly (1 - omega0) * alpha
         p = MatElParams(HALF_ZERO, HALF_ZERO, F(1), F(0), 0, 1)
-        got = matel_oracle(ctx_q14, LadderFamily.HAHN, p)
+        got = matel_oracle(ctx_q14, HAHN, p)
         assert got == 1 - ctx_q14.omega0
 
 
 class TestDiagonalBranches:
     def test_branches_agree_on_diagonal(self, ctx_q14):
-        for fam in (LadderFamily.QGAUSSIAN, LadderFamily.QFACTORIAL,
-                    LadderFamily.HAHN):
+        for fam in FAMILIES:
             for mu in HALVES:
                 for nu in HALVES:
                     p = MatElParams(mu, nu, F(1, 3), F(-1, 2), 3, 3)

@@ -2,22 +2,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from qoscpoly import (Basis, FamilyVector, LadderFamily, Poly,
-                      algebra_relations_check, difference_equation_residual,
+from qoscpoly import (FAMILIES, HAHN, QFACTORIAL, QGAUSSIAN, Basis,
+                      FamilyVector, Poly, algebra_relations_check,
+                      difference_equation_residual, family_basis_poly,
                       hahn_factorial, jackson_derivative, ladder_apply,
                       ladder_apply_analytic, q_int, qfactorial_u, qgaussian,
-                      scale_x, shift_x)
-from qoscpoly.operators import FAMILY_BASIS, lowering_coeff, raising_coeff
-
-ALL_FAMILIES = list(LadderFamily)
-
-
-def basis_poly(ctx, family, n):
-    if family is LadderFamily.QGAUSSIAN:
-        return qgaussian(ctx, n)
-    if family is LadderFamily.QFACTORIAL:
-        return qfactorial_u(ctx, n)
-    return hahn_factorial(ctx, n)
+                      scale_x)
+from qoscpoly.operators import lowering_coeff, raising_coeff
 
 
 class TestBasicOperators:
@@ -40,7 +31,7 @@ class TestBasicOperators:
         q = ctx_q12.q
         assert scale_x(ctx_q12, p, 1) == Poly([1, 2 * q, 3 * q ** 2])
         assert scale_x(ctx_q12, p, -1)(q) == p(1)
-        assert shift_x(ctx_q12, p, F(1, 2))(0) == p(F(1, 2))
+        assert p.shift(F(1, 2))(0) == p(F(1, 2))
 
     def test_var_guard(self, ctx_q12):
         with pytest.raises(ValueError):
@@ -49,49 +40,49 @@ class TestBasicOperators:
 
 class TestLadderCoefficients:
     def test_ground_state_annihilated(self, ctx_q14):
-        for fam in ALL_FAMILIES:
+        for fam in FAMILIES:
             assert lowering_coeff(ctx_q14, fam, 0) == 0
 
     def test_printed_values(self, ctx_q14):
         q = ctx_q14.q
         for n in range(1, 8):
-            assert lowering_coeff(ctx_q14, LadderFamily.QGAUSSIAN, n) == q_int(ctx_q14, n)
-            assert lowering_coeff(ctx_q14, LadderFamily.HAHN, n) == q_int(ctx_q14, n)
-            assert (lowering_coeff(ctx_q14, LadderFamily.QFACTORIAL, n)
+            assert lowering_coeff(ctx_q14, QGAUSSIAN, n) == q_int(ctx_q14, n)
+            assert lowering_coeff(ctx_q14, HAHN, n) == q_int(ctx_q14, n)
+            assert (lowering_coeff(ctx_q14, QFACTORIAL, n)
                     == q ** -n * q_int(ctx_q14, n))
         for n in range(8):
-            assert raising_coeff(ctx_q14, LadderFamily.QGAUSSIAN, n) == q ** -n
-            assert raising_coeff(ctx_q14, LadderFamily.HAHN, n) == q ** -n
-            assert raising_coeff(ctx_q14, LadderFamily.QFACTORIAL, n) == 1
+            assert raising_coeff(ctx_q14, QGAUSSIAN, n) == q ** -n
+            assert raising_coeff(ctx_q14, HAHN, n) == q ** -n
+            assert raising_coeff(ctx_q14, QFACTORIAL, n) == 1
 
     def test_banded_action(self, ctx_q14):
         v = FamilyVector(Basis.QGAUSSIAN, (0, 0, 1))
-        lowered = ladder_apply(ctx_q14, LadderFamily.QGAUSSIAN, "lower", v)
+        lowered = ladder_apply(ctx_q14, QGAUSSIAN, "lower", v)
         assert lowered.trimmed().coeffs == (0, q_int(ctx_q14, 2))
-        raised = ladder_apply(ctx_q14, LadderFamily.QGAUSSIAN, "raise", v)
+        raised = ladder_apply(ctx_q14, QGAUSSIAN, "raise", v)
         assert raised.trimmed().coeffs == (0, 0, 0, ctx_q14.q_pow(-2))
 
     def test_basis_mismatch_rejected(self, ctx_q14):
         v = FamilyVector(Basis.MONOMIAL, (1,))
         with pytest.raises(ValueError):
-            ladder_apply(ctx_q14, LadderFamily.QGAUSSIAN, "lower", v)
+            ladder_apply(ctx_q14, QGAUSSIAN, "lower", v)
 
     def test_bad_direction(self, ctx_q14):
         v = FamilyVector(Basis.HAHN_FACTORIAL, (1,))
         with pytest.raises(ValueError):
-            ladder_apply(ctx_q14, LadderFamily.HAHN, "sideways", v)
+            ladder_apply(ctx_q14, HAHN, "sideways", v)
 
 
 class TestAnalyticVsBanded:
-    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("direction", ["lower", "raise"])
     def test_agree_on_basis_elements(self, ctx_q14, family, direction):
         for n in range(9):
-            p = basis_poly(ctx_q14, family, n)
+            p = family_basis_poly(ctx_q14, family.basis, n)
             analytic = ladder_apply_analytic(ctx_q14, family, direction, p)
-            v = FamilyVector(FAMILY_BASIS[family], [0] * n + [1])
+            v = FamilyVector(family.basis, [0] * n + [1])
             banded = ladder_apply(ctx_q14, family, direction, v)
-            expect = sum((c * basis_poly(ctx_q14, family, k)
+            expect = sum((c * family_basis_poly(ctx_q14, family.basis, k)
                           for k, c in enumerate(banded.coeffs) if c != 0),
                          Poly.zero(p.var))
             assert analytic == expect
@@ -100,14 +91,14 @@ class TestAnalyticVsBanded:
         # (a^dag)^n 1 = q^(-n(n-1)/2) phi_n for the q-Gaussian family
         p = Poly.one()
         for n in range(1, 9):
-            p = ladder_apply_analytic(ctx_q916, LadderFamily.QGAUSSIAN, "raise", p)
+            p = ladder_apply_analytic(ctx_q916, QGAUSSIAN, "raise", p)
             expect = ctx_q916.q_pow(-(n * (n - 1)) // 2) * qgaussian(ctx_q916, n)
             assert p == expect
 
     def test_hahn_raising_from_ground(self, ctx_q14):
         p = Poly.one()
         for n in range(1, 9):
-            p = ladder_apply_analytic(ctx_q14, LadderFamily.HAHN, "raise", p)
+            p = ladder_apply_analytic(ctx_q14, HAHN, "raise", p)
             expect = ctx_q14.q_pow(-(n * (n - 1)) // 2) * hahn_factorial(ctx_q14, n)
             assert p == expect
 
@@ -115,14 +106,14 @@ class TestAnalyticVsBanded:
         q = ctx_q14.q
         for n in range(1, 7):
             p = qfactorial_u(ctx_q14, n)
-            down = ladder_apply_analytic(ctx_q14, LadderFamily.QFACTORIAL, "lower", p)
+            down = ladder_apply_analytic(ctx_q14, QFACTORIAL, "lower", p)
             assert down == q ** -n * q_int(ctx_q14, n) * qfactorial_u(ctx_q14, n - 1)
-            up = ladder_apply_analytic(ctx_q14, LadderFamily.QFACTORIAL, "raise", p)
+            up = ladder_apply_analytic(ctx_q14, QFACTORIAL, "raise", p)
             assert up == qfactorial_u(ctx_q14, n + 1)
 
 
 class TestAlgebraRelations:
-    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_all_relations_hold(self, ctx_q14, family):
         checks = algebra_relations_check(ctx_q14, family, 10)
         assert checks and all(c.passed for c in checks)
@@ -130,7 +121,7 @@ class TestAlgebraRelations:
     def test_commutator_values(self, ctx_q916):
         q = ctx_q916.q
         got = {(c.relation, c.n): c.lhs
-               for c in algebra_relations_check(ctx_q916, LadderFamily.QGAUSSIAN, 5)}
+               for c in algebra_relations_check(ctx_q916, QGAUSSIAN, 5)}
         for n in range(6):
             assert got[("commutator", n)] == q ** -n
             assert got[("q-commutator", n)] == 1
@@ -138,14 +129,14 @@ class TestAlgebraRelations:
     def test_qfactorial_deformed_unit(self, ctx_q916):
         q = ctx_q916.q
         got = {(c.relation, c.n): c.lhs
-               for c in algebra_relations_check(ctx_q916, LadderFamily.QFACTORIAL, 5)}
+               for c in algebra_relations_check(ctx_q916, QFACTORIAL, 5)}
         for n in range(6):
             assert got[("commutator", n)] == q ** (-n - 1)
             assert got[("q-commutator", n)] == 1 / q
 
     def test_negative_nmax_rejected(self, ctx_q14):
         with pytest.raises(ValueError):
-            algebra_relations_check(ctx_q14, LadderFamily.HAHN, -1)
+            algebra_relations_check(ctx_q14, HAHN, -1)
 
 
 class TestDifferenceEquation:

@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qoscpoly import (HalfInt, QContext, q_binomial, q_double_factorial_even,
-                      q_factorial, q_int, q_pochhammer, q_pochhammer_inf,
-                      q_pow_half)
+                      q_factorial, q_int, q_pochhammer, q_pochhammer_inf)
 from qoscpoly.context import HALF_HALF, rational_sqrt
 
 
@@ -130,26 +129,26 @@ class TestPochhammerInf:
 
 class TestHalfPowers:
     def test_zero_exponent(self, ctx_q14):
-        assert q_pow_half(ctx_q14, HalfInt(0), 9) == 1
+        assert ctx_q14.pow_half(HalfInt(0), 9) == 1
 
     def test_half(self):
         ctx = QContext(F(1, 2))
-        assert q_pow_half(ctx, HALF_HALF, 4) == F(1, 16)   # q^2 at q=1/4
-        assert q_pow_half(ctx, HALF_HALF, 1) == F(1, 2)    # q^(1/2) = s
+        assert ctx.pow_half(HALF_HALF, 4) == F(1, 16)   # q^2 at q=1/4
+        assert ctx.pow_half(HALF_HALF, 1) == F(1, 2)    # q^(1/2) = s
 
     def test_additive(self, ctx_q916):
         for a in range(-6, 7):
             for b in range(-6, 7):
-                assert (q_pow_half(ctx_q916, HALF_HALF, a)
-                        * q_pow_half(ctx_q916, HALF_HALF, b)
-                        == q_pow_half(ctx_q916, HALF_HALF, a + b))
+                assert (ctx_q916.pow_half(HALF_HALF, a)
+                        * ctx_q916.pow_half(HALF_HALF, b)
+                        == ctx_q916.pow_half(HALF_HALF, a + b))
 
     def test_even_exponents_work_without_root(self, ctx_q12):
-        assert q_pow_half(ctx_q12, HALF_HALF, 4) == ctx_q12.q ** 2
+        assert ctx_q12.pow_half(HALF_HALF, 4) == ctx_q12.q ** 2
 
     def test_odd_exponent_needs_root(self, ctx_q12):
         with pytest.raises(ValueError):
-            q_pow_half(ctx_q12, HALF_HALF, 1)
+            ctx_q12.pow_half(HALF_HALF, 1)
 
     def test_half_int_construction(self):
         assert HalfInt.of(F(1, 2)).twice == 1

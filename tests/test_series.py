@@ -4,8 +4,8 @@ import pytest
 
 from qoscpoly import (QContext, TruncSeries, emu_series, eqw_eval, q_factorial,
                       q_pochhammer, qgaussian, hahn_factorial,
-                      gaussian_genfun_lhs, hahn_genfun_lhs, series_mul,
-                      series_recip, exp_pair_identity_residual)
+                      gaussian_genfun_lhs, hahn_genfun_lhs, series_recip,
+                      exp_pair_identity_residual)
 from qoscpoly.context import HALF_HALF, HALF_ZERO
 from qoscpoly.series import (e_type_series, exp_pair_alternate_residual,
                              recip_poch_series)
@@ -14,14 +14,14 @@ from qoscpoly.series import (e_type_series, exp_pair_alternate_residual,
 class TestArithmetic:
     def test_mul_identity(self):
         a = TruncSeries([1, 2, 3])
-        assert series_mul(TruncSeries.constant(1, 2), a) == a
+        assert TruncSeries.constant(1, 2) * a == a
 
     def test_difference_of_squares(self):
-        prod = series_mul(TruncSeries([1, 1, 0]), TruncSeries([1, -1, 0]))
+        prod = TruncSeries([1, 1, 0]) * TruncSeries([1, -1, 0])
         assert prod == TruncSeries([1, 0, -1])
 
     def test_order_shrinks_to_min(self):
-        prod = series_mul(TruncSeries([1, 1]), TruncSeries([1, 1, 1, 1]))
+        prod = TruncSeries([1, 1]) * TruncSeries([1, 1, 1, 1])
         assert prod.order == 1
 
     def test_recip_of_one(self):
