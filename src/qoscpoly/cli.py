@@ -22,7 +22,7 @@ from .operators import FAMILIES
 from .qarith import q_factorial
 from .report import fmt_exact
 from .series import gaussian_genfun_lhs, hahn_genfun_lhs
-from .verify import SUITE_NAMES, RunConfig, run_suites
+from .verify import SUITE_NAMES, RunConfig, context_dict, run_suites
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -33,18 +33,21 @@ TABLE_KINDS = ("poly", "matel", "genfun", "position", "hahn")
 
 
 def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--s", default="1/2",
+    parser.add_argument("--s", default=RunConfig.s,
                         help="base root s as a rational string; q = s^2")
-    parser.add_argument("--omega", default="1/8",
+    parser.add_argument("--omega", default=RunConfig.omega,
                         help="Hahn shift omega as a rational string")
-    parser.add_argument("--order", type=int, default=12,
+    parser.add_argument("--order", type=int, default=RunConfig.order,
                         help="series truncation order")
-    parser.add_argument("--nmax", type=int, default=12,
-                        help="largest family index to check or tabulate")
+    parser.add_argument("--nmax", type=int, default=RunConfig.nmax,
+                        help="largest family index to check or tabulate; "
+                             "verify caps it per suite: qkernel 20, "
+                             "polyfamilies 15, operators 12, matrixelements "
+                             "6, hahncalc polynomial degree 10")
     parser.add_argument("--format", dest="fmt", default="text",
                         choices=("json", "csv", "text"))
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=int, default=RunConfig.seed,
                         help="seed for randomized polynomial cases")
 
 
@@ -64,11 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _context_dict(ctx: QContext) -> dict:
-    return {"s": str(ctx.s) if ctx.has_root else None, "q": str(ctx.q),
-            "omega": str(ctx.omega), "omega0": str(ctx.omega0)}
-
-
 def _write(text: str, path: str | None) -> int:
     if path is None:
         sys.stdout.write(text)
@@ -85,8 +83,7 @@ def _write(text: str, path: str | None) -> int:
 def cmd_verify(args) -> int:
     config = RunConfig(s=args.s, omega=args.omega, order=args.order,
                        nmax=args.nmax,
-                       suites=tuple(args.suite or SUITE_NAMES),
-                       fmt=args.fmt, out=args.out, seed=args.seed)
+                       suites=tuple(args.suite or SUITE_NAMES), seed=args.seed)
     try:
         report = run_suites(config)
     except ValueError as exc:
@@ -168,7 +165,7 @@ def cmd_table(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    payload = {"context": _context_dict(ctx), "kind": args.kind, "rows": rows}
+    payload = {"context": context_dict(ctx), "kind": args.kind, "rows": rows}
     if args.fmt == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif args.fmt == "csv":

@@ -192,14 +192,30 @@ def algebra_relations_check(ctx: QContext, family: Family,
             ("adag.a eigenvalue", ada, ctx.q_pow(1 - n - e) * q_int(ctx, n)),
             ("commutator", aad - ada, ctx.q_pow(-n - e)),
             ("q-commutator", aad - ada / q, ctx.q_pow(-e)),
+            # [N, a] = -a and [N, a+] = a+, read at the index a or a+ moves n to
+            ("number-lowering",
+             _number_commutator(ctx, family, "lower", n).coeff(n - 1), -low),
+            ("number-raising",
+             _number_commutator(ctx, family, "raise", n).coeff(n + 1), hi),
         ]
-        # [N, a] basis_n = -(a basis_n) and [N, a+] basis_n = a+ basis_n:
-        # a maps n -> n-1 so N picks up (n-1) - n = -1 times the coefficient.
-        expected.append(("number-lowering", (n - 1) * low - n * low, -low))
-        expected.append(("number-raising", (n + 1) * hi - n * hi, hi))
         for name, lhs, rhs in expected:
             out.append(RelationCheck(name, n, lhs == rhs, lhs, rhs))
     return out
+
+
+def _number_commutator(ctx: QContext, family: Family, direction: str,
+                       n: int) -> FamilyVector:
+    """[N, op] basis_n through ladder_apply; N multiplies coefficient k by k."""
+    def op(coeffs):
+        return ladder_apply(ctx, family, direction,
+                            FamilyVector(family.basis, coeffs)).coeffs
+
+    def number(coeffs):
+        return [k * c for k, c in enumerate(coeffs)]
+
+    basis_n = [0] * n + [1]
+    return FamilyVector(family.basis, [
+        x - y for x, y in zip(number(op(basis_n)), op(number(basis_n)))])
 
 
 def difference_equation_residual(ctx: QContext, n: int) -> Poly:

@@ -469,21 +469,18 @@ class RunConfig:
     order: int = 12
     nmax: int = 12
     suites: tuple = SUITE_NAMES
-    fmt: str = "text"
-    out: str | None = None
     seed: int = 0
 
 
-def build_context(config: RunConfig) -> QContext:
-    return QContext(frac(config.s), frac(config.omega))
+def context_dict(ctx: QContext) -> dict:
+    """The context block of reports and tables, as exact strings."""
+    return {"s": str(ctx.s) if ctx.has_root else None, "q": str(ctx.q),
+            "omega": str(ctx.omega), "omega0": str(ctx.omega0)}
 
 
 def run_suites(config: RunConfig) -> VerificationReport:
-    ctx = build_context(config)
-    report = VerificationReport(
-        context={"s": str(ctx.s), "q": str(ctx.q), "omega": str(ctx.omega),
-                 "omega0": str(ctx.omega0)},
-        seed=config.seed)
+    ctx = QContext(frac(config.s), frac(config.omega))
+    report = VerificationReport(context=context_dict(ctx), seed=config.seed)
     for name in config.suites:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")

@@ -138,6 +138,23 @@ class TestAlgebraRelations:
         with pytest.raises(ValueError):
             algebra_relations_check(ctx_q14, HAHN, -1)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_number_relations_catch_unshifted_ladder(self, ctx_q14, family,
+                                                     monkeypatch):
+        # a ladder action that leaves each coefficient at its own index
+        # commutes with N, so [N, a] = -a and [N, a+] = a+ must fail
+        def unshifted(ctx, fam, direction, v):
+            coeff = lowering_coeff if direction == "lower" else raising_coeff
+            return FamilyVector(v.basis, [coeff(ctx, fam, k) * c
+                                          for k, c in enumerate(v.coeffs)])
+
+        monkeypatch.setattr("qoscpoly.operators.ladder_apply", unshifted)
+        checks = algebra_relations_check(ctx_q14, family, 4)
+        lowering = [c for c in checks if c.relation == "number-lowering"]
+        raising = [c for c in checks if c.relation == "number-raising"]
+        assert [c.passed for c in lowering] == [True] + [False] * 4
+        assert not any(c.passed for c in raising)
+
 
 class TestDifferenceEquation:
     def test_residual_vanishes(self, ctx_q14):
