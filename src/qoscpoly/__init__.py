@@ -2,8 +2,8 @@
 
 The q-Gaussian, q-factorial and Hahn factorial polynomials with their
 ladder operators, closed-form matrix elements (plus an independent
-brute-force oracle), generating functions, and the Hahn difference and
-integral calculus.  Everything rational in, rational out.
+whole-matrix ladder-path oracle), generating functions, and the Hahn
+difference and integral calculus.  Everything rational in, rational out.
 """
 
 from .context import HALF_HALF, HALF_ONE, HALF_ZERO, HalfInt, QContext, frac

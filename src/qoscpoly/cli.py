@@ -116,11 +116,12 @@ def _table_rows(ctx: QContext, kind: str, nmax: int, order: int) -> list[dict]:
         mu = HALF_HALF if ctx.has_root else HALF_ZERO
         alpha = beta = Fraction(1)
         for family in FAMILIES:
+            oracles = matel_oracle(ctx, family, mu, mu, alpha, beta, nmax)
             for n in range(nmax + 1):
                 for r in range(nmax + 1):
                     p = MatElParams(mu, mu, alpha, beta, n, r)
                     closed = matel_closed(ctx, family, p)
-                    oracle = matel_oracle(ctx, family, p)
+                    oracle = oracles[n][r]
                     rows.append({"family": family.name, "mu": str(mu.value),
                                  "nu": str(mu.value), "alpha": str(alpha),
                                  "beta": str(beta), "n": n, "r": r,

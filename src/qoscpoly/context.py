@@ -7,6 +7,11 @@ powers of ``q`` (which occur as ``q**(mu*n**2)`` with ``mu`` in
 directly from ``q`` via :meth:`QContext.from_q`; if ``q`` happens to be a
 perfect rational square the base root is recovered, otherwise operations
 needing a genuine ``q**(1/2)`` are unavailable and raise.
+
+Each context carries one :class:`QTables` of kernel values (``q^k``,
+``[k]_q``, ``[k]_q!``).  It is made on first use, grows on demand, and
+depends on ``q`` alone, so the :meth:`QContext.with_omega` copies of a
+context share it.  It takes no part in equality or hashing.
 """
 
 from __future__ import annotations
@@ -77,6 +82,41 @@ class HalfInt:
         return f"HalfInt({self.value})"
 
 
+class QTables:
+    """Kernel values of one base q, each computed once and kept.
+
+    ``power(k)`` is q^k and ``q_int(k)`` is [k]_q = (1 - q^k)/(1 - q), both
+    for any integer k; ``factorial(n)`` is [n]_q! for n >= 0.  Nothing is
+    computed up front: each table grows only as far as it is read.
+    """
+
+    __slots__ = ("q", "_powers", "_ints", "_factorials")
+
+    def __init__(self, q: Fraction):
+        self.q = q
+        self._powers = {}
+        self._ints = {}
+        self._factorials = [Fraction(1)]
+
+    def power(self, k: int) -> Fraction:
+        value = self._powers.get(k)
+        if value is None:
+            value = self._powers[k] = self.q ** k
+        return value
+
+    def q_int(self, k: int) -> Fraction:
+        value = self._ints.get(k)
+        if value is None:
+            value = self._ints[k] = (1 - self.power(k)) / (1 - self.q)
+        return value
+
+    def factorial(self, n: int) -> Fraction:
+        facts = self._factorials
+        while len(facts) <= n:
+            facts.append(facts[-1] * self.q_int(len(facts)))
+        return facts[n]
+
+
 HALF_ZERO = HalfInt(0)
 HALF_HALF = HalfInt(1)
 HALF_ONE = HalfInt(2)
@@ -87,10 +127,11 @@ class QContext:
 
     ``omega0 = omega/(1-q)`` is the fixed point of the Hahn step
     ``x -> qx + omega``.  The optional base root ``s`` (with ``q = s**2``)
-    makes half-integer powers of ``q`` exact.
+    makes half-integer powers of ``q`` exact.  ``tables`` holds the kernel
+    values of ``q``; it is not part of the context's value.
     """
 
-    __slots__ = ("_s", "_q", "_omega")
+    __slots__ = ("_s", "_q", "_omega", "_tables")
 
     def __init__(self, s, omega=0):
         s = frac(s)
@@ -99,6 +140,7 @@ class QContext:
         object.__setattr__(self, "_s", s)
         object.__setattr__(self, "_q", s * s)
         object.__setattr__(self, "_omega", frac(omega))
+        object.__setattr__(self, "_tables", None)
 
     @classmethod
     def from_q(cls, q, omega=0) -> "QContext":
@@ -110,6 +152,7 @@ class QContext:
         object.__setattr__(ctx, "_s", rational_sqrt(q))
         object.__setattr__(ctx, "_q", q)
         object.__setattr__(ctx, "_omega", frac(omega))
+        object.__setattr__(ctx, "_tables", None)
         return ctx
 
     def __setattr__(self, *_):
@@ -139,9 +182,16 @@ class QContext:
                 "needs a context built from its base root s")
         return self._s
 
+    @property
+    def tables(self) -> QTables:
+        """The kernel tables of q, made empty on first use."""
+        if self._tables is None:
+            object.__setattr__(self, "_tables", QTables(self._q))
+        return self._tables
+
     def q_pow(self, e: int) -> Fraction:
         """q**e for integer e (possibly negative)."""
-        return self._q ** e
+        return self.tables.power(e)
 
     def pow_half(self, mu: HalfInt, e: int) -> Fraction:
         """q**(mu*e) = s**(twice*e), exact for any half-integer mu.
@@ -150,14 +200,16 @@ class QContext:
         """
         t = mu.twice * e
         if t % 2 == 0:
-            return self._q ** (t // 2)
+            return self.tables.power(t // 2)
         return self.s ** t
 
     def with_omega(self, omega) -> "QContext":
+        """The same q with another omega; shares this context's tables."""
         ctx = object.__new__(QContext)
         object.__setattr__(ctx, "_s", self._s)
         object.__setattr__(ctx, "_q", self._q)
         object.__setattr__(ctx, "_omega", frac(omega))
+        object.__setattr__(ctx, "_tables", self.tables)
         return ctx
 
     def _key(self):

@@ -5,12 +5,17 @@ polynomial expands again in the family basis; the expansion coefficients are
 computed two independent ways:
 
   * ``matel_closed``  evaluates the closed-form expressions through the
-    U-polynomials (a terminating q-hypergeometric sum);
+    U-polynomials (a terminating q-hypergeometric sum), one cell at a time;
   * ``matel_oracle``  applies the two truncating operator series directly via
     the exact ladder coefficients, with no reference to the closed forms.
+    It builds the whole matrix for n, r <= N at once: each series weight is
+    computed once per index, each lowering and raising path grows by one
+    ladder factor per step, and the cells are sums over these, so one
+    parameter set costs O(N^3) multiplications.
 
 The oracle is the ground truth; any exact mismatch with a closed form is
-reported as a documented discrepancy, never patched.
+reported as a documented discrepancy, never patched.  The q-powers and
+q-factorials of both sides come from the context's kernel tables.
 
 One closed form serves all three families.  With d = |n - r| and
 (c, h) = (beta, nu) for r <= n, (alpha, mu) for n < r:
@@ -64,7 +69,6 @@ def u_polynomial(ctx: QContext, mu: HalfInt, nu: HalfInt, n: int,
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    q = ctx.q
     q1theta = frac(q1theta)
     x = frac(x)
     musum = HalfInt(mu.twice + nu.twice)
@@ -78,9 +82,9 @@ def u_polynomial(ctx: QContext, mu: HalfInt, nu: HalfInt, n: int,
             raise ValueError(
                 f"denominator factor (q^(1+theta); q)_k vanishes at k = {k}")
         total += ctx.pow_half(musum, k * k) * num * xpow / (den_theta * den_q)
-        num *= 1 - q ** (-n) * q ** k
-        den_theta *= 1 - q1theta * q ** k
-        den_q *= 1 - q ** (k + 1)
+        num *= 1 - ctx.q_pow(k - n)
+        den_theta *= 1 - q1theta * ctx.q_pow(k)
+        den_q *= 1 - ctx.q_pow(k + 1)
         xpow *= x
     return total
 
@@ -108,7 +112,6 @@ def basic_hyp_terminating(ctx: QContext, upper: list, lower: list, z) -> Fractio
     upper = [frac(a) for a in upper]
     lower = [frac(b) for b in lower]
     z = frac(z)
-    q = ctx.q
     indices = [m for m in (_termination_index(ctx, a) for a in upper)
                if m is not None]
     if not indices:
@@ -131,10 +134,10 @@ def basic_hyp_terminating(ctx: QContext, upper: list, lower: list, z) -> Fractio
         sign = -1 if (k * power) % 2 else 1
         comp = ctx.q_pow(k * (k - 1) // 2 * power)
         total += sign * comp * term
-        qk = q ** k
+        qk = ctx.q_pow(k)
         num = [v * (1 - a * qk) for v, a in zip(num, upper)]
         den = [v * (1 - b * qk) for v, b in zip(den, lower)]
-        den_q *= 1 - q ** (k + 1)
+        den_q *= 1 - ctx.q_pow(k + 1)
         zpow *= z
     return total
 
@@ -145,29 +148,41 @@ def _series_weight(ctx: QContext, half: HalfInt, c: Fraction,
     return ctx.pow_half(half, k * k) * c ** k / q_factorial(ctx, k)
 
 
-def matel_oracle(ctx: QContext, family: Family, p: MatElParams) -> Fraction:
-    """Brute-force matrix element from the exact ladder coefficients.
+def matel_oracle(ctx: QContext, family: Family, mu: HalfInt, nu: HalfInt,
+                 alpha, beta, nmax: int) -> list[list[Fraction]]:
+    """All matrix elements [n][r], n, r <= nmax, from the ladder coefficients.
 
     Applies the lowering series (index i, truncating at i = n) followed by
     the raising series (index j pinned to r - n + i); no closed form and no
-    analytic operator realization is involved.
+    analytic operator realization is involved.  ``down[n][i]`` is the i-th
+    lowering weight times the path n -> n - i and ``up[m][j]`` the j-th
+    raising weight times the path m -> m + j; each path grows by one ladder
+    factor per step, and cell (n, r) sums down[n][i] * up[n - i][r - n + i].
     """
     sigma = family.sigma(ctx)
-    alpha, beta = p.alpha * sigma, p.beta * sigma
-    total = Fraction(0)
-    for i in range(p.n + 1):
-        j = p.r - p.n + i
-        if j < 0:
-            continue
-        lower_path = Fraction(1)
-        for t in range(i):
-            lower_path *= lowering_coeff(ctx, family, p.n - t)
-        raise_path = Fraction(1)
-        for t in range(j):
-            raise_path *= raising_coeff(ctx, family, p.n - i + t)
-        total += (_series_weight(ctx, p.nu, beta, i) * lower_path
-                  * _series_weight(ctx, p.mu, alpha, j) * raise_path)
-    return total
+    alpha, beta = frac(alpha) * sigma, frac(beta) * sigma
+    size = nmax + 1
+    w_down = [_series_weight(ctx, nu, beta, i) for i in range(size)]
+    w_up = [_series_weight(ctx, mu, alpha, j) for j in range(size)]
+    down = []
+    for n in range(size):
+        path = Fraction(1)
+        row = [w_down[0]]
+        for i in range(1, n + 1):
+            path *= lowering_coeff(ctx, family, n - i + 1)
+            row.append(w_down[i] * path)
+        down.append(row)
+    up = []
+    for m in range(size):
+        path = Fraction(1)
+        row = [w_up[0]]
+        for j in range(1, size - m):
+            path *= raising_coeff(ctx, family, m + j - 1)
+            row.append(w_up[j] * path)
+        up.append(row)
+    return [[sum(down[n][i] * up[n - i][r - n + i]
+                 for i in range(max(n - r, 0), n + 1))
+             for r in range(size)] for n in range(size)]
 
 
 def matel_closed(ctx: QContext, family: Family, p: MatElParams) -> Fraction:

@@ -1,6 +1,11 @@
 """Exact q-arithmetic primitives: q-integers, factorials, binomials, Pochhammer.
 
-Everything returns Fractions and is a pure function of its inputs.
+Everything returns Fractions and depends only on its inputs.  ``q_int_at``
+computes from a raw q.  ``q_int``, ``q_factorial`` and ``q_binomial`` read
+the context's ``QTables``: q^k, [k]_q and [k]_q! are each computed once per
+q, on first use, and the tables grow only as far as they are read.  The
+``with_omega`` copies of a context share its tables, since none of these
+values depends on omega.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ def q_int_at(q: Fraction, n: int) -> Fraction:
 
 def q_int(ctx: QContext, n: int) -> Fraction:
     """The q-integer [n]_q; defined for negative n as well."""
-    return q_int_at(ctx.q, n)
+    return ctx.tables.q_int(n)
 
 
 def q_int_recip(ctx: QContext, n: int) -> Fraction:
@@ -32,17 +37,15 @@ def q_factorial(ctx: QContext, n: int) -> Fraction:
     """[n]_q! = product of [k]_q for k = 1..n, with [0]_q! = 1."""
     if n < 0:
         raise ValueError(f"q-factorial needs n >= 0, got {n}")
-    out = Fraction(1)
-    for k in range(1, n + 1):
-        out *= q_int(ctx, k)
-    return out
+    return ctx.tables.factorial(n)
 
 
 def q_binomial(ctx: QContext, n: int, k: int) -> Fraction:
     """Gaussian binomial [n choose k]_q; exactly 0 outside 0 <= k <= n."""
     if k < 0 or k > n or n < 0:
         return Fraction(0)
-    return q_factorial(ctx, n) / (q_factorial(ctx, n - k) * q_factorial(ctx, k))
+    fact = ctx.tables.factorial
+    return fact(n) / (fact(n - k) * fact(k))
 
 
 def q_pochhammer(ctx: QContext, z, n: int) -> Fraction:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from . import hahn as hahnmod
 from . import matel as matelmod
@@ -312,46 +313,48 @@ def suite_matrixelements(ctx: QContext, nmax: int, order: int,
     nmax = min(nmax, 6)
     halves = (HALF_ZERO, HALF_HALF) if ctx.has_root else (HALF_ZERO, HalfInt(2))
     ctx_zero = ctx.with_omega(0)
+    # at omega = 0, ctx_zero is ctx: both sides of hahn-reduces are closed
+    # forms already computed for closed-vs-oracle, the q-Gaussian one first
+    gaussian = {} if ctx.omega == 0 else None
     for family in opsmod.FAMILIES:
         # the README predicts the Hahn closed form to miss the oracle exactly
         # where alpha*beta != 0 and omega != 0; any other mismatch fails
         hahn_shifted = family is opsmod.HAHN and ctx.omega != 0
-        for mu in halves:
-            for nu in halves:
-                for alpha in MATEL_AB_GRID:
-                    for beta in MATEL_AB_GRID:
-                        for n in range(nmax + 1):
-                            for r in range(nmax + 1):
-                                p = matelmod.MatElParams(mu, nu, alpha, beta, n, r)
-                                closed = matelmod.matel_closed(ctx, family, p)
-                                oracle = matelmod.matel_oracle(ctx, family, p)
-                                ratio = (closed / oracle if oracle != 0 else None)
-                                out.append(record(
-                                    f"matrixelements/closed-vs-oracle/"
-                                    f"{family.name}/mu={mu.value},nu={nu.value},"
-                                    f"a={alpha},b={beta},n={n},r={r}",
-                                    {"family": family.name, "mu": mu.value,
-                                     "nu": nu.value, "alpha": alpha,
-                                     "beta": beta, "n": n, "r": r,
-                                     "ratio": ratio},
-                                    closed == oracle, closed, oracle,
-                                    "closed form vs exact ladder-series oracle",
-                                    discrepancy=hahn_shifted and alpha * beta != 0))
-                                if family is opsmod.HAHN:
-                                    at_zero = matelmod.matel_closed(
-                                        ctx_zero, family, p)
-                                    gauss = matelmod.matel_closed(
-                                        ctx_zero, opsmod.QGAUSSIAN, p)
-                                    out.append(record(
-                                        f"matrixelements/hahn-reduces/"
-                                        f"mu={mu.value},nu={nu.value},a={alpha},"
-                                        f"b={beta},n={n},r={r}",
-                                        {"mu": mu.value, "nu": nu.value,
-                                         "alpha": alpha, "beta": beta,
-                                         "n": n, "r": r},
-                                        at_zero == gauss, at_zero, gauss,
-                                        "omega = 0 collapses to the q-Gaussian "
-                                        "matrix element"))
+        for mu, nu, alpha, beta in product(halves, halves, MATEL_AB_GRID,
+                                           MATEL_AB_GRID):
+            oracles = matelmod.matel_oracle(ctx, family, mu, nu, alpha, beta,
+                                            nmax)
+            for n, r in product(range(nmax + 1), repeat=2):
+                p = matelmod.MatElParams(mu, nu, alpha, beta, n, r)
+                closed = matelmod.matel_closed(ctx, family, p)
+                oracle = oracles[n][r]
+                ratio = (closed / oracle if oracle != 0 else None)
+                out.append(record(
+                    f"matrixelements/closed-vs-oracle/{family.name}/"
+                    f"mu={mu.value},nu={nu.value},a={alpha},b={beta},"
+                    f"n={n},r={r}",
+                    {"family": family.name, "mu": mu.value, "nu": nu.value,
+                     "alpha": alpha, "beta": beta, "n": n, "r": r,
+                     "ratio": ratio},
+                    closed == oracle, closed, oracle,
+                    "closed form vs exact ladder-series oracle",
+                    discrepancy=hahn_shifted and alpha * beta != 0))
+                if family is opsmod.QGAUSSIAN and gaussian is not None:
+                    gaussian[p] = closed
+                if family is not opsmod.HAHN:
+                    continue
+                if gaussian is not None:
+                    at_zero, gauss = closed, gaussian[p]
+                else:
+                    at_zero = matelmod.matel_closed(ctx_zero, family, p)
+                    gauss = matelmod.matel_closed(ctx_zero, opsmod.QGAUSSIAN, p)
+                out.append(record(
+                    f"matrixelements/hahn-reduces/mu={mu.value},nu={nu.value},"
+                    f"a={alpha},b={beta},n={n},r={r}",
+                    {"mu": mu.value, "nu": nu.value, "alpha": alpha,
+                     "beta": beta, "n": n, "r": r},
+                    at_zero == gauss, at_zero, gauss,
+                    "omega = 0 collapses to the q-Gaussian matrix element"))
     # terminating 2phi0 identities
     for n in range(9):
         for x in (Fraction(1, 3), Fraction(2), Fraction(-1)):
@@ -430,11 +433,16 @@ def suite_hahncalc(ctx: QContext, nmax: int, order: int,
     for x in (Fraction(1, 4), Fraction(-1, 3), Fraction(2, 5)):
         terms = 40
         e_x = hahnmod.hahn_exp_normalized(ctx, x, terms)
-        e_step = hahnmod.hahn_exp_normalized(ctx, ctx.q * x + ctx.omega, terms)
         denom = (ctx.q - 1) * x + ctx.omega
         if denom == 0:
-            continue
-        residual = abs((e_step - e_x) / denom - e_x)
+            # at the fixed point D_{q,w} is d/dx; the truncated product
+            # has e(omega0) = 1 and e'(omega0) = 1 - q^terms exactly
+            slope = 1 - ctx.q_pow(terms)
+        else:
+            e_step = hahnmod.hahn_exp_normalized(
+                ctx, ctx.q * x + ctx.omega, terms)
+            slope = (e_step - e_x) / denom
+        residual = abs(slope - e_x)
         out.append(record(f"hahncalc/exp-functional-equation/x={x}",
                           {"x": x, "terms": terms, "tol": bound},
                           residual < bound, residual, 0,

@@ -139,6 +139,25 @@ class TestExponential:
         expect = hahn_exp_normalized(ctx_q14, x, terms) - 1
         assert abs(value - expect) < F(1, 10 ** 6)
 
+    def test_fixed_point_keeps_its_record(self):
+        # at q = 1/4, omega = 3/16 the grid point x = 1/4 is omega0, where
+        # D_{q,w} is d/dx: e = 1 and e' = 1 - q^40, so the residual is q^40
+        import random
+
+        from qoscpoly.report import PASS
+        from qoscpoly.verify import suite_hahncalc
+        ctx = QContext(F(1, 2), F(3, 16))
+        w0 = ctx.omega0
+        assert w0 == F(1, 4)
+        h = F(1, 10 ** 12)
+        slope = (hahn_exp_normalized(ctx, w0 + h, 40) - 1) / h
+        assert abs(slope - (1 - ctx.q ** 40)) < F(1, 10 ** 9)
+        found = [r for r in suite_hahncalc(ctx, 4, 6, random.Random(0))
+                 if r.check_id.startswith("hahncalc/exp-functional-equation/")]
+        assert [r.params["x"] for r in found] == [w0, F(-1, 3), F(2, 5)]
+        assert all(r.status == PASS for r in found)
+        assert found[0].lhs == str(ctx.q ** 40)
+
     def test_vanishing_factor_rejected(self):
         # (q-1)x + w = -1 at the first node makes the product singular
         ctx = QContext(F(1, 2), F(1, 8))  # q = 1/4

@@ -1,11 +1,14 @@
 import dataclasses
 from fractions import Fraction as F
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qoscpoly import (FAMILIES, HAHN, HALF_HALF, HALF_ZERO, QFACTORIAL,
                       QGAUSSIAN, MatElParams, QContext, basic_hyp_terminating,
-                      matel_closed, matel_oracle, q_factorial,
+                      matel_closed, matel_oracle, q_factorial, q_int_at,
                       special_form_checks, u_polynomial)
 
 HALVES = (HALF_ZERO, HALF_HALF)
@@ -69,41 +72,84 @@ class TestOracleBasics:
     def test_identity_operator(self, ctx_q14):
         # alpha = beta = 0 leaves basis elements untouched
         for fam in FAMILIES:
-            for n in range(5):
-                for r in range(5):
-                    p = MatElParams(HALF_ZERO, HALF_ZERO, 0, 0, n, r)
-                    expect = 1 if n == r else 0
-                    assert matel_oracle(ctx_q14, fam, p) == expect
+            m = matel_oracle(ctx_q14, fam, HALF_ZERO, HALF_ZERO, 0, 0, 4)
+            assert m == [[1 if n == r else 0 for r in range(5)]
+                         for n in range(5)]
 
     def test_pure_raising(self, ctx_q916):
         # beta = 0: only the j = r - n term contributes
         a = F(1, 3)
+        m = matel_oracle(ctx_q916, QGAUSSIAN, HALF_ZERO, HALF_ZERO, a, 0, 6)
         for n in range(4):
             for r in range(n, 7):
-                p = MatElParams(HALF_ZERO, HALF_ZERO, a, 0, n, r)
                 d = r - n
                 path = F(1)
                 for t in range(d):
                     path *= ctx_q916.q_pow(-(n + t))
                 expect = a ** d / q_factorial(ctx_q916, d) * path
-                assert matel_oracle(ctx_q916, QGAUSSIAN, p) == expect
+                assert m[n][r] == expect
 
     def test_pure_lowering(self, ctx_q916):
         from qoscpoly.qarith import q_int
         b = F(-1, 2)
+        m = matel_oracle(ctx_q916, QGAUSSIAN, HALF_ZERO, HALF_ZERO, 0, b, 6)
         for r in range(4):
             for n in range(r, 7):
-                p = MatElParams(HALF_ZERO, HALF_ZERO, 0, b, n, r)
                 d = n - r
                 path = F(1)
                 for t in range(d):
                     path *= q_int(ctx_q916, n - t)
                 expect = b ** d / q_factorial(ctx_q916, d) * path
-                assert matel_oracle(ctx_q916, QGAUSSIAN, p) == expect
+                assert m[n][r] == expect
 
     def test_negative_indices_rejected(self):
         with pytest.raises(ValueError):
             MatElParams(HALF_ZERO, HALF_ZERO, 0, 0, -1, 0)
+
+
+def path_sum(ctx, family, mu, nu, alpha, beta, n, r):
+    """One matrix element as the direct sum over ladder paths.
+
+    The i-th term lowers i times from n (coefficient q^(-e m) [m]_q at m),
+    then raises j = r - n + i times (coefficient q^(-(1-e) m)), weighted by
+    the series coefficients q^(h k^2) (c sigma)^k / [k]_q! of both sides.
+    """
+    q, e = ctx.q, family.e
+    sigma = family.sigma(ctx)
+
+    def weight(h, c, k):
+        fact = prod((q_int_at(q, t) for t in range(1, k + 1)), start=F(1))
+        return ctx.s ** (h.twice * k * k) * (c * sigma) ** k / fact
+
+    total = F(0)
+    for i in range(n + 1):
+        j = r - n + i
+        if j < 0:
+            continue
+        down = prod((q ** (-e * m) * q_int_at(q, m)
+                     for m in range(n, n - i, -1)), start=F(1))
+        up = prod((q ** (-(1 - e) * m) for m in range(n - i, n - i + j)),
+                  start=F(1))
+        total += weight(nu, beta, i) * down * weight(mu, alpha, j) * up
+    return total
+
+
+small = st.fractions(-2, 2, max_denominator=7)
+
+
+class TestOracleMatrix:
+    @given(s=st.fractions(0, 1, max_denominator=9).filter(lambda s: 0 < s < 1),
+           omega=small, alpha=small, beta=small,
+           mu=st.sampled_from(HALVES), nu=st.sampled_from(HALVES),
+           nmax=st.integers(0, 6))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_per_cell_path_sum(self, s, omega, alpha, beta, mu, nu,
+                                       nmax):
+        ctx = QContext(s, omega)
+        for family in FAMILIES:
+            m = matel_oracle(ctx, family, mu, nu, alpha, beta, nmax)
+            assert m == [[path_sum(ctx, family, mu, nu, alpha, beta, n, r)
+                          for r in range(nmax + 1)] for n in range(nmax + 1)]
 
 
 class TestClosedVsOracle:
@@ -113,36 +159,34 @@ class TestClosedVsOracle:
             for nu in HALVES:
                 for a in AB_VALUES:
                     for b in AB_VALUES:
+                        m = matel_oracle(ctx_q14, family, mu, nu, a, b, 3)
                         for n in range(4):
                             for r in range(4):
                                 p = MatElParams(mu, nu, a, b, n, r)
-                                assert (matel_closed(ctx_q14, family, p)
-                                        == matel_oracle(ctx_q14, family, p))
+                                assert matel_closed(ctx_q14, family, p) == m[n][r]
 
     def test_hahn_matches_at_omega_zero(self, ctx_q916):
         ctx0 = ctx_q916.with_omega(0)
         for mu in HALVES:
             for nu in HALVES:
+                m = matel_oracle(ctx0, HAHN, mu, nu, F(1, 3), F(-1, 2), 3)
                 for n in range(4):
                     for r in range(4):
                         p = MatElParams(mu, nu, F(1, 3), F(-1, 2), n, r)
-                        assert (matel_closed(ctx0, HAHN, p)
-                                == matel_oracle(ctx0, HAHN, p))
+                        assert matel_closed(ctx0, HAHN, p) == m[n][r]
 
     def test_hahn_reduces_to_gaussian_at_omega_zero(self, ctx_q916):
         ctx0 = ctx_q916.with_omega(0)
-        for n in range(5):
-            for r in range(5):
-                p = MatElParams(HALF_HALF, HALF_ZERO, F(1, 3), F(1), n, r)
-                assert (matel_oracle(ctx0, HAHN, p)
-                        == matel_oracle(ctx0, QGAUSSIAN, p))
+        args = (HALF_HALF, HALF_ZERO, F(1, 3), F(1), 4)
+        assert (matel_oracle(ctx0, HAHN, *args)
+                == matel_oracle(ctx0, QGAUSSIAN, *args))
 
     def test_hahn_closed_form_discrepancy(self, ctx_q14):
         # the published Hahn closed form disagrees with the oracle whenever
         # alpha*beta != 0 and omega != 0; this stays surfaced, not patched
         p = MatElParams(HALF_ZERO, HALF_ZERO, F(1), F(1), 2, 2)
         closed = matel_closed(ctx_q14, HAHN, p)
-        oracle = matel_oracle(ctx_q14, HAHN, p)
+        oracle = matel_oracle(ctx_q14, HAHN, HALF_ZERO, HALF_ZERO, 1, 1, 2)[2][2]
         assert closed != oracle
 
     def test_hahn_kappa_variant_matches_oracle(self):
@@ -158,18 +202,18 @@ class TestClosedVsOracle:
                     for nu in HALVES:
                         for a in AB_VALUES:
                             for b in AB_VALUES:
+                                m = matel_oracle(ctx, HAHN, mu, nu, a, b, 6)
                                 for n in range(7):
                                     for r in range(7):
                                         p = MatElParams(mu, nu, a, b, n, r)
                                         assert (matel_closed(ctx, variant, p)
-                                                == matel_oracle(ctx, HAHN, p))
+                                                == m[n][r])
                                         cells += 1
         assert cells == 18816
 
     def test_hahn_oracle_scale_is_exact(self, ctx_q14):
         # single-raise element picks up exactly (1 - omega0) * alpha
-        p = MatElParams(HALF_ZERO, HALF_ZERO, F(1), F(0), 0, 1)
-        got = matel_oracle(ctx_q14, HAHN, p)
+        got = matel_oracle(ctx_q14, HAHN, HALF_ZERO, HALF_ZERO, 1, 0, 1)[0][1]
         assert got == 1 - ctx_q14.omega0
 
 

@@ -1,11 +1,13 @@
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qoscpoly import (HalfInt, QContext, q_binomial, q_double_factorial_even,
-                      q_factorial, q_int, q_pochhammer, q_pochhammer_inf)
+                      q_factorial, q_int, q_int_at, q_pochhammer,
+                      q_pochhammer_inf)
 from qoscpoly.context import HALF_HALF, rational_sqrt
 
 
@@ -22,6 +24,9 @@ def pascal_table(q, nmax):
 
 
 small_q = st.sampled_from([F(1, 4), F(1, 2), F(2, 3), F(9, 16)])
+# a base root s in (0, 1) and a shift omega, both of small height
+roots = st.fractions(0, 1, max_denominator=12).filter(lambda s: 0 < s < 1)
+shifts = st.fractions(-2, 2, max_denominator=9)
 
 
 class TestQInt:
@@ -184,3 +189,34 @@ class TestContext:
     def test_omega0(self):
         ctx = QContext(F(1, 2), F(1, 8))
         assert ctx.omega0 == F(1, 6)
+
+
+class TestKernelTables:
+    """The context's tables give the q_int_at and ** values, shared by copies."""
+
+    @given(s=roots, omega=shifts, other=shifts, copy_first=st.booleans(),
+           n=st.integers(-8, 14), k=st.integers(-2, 16))
+    @settings(max_examples=60, deadline=None)
+    def test_match_definitions(self, s, omega, other, copy_first, n, k):
+        ctx = QContext(s, omega)
+        copy = ctx.with_omega(other)
+        q = s * s
+
+        def fact(m):
+            return prod((q_int_at(q, j) for j in range(1, m + 1)), start=F(1))
+
+        for c in (copy, ctx) if copy_first else (ctx, copy):
+            assert c.q_pow(n) == q ** n
+            assert q_int(c, n) == q_int_at(q, n)
+            if n >= 0:
+                assert q_factorial(c, n) == fact(n)
+                expect = fact(n) / (fact(k) * fact(n - k)) if 0 <= k <= n else 0
+                assert q_binomial(c, n, k) == expect
+        assert copy.tables is ctx.tables
+
+    def test_not_part_of_the_value(self):
+        ctx = QContext(F(1, 2), F(1, 8))
+        fresh = QContext(F(1, 2), F(1, 8))
+        q_factorial(ctx, 9)
+        assert ctx == fresh and hash(ctx) == hash(fresh)
+        assert ctx.tables is not fresh.tables
