@@ -16,7 +16,7 @@ Run:  python3 demos/matrix_element_oracle.py
 from fractions import Fraction
 
 from qoscpoly import (FAMILIES, HAHN, HALF_HALF, HALF_ZERO, QGAUSSIAN,
-                      MatElParams, QContext, matel_closed, matel_oracle)
+                      QContext, matel_closed, matel_oracle)
 
 
 def main():
@@ -29,15 +29,13 @@ def main():
 
     for family in FAMILIES:
         print(f"{family.name}:")
-        oracles = matel_oracle(ctx, family, nmax=2, **params)
+        closed = matel_closed(ctx, family, nmax=2, **params)
+        oracle = matel_oracle(ctx, family, nmax=2, **params)
         for n in range(3):
             for r in range(3):
-                p = MatElParams(n=n, r=r, **params)
-                closed = matel_closed(ctx, family, p)
-                oracle = oracles[n][r]
-                tag = "ok" if closed == oracle else "documented discrepancy"
-                print(f"  L[{n},{r}] closed = {closed}  oracle = {oracle}"
-                      f"  [{tag}]")
+                c, o = closed[n][r], oracle[n][r]
+                tag = "ok" if c == o else "documented discrepancy"
+                print(f"  L[{n},{r}] closed = {c}  oracle = {o}  [{tag}]")
         print()
 
     print("at omega = 0 the Hahn elements collapse onto the q-Gaussian ones:")

@@ -13,11 +13,12 @@ import io
 import json
 import sys
 from fractions import Fraction
+from itertools import product
 
 from .context import HALF_HALF, HALF_ZERO, QContext, frac
 from .families import position_coefficients, qfactorial_u, qgaussian, hahn_factorial
 from .hahn import hahn_antiderivative, hahn_derivative_poly, hahn_integral_closed
-from .matel import MatElParams, matel_closed, matel_oracle
+from .matel import matel_closed, matel_oracle
 from .operators import FAMILIES
 from .qarith import q_factorial
 from .report import fmt_exact
@@ -32,14 +33,25 @@ EXIT_IO = 3
 TABLE_KINDS = ("poly", "matel", "genfun", "position", "hahn")
 
 
+def _non_negative(text: str) -> int:
+    """argparse type of --order and --nmax: an int >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--s", default=RunConfig.s,
                         help="base root s as a rational string; q = s^2")
     parser.add_argument("--omega", default=RunConfig.omega,
                         help="Hahn shift omega as a rational string")
-    parser.add_argument("--order", type=int, default=RunConfig.order,
+    parser.add_argument("--order", type=_non_negative, default=RunConfig.order,
                         help="series truncation order")
-    parser.add_argument("--nmax", type=int, default=RunConfig.nmax,
+    parser.add_argument("--nmax", type=_non_negative, default=RunConfig.nmax,
                         help="largest family index to check or tabulate; "
                              "verify caps it per suite: qkernel 20, "
                              "polyfamilies 15, operators 12, matrixelements "
@@ -105,28 +117,27 @@ def _table_rows(ctx: QContext, kind: str, nmax: int, order: int) -> list[dict]:
     rows = []
     if kind == "poly":
         for n in range(nmax + 1):
-            rows.append({"family": "qgaussian", "n": n, "variable": "x",
-                         "coeffs": [str(c) for c in qgaussian(ctx, n).coeffs]})
-            rows.append({"family": "qfactorial", "n": n, "variable": "u",
-                         "coeffs": [str(c) for c in qfactorial_u(ctx, n).coeffs]})
-            rows.append({"family": "hahn", "n": n, "variable": "x",
-                         "coeffs": [str(c) for c in hahn_factorial(ctx, n).coeffs]})
+            for family, variable, build in (("qgaussian", "x", qgaussian),
+                                            ("qfactorial", "u", qfactorial_u),
+                                            ("hahn", "x", hahn_factorial)):
+                rows.append({"family": family, "n": n, "variable": variable,
+                             "coeffs": [fmt_exact(c)
+                                        for c in build(ctx, n).coeffs]})
         return rows
     if kind == "matel":
         mu = HALF_HALF if ctx.has_root else HALF_ZERO
         alpha = beta = Fraction(1)
         for family in FAMILIES:
-            oracles = matel_oracle(ctx, family, mu, mu, alpha, beta, nmax)
-            for n in range(nmax + 1):
-                for r in range(nmax + 1):
-                    p = MatElParams(mu, mu, alpha, beta, n, r)
-                    closed = matel_closed(ctx, family, p)
-                    oracle = oracles[n][r]
-                    rows.append({"family": family.name, "mu": str(mu.value),
-                                 "nu": str(mu.value), "alpha": str(alpha),
-                                 "beta": str(beta), "n": n, "r": r,
-                                 "closed": str(closed), "oracle": str(oracle),
-                                 "agree": closed == oracle})
+            args = (mu, mu, alpha, beta, nmax)
+            closed = matel_closed(ctx, family, *args)
+            oracle = matel_oracle(ctx, family, *args)
+            for n, r in product(range(nmax + 1), repeat=2):
+                rows.append({"family": family.name, "mu": str(mu.value),
+                             "nu": str(mu.value), "alpha": str(alpha),
+                             "beta": str(beta), "n": n, "r": r,
+                             "closed": fmt_exact(closed[n][r]),
+                             "oracle": fmt_exact(oracle[n][r]),
+                             "agree": closed[n][r] == oracle[n][r]})
         return rows
     if kind == "genfun":
         for x in (Fraction(1, 3), Fraction(2)):
@@ -134,16 +145,16 @@ def _table_rows(ctx: QContext, kind: str, nmax: int, order: int) -> list[dict]:
             h = hahn_genfun_lhs(ctx, x, order)
             for n in range(order + 1):
                 fact = q_factorial(ctx, n)
-                rows.append({"family": "qgaussian", "x": str(x), "n": n,
-                             "series_coeff": str(g.coeff(n)),
-                             "poly_over_factorial": str(qgaussian(ctx, n)(x) / fact)})
-                rows.append({"family": "hahn", "x": str(x), "n": n,
-                             "series_coeff": str(h.coeff(n)),
-                             "poly_over_factorial": str(hahn_factorial(ctx, n)(x) / fact)})
+                for family, series, build in (("qgaussian", g, qgaussian),
+                                              ("hahn", h, hahn_factorial)):
+                    rows.append({"family": family, "x": str(x), "n": n,
+                                 "series_coeff": fmt_exact(series.coeff(n)),
+                                 "poly_over_factorial":
+                                     fmt_exact(build(ctx, n)(x) / fact)})
         return rows
     if kind == "position":
         for n, c in enumerate(position_coefficients(ctx, nmax)):
-            rows.append({"n": n, "coeffs": [str(v) for v in c.coeffs]})
+            rows.append({"n": n, "coeffs": [fmt_exact(v) for v in c.coeffs]})
         return rows
     if kind == "hahn":
         from .poly import Poly
@@ -152,9 +163,12 @@ def _table_rows(ctx: QContext, kind: str, nmax: int, order: int) -> list[dict]:
             deriv = hahn_derivative_poly(ctx, p)
             anti = hahn_antiderivative(ctx, p)
             rows.append({"power": k,
-                         "derivative_coeffs": [str(c) for c in deriv.coeffs],
-                         "antiderivative_coeffs": [str(c) for c in anti.coeffs],
-                         "integral_to_1": str(hahn_integral_closed(ctx, p, 1))})
+                         "derivative_coeffs": [fmt_exact(c)
+                                               for c in deriv.coeffs],
+                         "antiderivative_coeffs": [fmt_exact(c)
+                                                   for c in anti.coeffs],
+                         "integral_to_1":
+                             fmt_exact(hahn_integral_closed(ctx, p, 1))})
         return rows
     raise ValueError(f"unknown table kind {kind!r}")
 

@@ -2,16 +2,18 @@
 
 The operator E^(mu)(alpha * adag) E^(nu)(beta * a) acting on the n-th family
 polynomial expands again in the family basis; the expansion coefficients are
-computed two independent ways:
+computed two independent ways, both with the signature
+``(ctx, family, mu, nu, alpha, beta, nmax)`` and both returning the whole
+matrix [n][r] for n, r <= nmax:
 
   * ``matel_closed``  evaluates the closed-form expressions through the
-    U-polynomials (a terminating q-hypergeometric sum), one cell at a time;
+    U-polynomials (a terminating q-hypergeometric sum), diagonal by
+    diagonal, sharing each diagonal's powers and U argument;
   * ``matel_oracle``  applies the two truncating operator series directly via
     the exact ladder coefficients, with no reference to the closed forms.
-    It builds the whole matrix for n, r <= N at once: each series weight is
-    computed once per index, each lowering and raising path grows by one
-    ladder factor per step, and the cells are sums over these, so one
-    parameter set costs O(N^3) multiplications.
+    Each series weight is computed once per index, each lowering and
+    raising path grows by one ladder factor per step, and the cells are
+    sums over these, so one parameter set costs O(N^3) multiplications.
 
 The oracle is the ground truth; any exact mismatch with a closed form is
 reported as a documented discrepancy, never patched.  The q-powers and
@@ -39,24 +41,6 @@ from fractions import Fraction
 from .context import HALF_HALF, HalfInt, QContext, frac
 from .operators import Family, lowering_coeff, raising_coeff
 from .qarith import q_binomial, q_factorial
-
-
-@dataclass(frozen=True)
-class MatElParams:
-    """Parameters (mu, nu, alpha, beta) and the matrix indices (n, r)."""
-
-    mu: HalfInt
-    nu: HalfInt
-    alpha: Fraction
-    beta: Fraction
-    n: int
-    r: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", frac(self.alpha))
-        object.__setattr__(self, "beta", frac(self.beta))
-        if self.n < 0 or self.r < 0:
-            raise ValueError("matrix indices must be >= 0")
 
 
 def u_polynomial(ctx: QContext, mu: HalfInt, nu: HalfInt, n: int,
@@ -159,6 +143,8 @@ def matel_oracle(ctx: QContext, family: Family, mu: HalfInt, nu: HalfInt,
     raising weight times the path m -> m + j; each path grows by one ladder
     factor per step, and cell (n, r) sums down[n][i] * up[n - i][r - n + i].
     """
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
     sigma = family.sigma(ctx)
     alpha, beta = frac(alpha) * sigma, frac(beta) * sigma
     size = nmax + 1
@@ -185,42 +171,43 @@ def matel_oracle(ctx: QContext, family: Family, mu: HalfInt, nu: HalfInt,
              for r in range(size)] for n in range(size)]
 
 
-def matel_closed(ctx: QContext, family: Family, p: MatElParams) -> Fraction:
-    """Closed-form matrix element, exactly as the published branch formulas.
+def matel_closed(ctx: QContext, family: Family, mu: HalfInt, nu: HalfInt,
+                 alpha, beta, nmax: int) -> list[list[Fraction]]:
+    """All closed-form matrix elements [n][r], n, r <= nmax, as published.
 
-    Evaluates the r <= n branch or the n < r branch; at n = r the formula
-    is evaluated from both sides, which must agree (the U-polynomial
-    depends on mu+nu only).
+    Walks the diagonals d = |n - r|.  Each side of a diagonal shares
+    (c sigma)^d, the U argument and q^(1+d), so a cell costs its prefactor
+    and one U-polynomial.  The n = r diagonal is evaluated from both sides,
+    which must agree (the U-polynomial depends on mu+nu only).
     """
-    if p.n == p.r:
-        lo = _closed(ctx, family, p, True)
-        hi = _closed(ctx, family, p, False)
-        if lo != hi:
-            raise AssertionError(
-                f"diagonal branch mismatch at n = r = {p.n}: {lo} vs {hi}")
-        return lo
-    return _closed(ctx, family, p, p.r < p.n)
-
-
-def _closed(ctx: QContext, family: Family, p: MatElParams,
-            lower: bool) -> Fraction:
-    """The closed form on the r <= n side (lower) or the n <= r side."""
-    e, n, r = family.e, p.n, p.r
-    # the q-powers q^(h d^2) and q^(-e d(n+r+1)/2) or q^(-(1-e) d(n+r-1)/2)
-    # as one power of s = q^(1/2); d(n+r+1) and d(n+r-1) are always even
-    if lower:
-        d, c, h = n - r, p.beta, p.nu
-        pref = (ctx.pow_half(HALF_HALF, h.twice * d * d - e * d * (n + r + 1))
-                * q_binomial(ctx, n, r))
-    else:
-        d, c, h = r - n, p.alpha, p.mu
-        pref = (ctx.pow_half(HALF_HALF,
-                             h.twice * d * d - (1 - e) * d * (n + r - 1))
-                / q_factorial(ctx, d))
-    uarg = (p.alpha * p.beta * (ctx.q - 1) * family.kappa(ctx)
-            * ctx.q_pow(1 - e + h.twice * d))
-    return ((c * family.sigma(ctx)) ** d * pref
-            * u_polynomial(ctx, p.mu, p.nu, min(n, r), ctx.q_pow(1 + d), uarg))
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
+    alpha, beta = frac(alpha), frac(beta)
+    e, sigma, size = family.e, family.sigma(ctx), nmax + 1
+    ab = alpha * beta * (ctx.q - 1) * family.kappa(ctx)
+    out = [[None] * size for _ in range(size)]
+    for d in range(size):
+        q1d = ctx.q_pow(1 + d)
+        lo_scale = (beta * sigma) ** d
+        hi_scale = (alpha * sigma) ** d / q_factorial(ctx, d)
+        lo_arg = ab * ctx.q_pow(1 - e + nu.twice * d)
+        hi_arg = ab * ctx.q_pow(1 - e + mu.twice * d)
+        for k in range(size - d):
+            # cells (k + d, k) and (k, k + d); d(n+r+1) and d(n+r-1) are
+            # even, so each side's q-powers are one power of s = q^(1/2)
+            lo = (lo_scale * q_binomial(ctx, k + d, k)
+                  * ctx.pow_half(HALF_HALF, nu.twice * d * d
+                                 - e * d * (2 * k + d + 1))
+                  * u_polynomial(ctx, mu, nu, k, q1d, lo_arg))
+            hi = (hi_scale
+                  * ctx.pow_half(HALF_HALF, mu.twice * d * d
+                                 - (1 - e) * d * (2 * k + d - 1))
+                  * u_polynomial(ctx, mu, nu, k, q1d, hi_arg))
+            if d == 0 and lo != hi:
+                raise AssertionError(
+                    f"diagonal branch mismatch at n = r = {k}: {lo} vs {hi}")
+            out[k + d][k], out[k][k + d] = lo, hi
+    return out
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 PASS = "pass"
@@ -19,10 +20,16 @@ DISCREPANCY = "documented-discrepancy"
 
 
 def fmt_exact(value) -> str:
-    """Serialize a value as an exact string; Fractions as 'p/q'."""
+    """Serialize a value as an exact string; Fractions as 'p/q', any size."""
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(fmt_exact(v) for v in value) + "]"
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:
+        # an integer past Python's int-to-str digit limit: Decimal converts
+        # it exactly, without that limit, and prints it in plain digits
+        num, den = Decimal(value.numerator), value.denominator
+        return f"{num}/{Decimal(den)}" if den != 1 else str(num)
 
 
 @dataclass(frozen=True)

@@ -88,16 +88,9 @@ def suite_qseries(ctx: QContext, nmax: int, order: int,
     # Euler expansions against the tail-bounded infinite product
     for z in (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)):
         prod_val, _ = q_pochhammer_inf(ctx, z, tol)
-        # partial sums of the two expansions, with their own geometric tails
-        terms = 80
-        e_sum = Fraction(0)
-        r_sum = Fraction(0)
-        zpow = Fraction(1)
-        for n in range(terms):
-            sign = -1 if n % 2 else 1
-            e_sum += sign * ctx.q_pow(n * (n - 1) // 2) * zpow / q_pochhammer(ctx, q, n)
-            r_sum += zpow / q_pochhammer(ctx, q, n)
-            zpow *= z
+        # 80-term partial sums of the two expansions at t = 1
+        e_sum = sum(seriesmod.e_type_series(ctx, z, 79).coeffs)
+        r_sum = sum(seriesmod.recip_poch_series(ctx, z, 79).coeffs)
         bound = Fraction(1, 10 ** 9)
         ok = abs(e_sum - prod_val) < bound
         out.append(record(f"qseries/euler-product/z={z}", {"z": z, "tol": bound},
@@ -312,49 +305,42 @@ def suite_matrixelements(ctx: QContext, nmax: int, order: int,
     out = []
     nmax = min(nmax, 6)
     halves = (HALF_ZERO, HALF_HALF) if ctx.has_root else (HALF_ZERO, HalfInt(2))
-    ctx_zero = ctx.with_omega(0)
-    # at omega = 0, ctx_zero is ctx: both sides of hahn-reduces are closed
-    # forms already computed for closed-vs-oracle, the q-Gaussian one first
-    gaussian = {} if ctx.omega == 0 else None
-    for family in opsmod.FAMILIES:
-        # the README predicts the Hahn closed form to miss the oracle exactly
-        # where alpha*beta != 0 and omega != 0; any other mismatch fails
-        hahn_shifted = family is opsmod.HAHN and ctx.omega != 0
-        for mu, nu, alpha, beta in product(halves, halves, MATEL_AB_GRID,
-                                           MATEL_AB_GRID):
-            oracles = matelmod.matel_oracle(ctx, family, mu, nu, alpha, beta,
-                                            nmax)
-            for n, r in product(range(nmax + 1), repeat=2):
-                p = matelmod.MatElParams(mu, nu, alpha, beta, n, r)
-                closed = matelmod.matel_closed(ctx, family, p)
-                oracle = oracles[n][r]
-                ratio = (closed / oracle if oracle != 0 else None)
+    cells = list(product(range(nmax + 1), repeat=2))
+    for mu, nu, alpha, beta in product(halves, halves, MATEL_AB_GRID,
+                                       MATEL_AB_GRID):
+        args = (mu, nu, alpha, beta, nmax)
+        closed = {family: matelmod.matel_closed(ctx, family, *args)
+                  for family in opsmod.FAMILIES}
+        # at omega = 0 both sides of hahn-reduces are already in closed
+        zero = closed if ctx.omega == 0 else {
+            family: matelmod.matel_closed(ctx.with_omega(0), family, *args)
+            for family in (opsmod.HAHN, opsmod.QGAUSSIAN)}
+        for family in opsmod.FAMILIES:
+            # the README predicts the Hahn closed form to miss the oracle
+            # exactly where alpha*beta != 0, omega != 0; all else must match
+            predicted = (family is opsmod.HAHN and ctx.omega != 0
+                         and alpha * beta != 0)
+            oracle = matelmod.matel_oracle(ctx, family, *args)
+            for n, r in cells:
+                c, o = closed[family][n][r], oracle[n][r]
                 out.append(record(
                     f"matrixelements/closed-vs-oracle/{family.name}/"
                     f"mu={mu.value},nu={nu.value},a={alpha},b={beta},"
                     f"n={n},r={r}",
                     {"family": family.name, "mu": mu.value, "nu": nu.value,
                      "alpha": alpha, "beta": beta, "n": n, "r": r,
-                     "ratio": ratio},
-                    closed == oracle, closed, oracle,
-                    "closed form vs exact ladder-series oracle",
-                    discrepancy=hahn_shifted and alpha * beta != 0))
-                if family is opsmod.QGAUSSIAN and gaussian is not None:
-                    gaussian[p] = closed
-                if family is not opsmod.HAHN:
-                    continue
-                if gaussian is not None:
-                    at_zero, gauss = closed, gaussian[p]
-                else:
-                    at_zero = matelmod.matel_closed(ctx_zero, family, p)
-                    gauss = matelmod.matel_closed(ctx_zero, opsmod.QGAUSSIAN, p)
-                out.append(record(
-                    f"matrixelements/hahn-reduces/mu={mu.value},nu={nu.value},"
-                    f"a={alpha},b={beta},n={n},r={r}",
-                    {"mu": mu.value, "nu": nu.value, "alpha": alpha,
-                     "beta": beta, "n": n, "r": r},
-                    at_zero == gauss, at_zero, gauss,
-                    "omega = 0 collapses to the q-Gaussian matrix element"))
+                     "ratio": c / o if o != 0 else None},
+                    c == o, c, o, "closed form vs exact ladder-series oracle",
+                    discrepancy=predicted))
+        for n, r in cells:
+            h, g = zero[opsmod.HAHN][n][r], zero[opsmod.QGAUSSIAN][n][r]
+            out.append(record(
+                f"matrixelements/hahn-reduces/mu={mu.value},nu={nu.value},"
+                f"a={alpha},b={beta},n={n},r={r}",
+                {"mu": mu.value, "nu": nu.value, "alpha": alpha,
+                 "beta": beta, "n": n, "r": r},
+                h == g, h, g,
+                "omega = 0 collapses to the q-Gaussian matrix element"))
     # terminating 2phi0 identities
     for n in range(9):
         for x in (Fraction(1, 3), Fraction(2), Fraction(-1)):
@@ -489,9 +475,12 @@ def context_dict(ctx: QContext) -> dict:
 def run_suites(config: RunConfig) -> VerificationReport:
     ctx = QContext(frac(config.s), frac(config.omega))
     report = VerificationReport(context=context_dict(ctx), seed=config.seed)
-    for name in config.suites:
+    for i, name in enumerate(config.suites):
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+        if name in config.suites[:i]:
+            raise ValueError(f"suite {name!r} is listed more than once")
+    for name in config.suites:
         rng = random.Random(config.seed)
         report.extend(SUITES[name](ctx, config.nmax, config.order, rng))
     return report

@@ -1,10 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from qoscpoly import QFACTORIAL, cli
 from qoscpoly.report import (DISCREPANCY, FAIL, PASS, VerificationReport,
-                             record)
+                             fmt_exact, record)
 from qoscpoly.verify import RunConfig, run_suites
 
 
@@ -45,6 +46,13 @@ class TestReport:
         assert data["summary"][FAIL] == 1
         assert [r["check_id"] for r in data["records"]] == ["aa", "zz"]
 
+    def test_exact_values_of_any_size(self):
+        # past Python's default limit of 4300 digits for int-to-str
+        big = 10 ** 5000
+        assert fmt_exact(Fraction(-big, 7)) == "-1" + "0" * 5000 + "/7"
+        assert fmt_exact([big, Fraction(1, big)]) == \
+            f"[1{'0' * 5000}, 1/1{'0' * 5000}]"
+
     def test_csv_header(self):
         rep = VerificationReport({}, 0)
         first = rep.to_csv().splitlines()[0]
@@ -71,9 +79,11 @@ class TestVerifyCommand:
         import qoscpoly.matel as matel
         closed = matel.matel_closed
 
-        def doubled(ctx, family, p):
-            value = closed(ctx, family, p)
-            return 2 * value if family is QFACTORIAL else value
+        def doubled(ctx, family, *args):
+            m = closed(ctx, family, *args)
+            if family is QFACTORIAL:
+                return [[2 * v for v in row] for row in m]
+            return m
 
         monkeypatch.setattr(matel, "matel_closed", doubled)
         code, out, _ = run_cli(
@@ -112,6 +122,35 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, ["verify", "--suite", "nonsense"])
         assert exc.value.code == cli.EXIT_USAGE
+
+    def test_huge_exact_values_serialise(self, capsys):
+        # at s = 1/9 the Euler partial sums run to about 12,100 characters
+        code, out, _ = run_cli(capsys, ["verify", "--suite", "qseries",
+                                        "--s", "1/9", "--format", "json"])
+        assert code == cli.EXIT_OK
+        euler = [r for r in json.loads(out)["records"]
+                 if r["check_id"].startswith("qseries/euler-")]
+        assert len(euler) == 6
+        assert all(r["status"] == PASS for r in euler)
+        assert max(len(r["lhs"]) for r in euler) > 4300
+
+    def test_repeated_suite_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["verify", "--suite", "qkernel", "--suite", "qkernel"]
+            + FAST)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "'qkernel' is listed more than once" in err
+
+    @pytest.mark.parametrize("argv", [
+        "table matel --nmax -1", "table poly --nmax -3", "verify --order -1",
+        "verify --nmax -1", "table genfun --order -2"])
+    def test_negative_size_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv.split())
+        flag = argv.split()[-2]
+        assert exc.value.code == cli.EXIT_USAGE
+        assert f"argument {flag}: must be >= 0" in capsys.readouterr().err
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         # force a failing record through a stubbed suite

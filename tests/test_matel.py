@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qoscpoly import (FAMILIES, HAHN, HALF_HALF, HALF_ZERO, QFACTORIAL,
-                      QGAUSSIAN, MatElParams, QContext, basic_hyp_terminating,
+                      QGAUSSIAN, QContext, basic_hyp_terminating,
                       matel_closed, matel_oracle, q_factorial, q_int_at,
                       special_form_checks, u_polynomial)
 
@@ -102,9 +102,10 @@ class TestOracleBasics:
                 expect = b ** d / q_factorial(ctx_q916, d) * path
                 assert m[n][r] == expect
 
-    def test_negative_indices_rejected(self):
-        with pytest.raises(ValueError):
-            MatElParams(HALF_ZERO, HALF_ZERO, 0, 0, -1, 0)
+    def test_negative_indices_rejected(self, ctx_q14):
+        for builder in (matel_closed, matel_oracle):
+            with pytest.raises(ValueError):
+                builder(ctx_q14, QGAUSSIAN, HALF_ZERO, HALF_ZERO, 0, 0, -1)
 
 
 def path_sum(ctx, family, mu, nu, alpha, beta, n, r):
@@ -159,21 +160,17 @@ class TestClosedVsOracle:
             for nu in HALVES:
                 for a in AB_VALUES:
                     for b in AB_VALUES:
-                        m = matel_oracle(ctx_q14, family, mu, nu, a, b, 3)
-                        for n in range(4):
-                            for r in range(4):
-                                p = MatElParams(mu, nu, a, b, n, r)
-                                assert matel_closed(ctx_q14, family, p) == m[n][r]
+                        args = (mu, nu, a, b, 3)
+                        assert (matel_closed(ctx_q14, family, *args)
+                                == matel_oracle(ctx_q14, family, *args))
 
     def test_hahn_matches_at_omega_zero(self, ctx_q916):
         ctx0 = ctx_q916.with_omega(0)
         for mu in HALVES:
             for nu in HALVES:
-                m = matel_oracle(ctx0, HAHN, mu, nu, F(1, 3), F(-1, 2), 3)
-                for n in range(4):
-                    for r in range(4):
-                        p = MatElParams(mu, nu, F(1, 3), F(-1, 2), n, r)
-                        assert matel_closed(ctx0, HAHN, p) == m[n][r]
+                args = (mu, nu, F(1, 3), F(-1, 2), 3)
+                assert (matel_closed(ctx0, HAHN, *args)
+                        == matel_oracle(ctx0, HAHN, *args))
 
     def test_hahn_reduces_to_gaussian_at_omega_zero(self, ctx_q916):
         ctx0 = ctx_q916.with_omega(0)
@@ -184,9 +181,9 @@ class TestClosedVsOracle:
     def test_hahn_closed_form_discrepancy(self, ctx_q14):
         # the published Hahn closed form disagrees with the oracle whenever
         # alpha*beta != 0 and omega != 0; this stays surfaced, not patched
-        p = MatElParams(HALF_ZERO, HALF_ZERO, F(1), F(1), 2, 2)
-        closed = matel_closed(ctx_q14, HAHN, p)
-        oracle = matel_oracle(ctx_q14, HAHN, HALF_ZERO, HALF_ZERO, 1, 1, 2)[2][2]
+        args = (HALF_ZERO, HALF_ZERO, F(1), F(1), 2)
+        closed = matel_closed(ctx_q14, HAHN, *args)[2][2]
+        oracle = matel_oracle(ctx_q14, HAHN, *args)[2][2]
         assert closed != oracle
 
     def test_hahn_kappa_variant_matches_oracle(self):
@@ -202,13 +199,10 @@ class TestClosedVsOracle:
                     for nu in HALVES:
                         for a in AB_VALUES:
                             for b in AB_VALUES:
-                                m = matel_oracle(ctx, HAHN, mu, nu, a, b, 6)
-                                for n in range(7):
-                                    for r in range(7):
-                                        p = MatElParams(mu, nu, a, b, n, r)
-                                        assert (matel_closed(ctx, variant, p)
-                                                == m[n][r])
-                                        cells += 1
+                                args = (mu, nu, a, b, 6)
+                                m = matel_closed(ctx, variant, *args)
+                                assert m == matel_oracle(ctx, HAHN, *args)
+                                cells += sum(map(len, m))
         assert cells == 18816
 
     def test_hahn_oracle_scale_is_exact(self, ctx_q14):
@@ -222,8 +216,8 @@ class TestDiagonalBranches:
         for fam in FAMILIES:
             for mu in HALVES:
                 for nu in HALVES:
-                    p = MatElParams(mu, nu, F(1, 3), F(-1, 2), 3, 3)
-                    matel_closed(ctx_q14, fam, p)  # raises on mismatch
+                    # raises on mismatch
+                    matel_closed(ctx_q14, fam, mu, nu, F(1, 3), F(-1, 2), 3)
 
 
 class TestSpecialForms:
