@@ -21,13 +21,12 @@ from .operators import (FAMILIES, HAHN, QFACTORIAL, QGAUSSIAN, Family,
                         algebra_relations_check, difference_equation_residual,
                         jackson_derivative, ladder_apply,
                         ladder_apply_analytic, scale_x)
-from .poly import Poly
+from .poly import VAR_T, Poly
 from .qarith import (q_binomial, q_double_factorial_even, q_factorial, q_int,
                      q_int_at, q_pochhammer, q_pochhammer_inf)
 from .report import VerificationReport
-from .series import (TruncSeries, emu_series, eqw_eval,
-                     exp_pair_identity_residual, gaussian_genfun_lhs,
-                     hahn_genfun_lhs, series_recip)
+from .series import (emu_series, eqw_eval, exp_pair_identity_residual,
+                     gaussian_genfun_lhs, hahn_genfun_lhs)
 from .verify import RunConfig, run_suites
 
 __version__ = "0.1.0"

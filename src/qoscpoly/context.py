@@ -137,10 +137,15 @@ class QContext:
         s = frac(s)
         if not (0 < s < 1):
             raise ValueError(f"base root s must satisfy 0 < s < 1, got {s}")
+        self._set(s, s * s, omega)
+
+    def _set(self, s, q, omega, tables=None) -> "QContext":
+        """Fill the slots past the immutability guard; returns self."""
         object.__setattr__(self, "_s", s)
-        object.__setattr__(self, "_q", s * s)
+        object.__setattr__(self, "_q", q)
         object.__setattr__(self, "_omega", frac(omega))
-        object.__setattr__(self, "_tables", None)
+        object.__setattr__(self, "_tables", tables)
+        return self
 
     @classmethod
     def from_q(cls, q, omega=0) -> "QContext":
@@ -148,12 +153,7 @@ class QContext:
         q = frac(q)
         if not (0 < q < 1):
             raise ValueError(f"q must satisfy 0 < q < 1, got {q}")
-        ctx = object.__new__(cls)
-        object.__setattr__(ctx, "_s", rational_sqrt(q))
-        object.__setattr__(ctx, "_q", q)
-        object.__setattr__(ctx, "_omega", frac(omega))
-        object.__setattr__(ctx, "_tables", None)
-        return ctx
+        return object.__new__(cls)._set(rational_sqrt(q), q, omega)
 
     def __setattr__(self, *_):
         raise AttributeError("QContext is immutable")
@@ -205,12 +205,8 @@ class QContext:
 
     def with_omega(self, omega) -> "QContext":
         """The same q with another omega; shares this context's tables."""
-        ctx = object.__new__(QContext)
-        object.__setattr__(ctx, "_s", self._s)
-        object.__setattr__(ctx, "_q", self._q)
-        object.__setattr__(ctx, "_omega", frac(omega))
-        object.__setattr__(ctx, "_tables", self.tables)
-        return ctx
+        return object.__new__(QContext)._set(self._s, self._q, omega,
+                                             self.tables)
 
     def _key(self):
         return (self._s, self._q, self._omega)

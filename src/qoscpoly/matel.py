@@ -35,12 +35,13 @@ and each printed formula is read off from its family's (e, sigma, kappa):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
-from .context import HALF_HALF, HalfInt, QContext, frac
+from .context import HALF_HALF, HALF_ZERO, HalfInt, QContext, frac
 from .operators import Family, lowering_coeff, raising_coeff
 from .qarith import q_binomial, q_factorial
+from .report import CheckRecord, record
 
 
 def u_polynomial(ctx: QContext, mu: HalfInt, nu: HalfInt, n: int,
@@ -210,20 +211,7 @@ def matel_closed(ctx: QContext, family: Family, mu: HalfInt, nu: HalfInt,
     return out
 
 
-@dataclass(frozen=True)
-class FormCheck:
-    """Result of comparing a printed series form with the U-polynomial."""
-
-    name: str
-    n: int
-    x: Fraction
-    q1theta: Fraction
-    passed: bool
-    lhs: Fraction
-    rhs: Fraction
-
-
-def special_form_checks(ctx: QContext, nmax: int) -> list[FormCheck]:
+def special_form_checks(ctx: QContext, nmax: int) -> list[CheckRecord]:
     """Verify the named q-hypergeometric forms of U for special (mu, nu).
 
     U^(0,0)   = 2phi1(q^-n, 0; q^(1+theta); q; x)
@@ -233,21 +221,20 @@ def special_form_checks(ctx: QContext, nmax: int) -> list[FormCheck]:
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     q = ctx.q
-    h0, h1 = HalfInt(0), HalfInt(1)
+    # name, (mu, nu), the parameters after q^-n and after q^(1+theta), and
+    # the factor that multiplies x in the series argument
+    forms = (("u00_vs_2phi1", HALF_ZERO, HALF_ZERO, [0], [], 1),
+             ("u0h_vs_1phi1", HALF_ZERO, HALF_HALF, [], [], -ctx.s),
+             ("uhh_vs_1phi2", HALF_HALF, HALF_HALF, [], [0], q))
     checks = []
-    xs = [Fraction(1), Fraction(1, 3), Fraction(-1, 5)]
-    q1thetas = [q, q * q, q ** 3]
-    for n in range(nmax + 1):
-        qmn = q ** (-n)
-        for x in xs:
-            for q1t in q1thetas:
-                u = u_polynomial(ctx, h0, h0, n, q1t, x)
-                h = basic_hyp_terminating(ctx, [qmn, 0], [q1t], x)
-                checks.append(FormCheck("u00_vs_2phi1", n, x, q1t, u == h, u, h))
-                u = u_polynomial(ctx, h0, h1, n, q1t, x)
-                h = basic_hyp_terminating(ctx, [qmn], [q1t], -x * ctx.s)
-                checks.append(FormCheck("u0h_vs_1phi1", n, x, q1t, u == h, u, h))
-                u = u_polynomial(ctx, h1, h1, n, q1t, x)
-                h = basic_hyp_terminating(ctx, [qmn], [q1t, 0], q * x)
-                checks.append(FormCheck("uhh_vs_1phi2", n, x, q1t, u == h, u, h))
+    for n, x, q1t in product(range(nmax + 1),
+                             (Fraction(1), Fraction(1, 3), Fraction(-1, 5)),
+                             (q, q * q, q ** 3)):
+        for name, mu, nu, top, bottom, scale in forms:
+            u = u_polynomial(ctx, mu, nu, n, q1t, x)
+            h = basic_hyp_terminating(ctx, [q ** (-n)] + top, [q1t] + bottom,
+                                      scale * x)
+            checks.append(record(
+                f"matrixelements/special-form/{name}/n={n},x={x},q1t={q1t}",
+                {"n": n, "x": x, "q1theta": q1t}, u == h, u, h, name))
     return checks

@@ -19,7 +19,8 @@ from .context import QContext
 from .families import Basis, FamilyVector, qgaussian
 from .hahn import hahn_derivative_poly
 from .poly import VAR_U, VAR_X, Poly
-from .qarith import q_int, q_int_recip
+from .qarith import q_int, q_int_at
+from .report import CheckRecord, record
 
 
 def jackson_derivative(ctx: QContext, p: Poly) -> Poly:
@@ -155,19 +156,8 @@ def ladder_apply_analytic(ctx: QContext, family: Family, direction: str,
     raise ValueError(f"bad direction {direction!r}")
 
 
-@dataclass(frozen=True)
-class RelationCheck:
-    """One verified eigen-relation at one basis index."""
-
-    relation: str
-    n: int
-    passed: bool
-    lhs: Fraction
-    rhs: Fraction
-
-
 def algebra_relations_check(ctx: QContext, family: Family,
-                            nmax: int) -> list[RelationCheck]:
+                            nmax: int) -> list[CheckRecord]:
     """Verify the oscillator-algebra eigen-relations on basis indices <= nmax.
 
     With e = family.e (1 for q-factorial, 0 otherwise):
@@ -199,7 +189,9 @@ def algebra_relations_check(ctx: QContext, family: Family,
              _number_commutator(ctx, family, "raise", n).coeff(n + 1), hi),
         ]
         for name, lhs, rhs in expected:
-            out.append(RelationCheck(name, n, lhs == rhs, lhs, rhs))
+            out.append(record(
+                f"operators/algebra/{family.name}/{name}/n={n:02d}",
+                {"family": family.name, "n": n}, lhs == rhs, lhs, rhs, name))
     return out
 
 
@@ -227,5 +219,5 @@ def difference_equation_residual(ctx: QContext, n: int) -> Poly:
         raise ValueError("n must be >= 0")
     phi = qgaussian(ctx, n)
     lhs = Poly([-1, 1]) * scale_x(ctx, jackson_derivative(ctx, phi), -1)
-    eig = q_int_recip(ctx, n) if n > 0 else Fraction(0)
+    eig = q_int_at(1 / ctx.q, n) if n > 0 else Fraction(0)
     return lhs - eig * phi

@@ -1,7 +1,9 @@
 """Dense univariate polynomials over exact rationals.
 
-The variable is either ``x`` (the default) or ``u``; the latter marks
-polynomials in u = q^x, where the q-factorial family lives.
+The variable is ``x`` (the default), ``u`` or ``t``.  ``u`` marks
+polynomials in u = q^x, where the q-factorial family lives; ``t`` marks the
+truncated power series of the generating functions, whose products
+``mul_trunc`` cuts at a given order.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from .context import frac
 
 VAR_X = "x"
 VAR_U = "u"
+VAR_T = "t"
 
 
 def _trim(coeffs):
@@ -98,6 +101,18 @@ class Poly:
         return Poly(out, self.var)
 
     __rmul__ = __mul__
+
+    def mul_trunc(self, other: "Poly", order: int) -> "Poly":
+        """The product with only its terms of degree <= order formed."""
+        self._check_var(other)
+        a, b = self.coeffs, other.coeffs
+        out = []
+        for i in range(min(order, len(a) + len(b) - 2) + 1):
+            acc = Fraction(0)
+            for k in range(max(0, i - len(b) + 1), min(i, len(a) - 1) + 1):
+                acc += a[k] * b[i - k]
+            out.append(acc)
+        return Poly(out, self.var)
 
     def __pow__(self, n: int):
         if n < 0:

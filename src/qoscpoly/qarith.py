@@ -28,11 +28,6 @@ def q_int(ctx: QContext, n: int) -> Fraction:
     return ctx.tables.q_int(n)
 
 
-def q_int_recip(ctx: QContext, n: int) -> Fraction:
-    """[n] evaluated at base 1/q; equals q^(1-n) * [n]_q."""
-    return q_int_at(1 / ctx.q, n)
-
-
 def q_factorial(ctx: QContext, n: int) -> Fraction:
     """[n]_q! = product of [k]_q for k = 1..n, with [0]_q! = 1."""
     if n < 0:

@@ -1,7 +1,9 @@
 """Truncated formal power series and the deformed exponential functions.
 
-A TruncSeries stores exact coefficients for powers 0..order of a formal
-variable t.  Products of two truncations are valid to the smaller order.
+A series is a Poly in the formal variable t that holds the exact
+coefficients of powers 0..order, and ``Poly.mul_trunc`` forms the product of
+two series only up to that order.  Poly trims trailing zero coefficients, so
+a term is read with ``coeff(n)``, which is 0 past the last stored one.
 The generating-function left-hand sides are built from the two Euler-type
 expansions of (z;q)_infty and 1/(z;q)_infty, so every coefficient is an
 exact rational: no infinite product is ever truncated numerically here.
@@ -11,99 +13,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .context import HalfInt, QContext, frac
+from .context import HALF_HALF, HALF_ZERO, HalfInt, QContext, frac
+from .poly import VAR_T, Poly
 from .qarith import q_factorial, q_pochhammer
 
 
-class TruncSeries:
-    """Formal power series in t, exact coefficients, explicit order."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(frac(c) for c in coeffs)
-        if not self.coeffs:
-            raise ValueError("a truncated series needs at least the constant term")
-
-    @classmethod
-    def constant(cls, c, order: int) -> "TruncSeries":
-        return cls([c] + [0] * order)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, n: int) -> Fraction:
-        return self.coeffs[n]
-
-    def truncate(self, order: int) -> "TruncSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncSeries(self.coeffs[: order + 1])
-
-    def __add__(self, other):
-        if not isinstance(other, TruncSeries):
-            other = TruncSeries.constant(other, self.order)
-        n = min(self.order, other.order)
-        return TruncSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncSeries([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncSeries):
-            other = TruncSeries.constant(other, self.order)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return TruncSeries.constant(other, self.order) - self
-
-    def __mul__(self, other):
-        """Scalar multiple, or the Cauchy product valid to the smaller order."""
-        if not isinstance(other, TruncSeries):
-            c = frac(other)
-            return TruncSeries([c * a for a in self.coeffs])
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i in range(n + 1):
-            for k in range(i + 1):
-                out[i] += self.coeffs[k] * other.coeffs[i - k]
-        return TruncSeries(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, TruncSeries):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __repr__(self):
-        return f"TruncSeries({list(self.coeffs)!r})"
-
-
-def series_recip(a: TruncSeries) -> TruncSeries:
-    """Multiplicative inverse of a series with nonzero constant term."""
-    if a.coeffs[0] == 0:
-        raise ValueError("series reciprocal needs a nonzero constant term")
-    inv0 = 1 / a.coeffs[0]
-    out = [inv0]
-    for n in range(1, a.order + 1):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            acc += a.coeffs[k] * out[n - k]
-        out.append(-inv0 * acc)
-    return TruncSeries(out)
-
-
-def emu_series(ctx: QContext, mu: HalfInt, c, order: int) -> TruncSeries:
+def emu_series(ctx: QContext, mu: HalfInt, c, order: int) -> Poly:
     """(q,mu)-exponential of c*t: sum of q^(mu n^2) (c t)^n / [n]_q!."""
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -113,7 +28,7 @@ def emu_series(ctx: QContext, mu: HalfInt, c, order: int) -> TruncSeries:
     for n in range(order + 1):
         coeffs.append(ctx.pow_half(mu, n * n) * cpow / q_factorial(ctx, n))
         cpow *= c
-    return TruncSeries(coeffs)
+    return Poly(coeffs, VAR_T)
 
 
 def eqw_eval(ctx: QContext, mu: HalfInt, x, order: int) -> Fraction:
@@ -133,8 +48,10 @@ def eqw_eval(ctx: QContext, mu: HalfInt, x, order: int) -> Fraction:
     return total
 
 
-def e_type_series(ctx: QContext, c, order: int) -> TruncSeries:
+def e_type_series(ctx: QContext, c, order: int) -> Poly:
     """Series of (c*t; q)_infty: sum of (-1)^n q^(n(n-1)/2) (c t)^n/(q;q)_n."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
     c = frac(c)
     coeffs = []
     cpow = Fraction(1)
@@ -143,21 +60,23 @@ def e_type_series(ctx: QContext, c, order: int) -> TruncSeries:
         coeffs.append(sign * ctx.q_pow(n * (n - 1) // 2) * cpow
                       / q_pochhammer(ctx, ctx.q, n))
         cpow *= c
-    return TruncSeries(coeffs)
+    return Poly(coeffs, VAR_T)
 
 
-def recip_poch_series(ctx: QContext, c, order: int) -> TruncSeries:
+def recip_poch_series(ctx: QContext, c, order: int) -> Poly:
     """Series of 1/(c*t; q)_infty: sum of (c t)^n/(q;q)_n."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
     c = frac(c)
     coeffs = []
     cpow = Fraction(1)
     for n in range(order + 1):
         coeffs.append(cpow / q_pochhammer(ctx, ctx.q, n))
         cpow *= c
-    return TruncSeries(coeffs)
+    return Poly(coeffs, VAR_T)
 
 
-def gaussian_genfun_lhs(ctx: QContext, x, order: int) -> TruncSeries:
+def gaussian_genfun_lhs(ctx: QContext, x, order: int) -> Poly:
     """Series in t of (t(1-q); q)_infty / (t x (1-q); q)_infty, exact.
 
     Its t^n coefficient equals phi_n(x)/[n]_q! for the q-Gaussian family.
@@ -165,10 +84,10 @@ def gaussian_genfun_lhs(ctx: QContext, x, order: int) -> TruncSeries:
     x = frac(x)
     num = e_type_series(ctx, 1 - ctx.q, order)
     den = recip_poch_series(ctx, x * (1 - ctx.q), order)
-    return num * den
+    return num.mul_trunc(den, order)
 
 
-def hahn_genfun_lhs(ctx: QContext, x, order: int) -> TruncSeries:
+def hahn_genfun_lhs(ctx: QContext, x, order: int) -> Poly:
     """Series in t of (-t w; q)_infty / (-t((q-1)x + w); q)_infty, exact.
 
     Its t^n coefficient equals the Hahn factorial polynomial value over
@@ -177,23 +96,23 @@ def hahn_genfun_lhs(ctx: QContext, x, order: int) -> TruncSeries:
     x = frac(x)
     num = e_type_series(ctx, -ctx.omega, order)
     den = recip_poch_series(ctx, (1 - ctx.q) * x - ctx.omega, order)
-    return num * den
+    return num.mul_trunc(den, order)
 
 
-def exp_pair_identity_residual(ctx: QContext, order: int) -> TruncSeries:
+def exp_pair_identity_residual(ctx: QContext, order: int) -> Poly:
     """Residual of E^(0)(t) * E^(1/2)(-q^(-1/2) t) - 1; exactly zero."""
-    e0 = emu_series(ctx, HalfInt(0), 1, order)
-    e_half = emu_series(ctx, HalfInt(1), Fraction(-1) / ctx.s, order)
-    return e0 * e_half - 1
+    e0 = emu_series(ctx, HALF_ZERO, 1, order)
+    e_half = emu_series(ctx, HALF_HALF, Fraction(-1) / ctx.s, order)
+    return e0.mul_trunc(e_half, order) - 1
 
 
-def exp_pair_alternate_residual(ctx: QContext, order: int) -> TruncSeries:
+def exp_pair_alternate_residual(ctx: QContext, order: int) -> Poly:
     """Residual of the alternate pairing E^(0)(t) * E^(1/2)(-q^(1/2) t) - 1.
 
     This variant circulates alongside the one above but does not vanish;
     it is surfaced by the verification report as a documented discrepancy
     rather than silently dropped.
     """
-    e0 = emu_series(ctx, HalfInt(0), 1, order)
-    e_half = emu_series(ctx, HalfInt(1), -ctx.s, order)
-    return e0 * e_half - 1
+    e0 = emu_series(ctx, HALF_ZERO, 1, order)
+    e_half = emu_series(ctx, HALF_HALF, -ctx.s, order)
+    return e0.mul_trunc(e_half, order) - 1

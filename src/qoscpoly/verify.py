@@ -16,13 +16,13 @@ from . import hahn as hahnmod
 from . import matel as matelmod
 from . import operators as opsmod
 from . import series as seriesmod
-from .context import HALF_HALF, HALF_ZERO, HalfInt, QContext, frac
+from .context import HALF_HALF, HALF_ONE, HALF_ZERO, QContext, frac
 from .families import (Basis, FamilyVector, connect_hahn_gaussian,
                        expand_in_basis, family_basis_poly, hahn_factorial,
                        position_coefficients, qfactorial_pochhammer_value,
                        qfactorial_u, qgaussian, qgaussian_via_qexp_operator,
                        vector_to_poly)
-from .poly import Poly
+from .poly import VAR_T, Poly
 from .qarith import (q_binomial, q_double_factorial_even, q_factorial, q_int,
                      q_pochhammer, q_pochhammer_inf)
 from .report import CheckRecord, VerificationReport, record
@@ -127,9 +127,11 @@ def suite_qseries(ctx: QContext, nmax: int, order: int,
                           "shift-free exponential matches the (q,mu) series"))
     if ctx.has_root:
         s = ctx.s
+        # a series record lists all order + 1 terms, trailing zeros included
         res = seriesmod.exp_pair_identity_residual(ctx, order)
         out.append(record("qseries/exp-pair-identity", {"order": order},
-                          res.is_zero(), list(res.coeffs), 0,
+                          res.is_zero(),
+                          [res.coeff(n) for n in range(order + 1)], 0,
                           "E^(0)(t) E^(1/2)(-q^(-1/2) t) = 1, exact to order"))
         alt = seriesmod.exp_pair_alternate_residual(ctx, order)
         first = next((c for c in alt.coeffs if c != 0), Fraction(0))
@@ -141,14 +143,15 @@ def suite_qseries(ctx: QContext, nmax: int, order: int,
         # factorization of the raising-series applied to 1:
         # sum s^n phi_n(x) t^n/[n]! = 1/(s x (1-q) t; q)_inf * (s (1-q) t; q)_inf
         for x in (Fraction(1, 3), Fraction(2)):
-            lhs = seriesmod.TruncSeries(
-                [s ** n * qgaussian(ctx, n)(x) / q_factorial(ctx, n)
-                 for n in range(order + 1)])
-            rhs = (seriesmod.recip_poch_series(ctx, s * x * (1 - q), order)
-                   * seriesmod.e_type_series(ctx, s * (1 - q), order))
+            lhs = Poly([s ** n * qgaussian(ctx, n)(x) / q_factorial(ctx, n)
+                        for n in range(order + 1)], VAR_T)
+            rhs = seriesmod.recip_poch_series(ctx, s * x * (1 - q), order)
+            rhs = rhs.mul_trunc(
+                seriesmod.e_type_series(ctx, s * (1 - q), order), order)
             out.append(record(
                 f"qseries/raising-series-factorizes/x={x}", {"x": x},
-                lhs == rhs, list(lhs.coeffs), list(rhs.coeffs),
+                lhs == rhs, [lhs.coeff(n) for n in range(order + 1)],
+                [rhs.coeff(n) for n in range(order + 1)],
                 "q^(n/2) phi_n(x)/[n]! series splits into two Euler factors"))
     return out
 
@@ -265,12 +268,7 @@ def suite_operators(ctx: QContext, nmax: int, order: int,
                     {"family": family.name, "direction": direction, "n": n},
                     analytic == predicted, list(analytic.coeffs),
                     list(predicted.coeffs)))
-        for check in opsmod.algebra_relations_check(ctx, family, nmax):
-            out.append(record(
-                f"operators/algebra/{family.name}/{check.relation}"
-                f"/n={check.n:02d}",
-                {"family": family.name, "n": check.n},
-                check.passed, check.lhs, check.rhs, check.relation))
+        out.extend(opsmod.algebra_relations_check(ctx, family, nmax))
     # repeated raising from the ground element
     for family in (opsmod.QGAUSSIAN, opsmod.HAHN):
         p = Poly.one()
@@ -304,7 +302,7 @@ def suite_matrixelements(ctx: QContext, nmax: int, order: int,
                          rng: random.Random) -> list[CheckRecord]:
     out = []
     nmax = min(nmax, 6)
-    halves = (HALF_ZERO, HALF_HALF) if ctx.has_root else (HALF_ZERO, HalfInt(2))
+    halves = (HALF_ZERO, HALF_HALF) if ctx.has_root else (HALF_ZERO, HALF_ONE)
     cells = list(product(range(nmax + 1), repeat=2))
     for mu, nu, alpha, beta in product(halves, halves, MATEL_AB_GRID,
                                        MATEL_AB_GRID):
@@ -362,12 +360,7 @@ def suite_matrixelements(ctx: QContext, nmax: int, order: int,
                 acc == x ** n, acc, x ** n,
                 "alternating sum of 2phi0(q^(j-n), 0; q; x q^(n-j)) = x^n"))
     if ctx.has_root:
-        for check in matelmod.special_form_checks(ctx, min(nmax, 5)):
-            out.append(record(
-                f"matrixelements/special-form/{check.name}/n={check.n},"
-                f"x={check.x},q1t={check.q1theta}",
-                {"n": check.n, "x": check.x, "q1theta": check.q1theta},
-                check.passed, check.lhs, check.rhs, check.name))
+        out.extend(matelmod.special_form_checks(ctx, min(nmax, 5)))
     return out
 
 

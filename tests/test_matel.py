@@ -10,6 +10,7 @@ from qoscpoly import (FAMILIES, HAHN, HALF_HALF, HALF_ZERO, QFACTORIAL,
                       QGAUSSIAN, QContext, basic_hyp_terminating,
                       matel_closed, matel_oracle, q_factorial, q_int_at,
                       special_form_checks, u_polynomial)
+from qoscpoly.report import PASS
 
 HALVES = (HALF_ZERO, HALF_HALF)
 AB_VALUES = (F(0), F(1), F(-1, 2), F(1, 3))
@@ -223,7 +224,15 @@ class TestDiagonalBranches:
 class TestSpecialForms:
     def test_all_forms_match(self, ctx_q14):
         checks = special_form_checks(ctx_q14, 5)
-        assert checks and all(c.passed for c in checks)
+        assert checks and all(r.status == PASS for r in checks)
+
+    def test_record_ids(self, ctx_q14):
+        q = ctx_q14.q
+        first = special_form_checks(ctx_q14, 0)[0]
+        assert first.check_id == (
+            f"matrixelements/special-form/u00_vs_2phi1/n=0,x=1,q1t={q}")
+        assert first.params == {"n": 0, "x": 1, "q1theta": q}
+        assert first.note == "u00_vs_2phi1"
 
     def test_check_count(self, ctx_q14):
         # 3 forms x 3 points x 3 theta values per degree

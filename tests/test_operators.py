@@ -9,6 +9,7 @@ from qoscpoly import (FAMILIES, HAHN, QFACTORIAL, QGAUSSIAN, Basis,
                       ladder_apply_analytic, q_int, qfactorial_u, qgaussian,
                       scale_x)
 from qoscpoly.operators import lowering_coeff, raising_coeff
+from qoscpoly.report import PASS, fmt_exact
 
 
 class TestBasicOperators:
@@ -116,23 +117,29 @@ class TestAlgebraRelations:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_all_relations_hold(self, ctx_q14, family):
         checks = algebra_relations_check(ctx_q14, family, 10)
-        assert checks and all(c.passed for c in checks)
+        assert checks and all(r.status == PASS for r in checks)
+
+    def test_record_ids(self, ctx_q14):
+        checks = algebra_relations_check(ctx_q14, HAHN, 1)
+        assert checks[0].check_id == "operators/algebra/hahn/a.adag eigenvalue/n=00"
+        assert checks[0].params == {"family": "hahn", "n": 0}
+        assert checks[-1].check_id == "operators/algebra/hahn/number-raising/n=01"
 
     def test_commutator_values(self, ctx_q916):
         q = ctx_q916.q
-        got = {(c.relation, c.n): c.lhs
-               for c in algebra_relations_check(ctx_q916, QGAUSSIAN, 5)}
+        got = {(r.note, r.params["n"]): r.lhs
+               for r in algebra_relations_check(ctx_q916, QGAUSSIAN, 5)}
         for n in range(6):
-            assert got[("commutator", n)] == q ** -n
-            assert got[("q-commutator", n)] == 1
+            assert got[("commutator", n)] == fmt_exact(q ** -n)
+            assert got[("q-commutator", n)] == fmt_exact(1)
 
     def test_qfactorial_deformed_unit(self, ctx_q916):
         q = ctx_q916.q
-        got = {(c.relation, c.n): c.lhs
-               for c in algebra_relations_check(ctx_q916, QFACTORIAL, 5)}
+        got = {(r.note, r.params["n"]): r.lhs
+               for r in algebra_relations_check(ctx_q916, QFACTORIAL, 5)}
         for n in range(6):
-            assert got[("commutator", n)] == q ** (-n - 1)
-            assert got[("q-commutator", n)] == 1 / q
+            assert got[("commutator", n)] == fmt_exact(q ** (-n - 1))
+            assert got[("q-commutator", n)] == fmt_exact(1 / q)
 
     def test_negative_nmax_rejected(self, ctx_q14):
         with pytest.raises(ValueError):
@@ -150,10 +157,10 @@ class TestAlgebraRelations:
 
         monkeypatch.setattr("qoscpoly.operators.ladder_apply", unshifted)
         checks = algebra_relations_check(ctx_q14, family, 4)
-        lowering = [c for c in checks if c.relation == "number-lowering"]
-        raising = [c for c in checks if c.relation == "number-raising"]
-        assert [c.passed for c in lowering] == [True] + [False] * 4
-        assert not any(c.passed for c in raising)
+        lowering = [r for r in checks if r.note == "number-lowering"]
+        raising = [r for r in checks if r.note == "number-raising"]
+        assert [r.status == PASS for r in lowering] == [True] + [False] * 4
+        assert not any(r.status == PASS for r in raising)
 
 
 class TestDifferenceEquation:

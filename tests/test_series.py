@@ -2,55 +2,67 @@ from fractions import Fraction as F
 
 import pytest
 
-from qoscpoly import (QContext, TruncSeries, emu_series, eqw_eval, q_factorial,
-                      q_pochhammer, qgaussian, hahn_factorial,
-                      gaussian_genfun_lhs, hahn_genfun_lhs, series_recip,
+from qoscpoly import (VAR_T, Poly, QContext, emu_series, eqw_eval,
+                      q_factorial, q_pochhammer, qgaussian, hahn_factorial,
+                      gaussian_genfun_lhs, hahn_genfun_lhs,
                       exp_pair_identity_residual)
 from qoscpoly.context import HALF_HALF, HALF_ZERO
+from qoscpoly.report import fmt_exact
 from qoscpoly.series import (e_type_series, exp_pair_alternate_residual,
                              recip_poch_series)
+from qoscpoly.verify import RunConfig, run_suites
+
+
+def in_t(*coeffs):
+    return Poly(coeffs, VAR_T)
 
 
 class TestArithmetic:
     def test_mul_identity(self):
-        a = TruncSeries([1, 2, 3])
-        assert TruncSeries.constant(1, 2) * a == a
+        a = in_t(1, 2, 3)
+        assert Poly.one(VAR_T).mul_trunc(a, 2) == a
 
     def test_difference_of_squares(self):
-        prod = TruncSeries([1, 1, 0]) * TruncSeries([1, -1, 0])
-        assert prod == TruncSeries([1, 0, -1])
+        prod = in_t(1, 1).mul_trunc(in_t(1, -1), 2)
+        assert prod == in_t(1, 0, -1)
 
-    def test_order_shrinks_to_min(self):
-        prod = TruncSeries([1, 1]) * TruncSeries([1, 1, 1, 1])
-        assert prod.order == 1
+    def test_mul_trunc_is_truncated_product(self):
+        a, b = in_t(1, F(1, 2), 0, -3), in_t(F(2, 3), 0, 5)
+        full = a * b
+        for order in range(-1, 7):
+            assert a.mul_trunc(b, order) == in_t(
+                *(full.coeff(n) for n in range(order + 1)))
 
-    def test_recip_of_one(self):
-        assert series_recip(TruncSeries.constant(1, 3)) == TruncSeries.constant(1, 3)
+    def test_mul_trunc_variable_mismatch(self):
+        with pytest.raises(ValueError):
+            in_t(1, 1).mul_trunc(Poly([1, 1]), 3)
 
     def test_recip_geometric(self):
-        assert series_recip(TruncSeries([1, -1, 0, 0])) == TruncSeries([1, 1, 1, 1])
-
-    def test_recip_requires_unit(self):
-        with pytest.raises(ValueError):
-            series_recip(TruncSeries([0, 1]))
+        # 1/(1 - t) = 1 + t + t^2 + ..., exactly to the order kept
+        assert in_t(1, -1).mul_trunc(in_t(1, 1, 1, 1), 3) == 1
 
     def test_recip_of_euler_factor(self, ctx_q12):
         # 1/(t; q)_inf expands with coefficients 1/(q;q)_n
         n = 10
-        rec = series_recip(e_type_series(ctx_q12, 1, n))
-        expect = recip_poch_series(ctx_q12, 1, n)
-        assert rec == expect
+        e = e_type_series(ctx_q12, 1, n)
+        assert e.mul_trunc(recip_poch_series(ctx_q12, 1, n), n) == 1
+
+    @pytest.mark.parametrize("build", [e_type_series, recip_poch_series,
+                                       gaussian_genfun_lhs, hahn_genfun_lhs])
+    def test_negative_order_rejected(self, ctx_q14, build):
+        with pytest.raises(ValueError):
+            build(ctx_q14, F(1, 3), -1)
 
 
 class TestEmuSeries:
     def test_zero_argument(self, ctx_q14):
-        assert emu_series(ctx_q14, HALF_ZERO, 0, 4) == TruncSeries([1, 0, 0, 0, 0])
+        assert emu_series(ctx_q14, HALF_ZERO, 0, 4) == in_t(1)
 
     def test_half_coefficients(self):
         ctx = QContext(F(1, 2))  # q = 1/4, s = 1/2
         s = ctx.s
         got = emu_series(ctx, HALF_HALF, 1, 2)
-        expect = TruncSeries([1, s, s ** 4 / q_factorial(ctx, 2)])
+        expect = in_t(1, s, s ** 4 / q_factorial(ctx, 2))
         assert got == expect
 
     def test_mu_zero_pochhammer_form(self, ctx_q916):
@@ -147,9 +159,23 @@ class TestRaisingSeriesFactorization:
             q = ctx.q
             for x in (F(1, 3), F(2)):
                 order = 12
-                lhs = TruncSeries([s ** n * qgaussian(ctx, n)(x)
-                                   / q_factorial(ctx, n)
-                                   for n in range(order + 1)])
-                rhs = (recip_poch_series(ctx, s * x * (1 - q), order)
-                       * e_type_series(ctx, s * (1 - q), order))
+                lhs = in_t(*(s ** n * qgaussian(ctx, n)(x)
+                             / q_factorial(ctx, n) for n in range(order + 1)))
+                rhs = recip_poch_series(ctx, s * x * (1 - q), order)
+                rhs = rhs.mul_trunc(e_type_series(ctx, s * (1 - q), order),
+                                    order)
                 assert lhs == rhs
+
+
+class TestSeriesRecords:
+    @pytest.mark.parametrize("order", [0, 5])
+    def test_records_list_every_term(self, order):
+        # Poly trims trailing zeros; the report must still list order + 1
+        # terms, or the exact-zero residual would print as []
+        report = run_suites(RunConfig(suites=("qseries",), order=order))
+        got = {r.check_id: r for r in report.records}
+        assert got["qseries/exp-pair-identity"].lhs == fmt_exact([0] * (order + 1))
+        for x in ("1/3", "2"):
+            r = got[f"qseries/raising-series-factorizes/x={x}"]
+            for side in (r.lhs, r.rhs):
+                assert len(side[1:-1].split(", ")) == order + 1
