@@ -20,6 +20,7 @@ from .families import position_coefficients, qfactorial_u, qgaussian, hahn_facto
 from .hahn import hahn_antiderivative, hahn_derivative_poly, hahn_integral_closed
 from .matel import matel_closed, matel_oracle
 from .operators import FAMILIES
+from .poly import Poly
 from .qarith import q_factorial
 from .report import fmt_exact
 from .series import gaussian_genfun_lhs, hahn_genfun_lhs
@@ -29,8 +30,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-TABLE_KINDS = ("poly", "matel", "genfun", "position", "hahn")
 
 
 def _non_negative(text: str) -> int:
@@ -113,64 +112,75 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFICATION_FAILED
 
 
-def _table_rows(ctx: QContext, kind: str, nmax: int, order: int) -> list[dict]:
-    rows = []
-    if kind == "poly":
-        for n in range(nmax + 1):
+def _poly_rows(ctx: QContext, nmax: int, order: int) -> list[dict]:
+    return [{"family": family, "n": n, "variable": variable,
+             "coeffs": [fmt_exact(c) for c in build(ctx, n).coeffs]}
+            for n in range(nmax + 1)
             for family, variable, build in (("qgaussian", "x", qgaussian),
                                             ("qfactorial", "u", qfactorial_u),
-                                            ("hahn", "x", hahn_factorial)):
-                rows.append({"family": family, "n": n, "variable": variable,
-                             "coeffs": [fmt_exact(c)
-                                        for c in build(ctx, n).coeffs]})
-        return rows
-    if kind == "matel":
-        mu = HALF_HALF if ctx.has_root else HALF_ZERO
-        alpha = beta = Fraction(1)
-        for family in FAMILIES:
-            args = (mu, mu, alpha, beta, nmax)
-            closed = matel_closed(ctx, family, *args)
-            oracle = matel_oracle(ctx, family, *args)
-            for n, r in product(range(nmax + 1), repeat=2):
-                rows.append({"family": family.name, "mu": str(mu.value),
-                             "nu": str(mu.value), "alpha": str(alpha),
-                             "beta": str(beta), "n": n, "r": r,
-                             "closed": fmt_exact(closed[n][r]),
-                             "oracle": fmt_exact(oracle[n][r]),
-                             "agree": closed[n][r] == oracle[n][r]})
-        return rows
-    if kind == "genfun":
-        for x in (Fraction(1, 3), Fraction(2)):
-            g = gaussian_genfun_lhs(ctx, x, order)
-            h = hahn_genfun_lhs(ctx, x, order)
-            for n in range(order + 1):
-                fact = q_factorial(ctx, n)
-                for family, series, build in (("qgaussian", g, qgaussian),
-                                              ("hahn", h, hahn_factorial)):
-                    rows.append({"family": family, "x": str(x), "n": n,
-                                 "series_coeff": fmt_exact(series.coeff(n)),
-                                 "poly_over_factorial":
-                                     fmt_exact(build(ctx, n)(x) / fact)})
-        return rows
-    if kind == "position":
-        for n, c in enumerate(position_coefficients(ctx, nmax)):
-            rows.append({"n": n, "coeffs": [fmt_exact(v) for v in c.coeffs]})
-        return rows
-    if kind == "hahn":
-        from .poly import Poly
-        for k in range(nmax + 1):
-            p = Poly.monomial(k)
-            deriv = hahn_derivative_poly(ctx, p)
-            anti = hahn_antiderivative(ctx, p)
-            rows.append({"power": k,
-                         "derivative_coeffs": [fmt_exact(c)
-                                               for c in deriv.coeffs],
-                         "antiderivative_coeffs": [fmt_exact(c)
-                                                   for c in anti.coeffs],
-                         "integral_to_1":
-                             fmt_exact(hahn_integral_closed(ctx, p, 1))})
-        return rows
-    raise ValueError(f"unknown table kind {kind!r}")
+                                            ("hahn", "x", hahn_factorial))]
+
+
+def _matel_rows(ctx: QContext, nmax: int, order: int) -> list[dict]:
+    rows = []
+    mu = HALF_HALF if ctx.has_root else HALF_ZERO
+    alpha = beta = Fraction(1)
+    for family in FAMILIES:
+        args = (mu, mu, alpha, beta, nmax)
+        closed = matel_closed(ctx, family, *args)
+        oracle = matel_oracle(ctx, family, *args)
+        for n, r in product(range(nmax + 1), repeat=2):
+            rows.append({"family": family.name, "mu": str(mu.value),
+                         "nu": str(mu.value), "alpha": str(alpha),
+                         "beta": str(beta), "n": n, "r": r,
+                         "closed": fmt_exact(closed[n][r]),
+                         "oracle": fmt_exact(oracle[n][r]),
+                         "agree": closed[n][r] == oracle[n][r]})
+    return rows
+
+
+def _genfun_rows(ctx: QContext, nmax: int, order: int) -> list[dict]:
+    rows = []
+    for x in (Fraction(1, 3), Fraction(2)):
+        g = gaussian_genfun_lhs(ctx, x, order)
+        h = hahn_genfun_lhs(ctx, x, order)
+        for n in range(order + 1):
+            fact = q_factorial(ctx, n)
+            for family, series, build in (("qgaussian", g, qgaussian),
+                                          ("hahn", h, hahn_factorial)):
+                rows.append({"family": family, "x": str(x), "n": n,
+                             "series_coeff": fmt_exact(series.coeff(n)),
+                             "poly_over_factorial":
+                                 fmt_exact(build(ctx, n)(x) / fact)})
+    return rows
+
+
+def _position_rows(ctx: QContext, nmax: int, order: int) -> list[dict]:
+    return [{"n": n, "coeffs": [fmt_exact(v) for v in c.coeffs]}
+            for n, c in enumerate(position_coefficients(ctx, nmax))]
+
+
+def _hahn_rows(ctx: QContext, nmax: int, order: int) -> list[dict]:
+    rows = []
+    for k in range(nmax + 1):
+        p = Poly.monomial(k)
+        deriv = hahn_derivative_poly(ctx, p)
+        anti = hahn_antiderivative(ctx, p)
+        rows.append({"power": k,
+                     "derivative_coeffs": [fmt_exact(c) for c in deriv.coeffs],
+                     "antiderivative_coeffs": [fmt_exact(c) for c in anti.coeffs],
+                     "integral_to_1": fmt_exact(hahn_integral_closed(ctx, p, 1))})
+    return rows
+
+
+# one row builder per table kind, each called as build(ctx, nmax, order)
+TABLE_ROWS = {"poly": _poly_rows, "matel": _matel_rows, "genfun": _genfun_rows,
+              "position": _position_rows, "hahn": _hahn_rows}
+TABLE_KINDS = tuple(TABLE_ROWS)
+
+
+def _table_rows(ctx: QContext, kind: str, nmax: int, order: int) -> list[dict]:
+    return TABLE_ROWS[kind](ctx, nmax, order)
 
 
 def cmd_table(args) -> int:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .context import QContext, frac
 from .poly import VAR_U, VAR_X, Poly
-from .qarith import q_binomial, q_factorial, q_int
+from .qarith import q_binomial, q_factorial, q_int, q_pochhammer
 
 
 class Basis(enum.Enum):
@@ -98,10 +98,8 @@ def qfactorial_pochhammer_value(ctx: QContext, n: int, x: int) -> Fraction:
     _check_n(n)
     q = ctx.q
     sign = -1 if n % 2 else 1
-    poch = Fraction(1)
-    for k in range(n):
-        poch *= 1 - q ** (-x) * q ** k
-    return sign * q ** (n * x - n * (n - 1) // 2) * poch / (1 - q) ** n
+    return (sign * q ** (n * x - n * (n - 1) // 2)
+            * q_pochhammer(ctx, q ** (-x), n) / (1 - q) ** n)
 
 
 def hahn_factorial(ctx: QContext, n: int, method: str = "product") -> Poly:

@@ -7,8 +7,8 @@ computed two independent ways, both with the signature
 matrix [n][r] for n, r <= nmax:
 
   * ``matel_closed``  evaluates the closed-form expressions through the
-    U-polynomials (a terminating q-hypergeometric sum), diagonal by
-    diagonal, sharing each diagonal's powers and U argument;
+    U-polynomials (terminating sums walked by ``qarith.qhyp_terms``),
+    diagonal by diagonal, sharing each diagonal's powers and U argument;
   * ``matel_oracle``  applies the two truncating operator series directly via
     the exact ladder coefficients, with no reference to the closed forms.
     Each series weight is computed once per index, each lowering and
@@ -40,7 +40,7 @@ from itertools import product
 
 from .context import HALF_HALF, HALF_ZERO, HalfInt, QContext, frac
 from .operators import Family, lowering_coeff, raising_coeff
-from .qarith import q_binomial, q_factorial
+from .qarith import q_binomial, q_factorial, qhyp_terms
 from .report import CheckRecord, record
 
 
@@ -49,29 +49,14 @@ def u_polynomial(ctx: QContext, mu: HalfInt, nu: HalfInt, n: int,
     """The terminating sum U_n^(mu,nu)(x; q^(1+theta) | q).
 
     Sum over k = 0..n of q^(k^2 (mu+nu)) (q^-n; q)_k x^k
-    / ((q^(1+theta); q)_k (q; q)_k); the second argument is passed as the
-    rational value q^(1+theta) itself.
+    / ((q^(1+theta); q)_k (q; q)_k), walked by ``qhyp_terms``; the second
+    argument is passed as the rational value q^(1+theta) itself.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    q1theta = frac(q1theta)
-    x = frac(x)
     musum = HalfInt(mu.twice + nu.twice)
-    total = Fraction(0)
-    num = Fraction(1)      # (q^-n; q)_k
-    den_theta = Fraction(1)  # (q^(1+theta); q)_k
-    den_q = Fraction(1)    # (q; q)_k
-    xpow = Fraction(1)
-    for k in range(n + 1):
-        if den_theta == 0:
-            raise ValueError(
-                f"denominator factor (q^(1+theta); q)_k vanishes at k = {k}")
-        total += ctx.pow_half(musum, k * k) * num * xpow / (den_theta * den_q)
-        num *= 1 - ctx.q_pow(k - n)
-        den_theta *= 1 - q1theta * ctx.q_pow(k)
-        den_q *= 1 - ctx.q_pow(k + 1)
-        xpow *= x
-    return total
+    return sum(qhyp_terms(ctx, [ctx.q_pow(-n)], [q1theta], x, n + 1,
+                          lambda k: ctx.pow_half(musum, k * k)), Fraction(0))
 
 
 def _termination_index(ctx: QContext, a: Fraction) -> int | None:
@@ -95,36 +80,16 @@ def basic_hyp_terminating(ctx: QContext, upper: list, lower: list, z) -> Fractio
     ((-1)^k q^(k(k-1)/2))^(1+s-r).
     """
     upper = [frac(a) for a in upper]
-    lower = [frac(b) for b in lower]
-    z = frac(z)
     indices = [m for m in (_termination_index(ctx, a) for a in upper)
                if m is not None]
     if not indices:
         raise ValueError("series does not terminate: no upper parameter q^-n")
-    n = min(indices)
     power = 1 + len(lower) - len(upper)
-    total = Fraction(0)
-    num = [Fraction(1)] * len(upper)
-    den = [Fraction(1)] * len(lower)
-    den_q = Fraction(1)
-    zpow = Fraction(1)
-    for k in range(n + 1):
-        if any(d == 0 for d in den):
-            raise ValueError(f"lower-parameter Pochhammer vanishes at k = {k}")
-        term = zpow / den_q
-        for v in num:
-            term *= v
-        for v in den:
-            term /= v
-        sign = -1 if (k * power) % 2 else 1
-        comp = ctx.q_pow(k * (k - 1) // 2 * power)
-        total += sign * comp * term
-        qk = ctx.q_pow(k)
-        num = [v * (1 - a * qk) for v, a in zip(num, upper)]
-        den = [v * (1 - b * qk) for v, b in zip(den, lower)]
-        den_q *= 1 - ctx.q_pow(k + 1)
-        zpow *= z
-    return total
+    weight = None if power == 0 else (
+        lambda k: (-1 if k * power % 2 else 1)
+        * ctx.q_pow(k * (k - 1) // 2 * power))
+    return sum(qhyp_terms(ctx, upper, lower, z, min(indices) + 1, weight),
+               Fraction(0))
 
 
 def _series_weight(ctx: QContext, half: HalfInt, c: Fraction,
@@ -179,12 +144,17 @@ def matel_closed(ctx: QContext, family: Family, mu: HalfInt, nu: HalfInt,
     Walks the diagonals d = |n - r|.  Each side of a diagonal shares
     (c sigma)^d, the U argument and q^(1+d), so a cell costs its prefactor
     and one U-polynomial.  The n = r diagonal is evaluated from both sides,
-    which must agree (the U-polynomial depends on mu+nu only).
+    which must agree (the U-polynomial depends on mu+nu only).  A family
+    with sigma = 0 (Hahn at omega0 = 1) is rejected: its published form
+    degenerates there.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     alpha, beta = frac(alpha), frac(beta)
     e, sigma, size = family.e, family.sigma(ctx), nmax + 1
+    if sigma == 0:
+        raise ValueError(f"the {family.name} closed form is degenerate at "
+                         f"omega0 = 1 (sigma = 1 - omega0 = 0)")
     ab = alpha * beta * (ctx.q - 1) * family.kappa(ctx)
     out = [[None] * size for _ in range(size)]
     for d in range(size):

@@ -5,12 +5,15 @@ computes from a raw q.  ``q_int``, ``q_factorial`` and ``q_binomial`` read
 the context's ``QTables``: q^k, [k]_q and [k]_q! are each computed once per
 q, on first use, and the tables grow only as far as they are read.  The
 ``with_omega`` copies of a context share its tables, since none of these
-values depends on omega.
+values depends on omega.  ``qhyp_terms`` is the one term walker of every
+basic hypergeometric sum in the package; ``q_pochhammer`` builds its
+product directly and is the reference the walker is tested against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .context import QContext, frac
 
@@ -54,6 +57,34 @@ def q_pochhammer(ctx: QContext, z, n: int) -> Fraction:
         out *= 1 - z * power
         power *= ctx.q
     return out
+
+
+def qhyp_terms(ctx: QContext, upper: list, lower: list, z, count: int,
+               weight=None) -> list[Fraction]:
+    """The first count terms of a basic hypergeometric series.
+
+    Term k is weight(k) (upper; q)_k z^k / ((lower; q)_k (q; q)_k), where a
+    list of parameters stands for the product of their Pochhammer symbols
+    and no weight means weight 1.  Each term is the previous one times one
+    ratio, so no Pochhammer prefix is ever rebuilt.  Raises ValueError only
+    when one of the count terms needs a vanishing lower Pochhammer.
+    """
+    # a zero parameter contributes (0; q)_k = 1
+    upper = [a for a in map(frac, upper) if a]
+    lower = [b for b in map(frac, lower) if b]
+    z = frac(z)
+    terms, term = [], Fraction(1)
+    for k in range(count):
+        if k:
+            qk = ctx.q_pow(k - 1)
+            num = prod((1 - a * qk for a in upper), start=z)
+            den = prod((1 - b * qk for b in lower), start=1 - ctx.q_pow(k))
+            if den == 0:
+                raise ValueError(
+                    f"lower-parameter Pochhammer vanishes at k = {k}")
+            term = term * num / den
+        terms.append(term if weight is None else weight(k) * term)
+    return terms
 
 
 def q_pochhammer_inf(ctx: QContext, z, tol) -> tuple[Fraction, int]:

@@ -7,6 +7,11 @@ a term is read with ``coeff(n)``, which is 0 past the last stored one.
 The generating-function left-hand sides are built from the two Euler-type
 expansions of (z;q)_infty and 1/(z;q)_infty, so every coefficient is an
 exact rational: no infinite product is ever truncated numerically here.
+Those expansions and the omega-exponential are basic hypergeometric series
+with no parameters, walked by ``qarith.qhyp_terms``.  ``emu_series`` keeps
+its own [n]_q! loop: through the walker it would be the very call that
+``eqw_eval`` makes at omega = 0, and the check that compares the two would
+compare a computation with itself.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from fractions import Fraction
 
 from .context import HALF_HALF, HALF_ZERO, HalfInt, QContext, frac
 from .poly import VAR_T, Poly
-from .qarith import q_factorial, q_pochhammer
+from .qarith import q_factorial, qhyp_terms
 
 
 def emu_series(ctx: QContext, mu: HalfInt, c, order: int) -> Poly:
@@ -34,46 +39,30 @@ def emu_series(ctx: QContext, mu: HalfInt, c, order: int) -> Poly:
 def eqw_eval(ctx: QContext, mu: HalfInt, x, order: int) -> Fraction:
     """Partial sum of the (q,omega,mu)-exponential at the point x.
 
-    Sums q^(mu n^2) ((1-q)x - omega)^n / (q;q)_n for n = 0..order.
+    Sums q^(mu n^2) ((1-q)x - omega)^n / (q;q)_n for n = 0..order, walked
+    by ``qhyp_terms``.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    x = frac(x)
-    arg = (1 - ctx.q) * x - ctx.omega
-    total = Fraction(0)
-    argpow = Fraction(1)
-    for n in range(order + 1):
-        total += ctx.pow_half(mu, n * n) * argpow / q_pochhammer(ctx, ctx.q, n)
-        argpow *= arg
-    return total
+    arg = (1 - ctx.q) * frac(x) - ctx.omega
+    return sum(qhyp_terms(ctx, [], [], arg, order + 1,
+                          lambda n: ctx.pow_half(mu, n * n)), Fraction(0))
 
 
 def e_type_series(ctx: QContext, c, order: int) -> Poly:
     """Series of (c*t; q)_infty: sum of (-1)^n q^(n(n-1)/2) (c t)^n/(q;q)_n."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    c = frac(c)
-    coeffs = []
-    cpow = Fraction(1)
-    for n in range(order + 1):
-        sign = -1 if n % 2 else 1
-        coeffs.append(sign * ctx.q_pow(n * (n - 1) // 2) * cpow
-                      / q_pochhammer(ctx, ctx.q, n))
-        cpow *= c
-    return Poly(coeffs, VAR_T)
+    return Poly(qhyp_terms(ctx, [], [], c, order + 1,
+                           lambda n: (-1 if n % 2 else 1)
+                           * ctx.q_pow(n * (n - 1) // 2)), VAR_T)
 
 
 def recip_poch_series(ctx: QContext, c, order: int) -> Poly:
     """Series of 1/(c*t; q)_infty: sum of (c t)^n/(q;q)_n."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    c = frac(c)
-    coeffs = []
-    cpow = Fraction(1)
-    for n in range(order + 1):
-        coeffs.append(cpow / q_pochhammer(ctx, ctx.q, n))
-        cpow *= c
-    return Poly(coeffs, VAR_T)
+    return Poly(qhyp_terms(ctx, [], [], c, order + 1), VAR_T)
 
 
 def gaussian_genfun_lhs(ctx: QContext, x, order: int) -> Poly:

@@ -164,6 +164,16 @@ class TestVerifyCommand:
         assert code == cli.EXIT_VERIFICATION_FAILED
         assert "[fail] stub/forced-failure" in out
 
+    @pytest.mark.parametrize("argv", [
+        "verify --suite matrixelements --nmax 2", "table matel --nmax 2"])
+    def test_degenerate_hahn_context_rejected(self, capsys, argv):
+        # omega = 3/4 at q = 1/4 puts omega0 = 1, where sigma = 1 - omega0 = 0
+        code, out, err = run_cli(capsys,
+                                 argv.split() + ["--s", "1/2", "--omega", "3/4"])
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "omega0 = 1" in err
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.csv"
         code, out, _ = run_cli(

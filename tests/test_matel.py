@@ -212,6 +212,19 @@ class TestClosedVsOracle:
         assert got == 1 - ctx_q14.omega0
 
 
+class TestDegenerateHahn:
+    def test_sigma_zero_rejected(self):
+        # q = 1/4, omega = 3/4: omega0 = 1 and the Hahn sigma vanishes
+        ctx = QContext(F(1, 2), F(3, 4))
+        assert ctx.omega0 == 1 and HAHN.sigma(ctx) == 0
+        with pytest.raises(ValueError, match="omega0 = 1"):
+            matel_closed(ctx, HAHN, HALF_ZERO, HALF_ZERO, F(1), F(1), 2)
+        args = (HALF_HALF, HALF_ZERO, F(1, 3), F(-1, 2), 3)
+        for family in (QGAUSSIAN, QFACTORIAL):
+            assert (matel_closed(ctx, family, *args)
+                    == matel_oracle(ctx, family, *args))
+
+
 class TestDiagonalBranches:
     def test_branches_agree_on_diagonal(self, ctx_q14):
         for fam in FAMILIES:

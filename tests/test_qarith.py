@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qoscpoly import (HalfInt, QContext, q_binomial, q_double_factorial_even,
                       q_factorial, q_int, q_int_at, q_pochhammer,
-                      q_pochhammer_inf)
+                      q_pochhammer_inf, qhyp_terms)
 from qoscpoly.context import HALF_HALF, rational_sqrt
 
 
@@ -110,6 +110,58 @@ class TestPochhammer:
         z = F(zn, zd)
         assert q_pochhammer(ctx, z, m + n) == (
             q_pochhammer(ctx, z, m) * q_pochhammer(ctx, z * q ** m, n))
+
+
+small_fracs = st.fractions(-3, 3, max_denominator=6)
+
+
+class TestQhypTerms:
+    """The walker's running ratio against the term written out in full."""
+
+    @given(s=roots, upper=st.lists(small_fracs, max_size=2),
+           lower=st.lists(small_fracs, max_size=2), z=small_fracs,
+           count=st.integers(0, 8), weighted=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_definition(self, s, upper, lower, z, count, weighted):
+        ctx = QContext(s)
+        q = ctx.q
+
+        def weight(k):
+            return (-1) ** k * q ** (k * (k - 1) // 2)
+
+        def poch(params, k):
+            return prod((q_pochhammer(ctx, a, k) for a in params), start=F(1))
+
+        lower_ok = [k for k in range(count) if poch(lower, k) != 0]
+        if len(lower_ok) < count:
+            with pytest.raises(ValueError):
+                qhyp_terms(ctx, upper, lower, z, count)
+            return
+        got = qhyp_terms(ctx, upper, lower, z, count,
+                         weight if weighted else None)
+        assert got == [(weight(k) if weighted else 1) * poch(upper, k) * z ** k
+                       / (poch(lower, k) * q_pochhammer(ctx, q, k))
+                       for k in range(count)]
+
+    def test_vanishing_lower_pochhammer(self, ctx_q12):
+        # (q^-2; q)_k vanishes from k = 3 on: terms 0..2 need only k <= 2
+        q = ctx_q12.q
+        terms = qhyp_terms(ctx_q12, [F(1, 3)], [q ** -2], F(1, 2), 3)
+        assert len(terms) == 3 and all(t != 0 for t in terms)
+        with pytest.raises(ValueError, match="k = 3"):
+            qhyp_terms(ctx_q12, [F(1, 3)], [q ** -2], F(1, 2), 4)
+
+    def test_vanishing_upper_pochhammer(self, ctx_q12):
+        # (q^-2; q)_k upstairs ends the series: terms past k = 2 are zero
+        q = ctx_q12.q
+        terms = qhyp_terms(ctx_q12, [q ** -2], [], 1, 6)
+        assert terms[:3] == [1, (1 - q ** -2) / (1 - q),
+                             (1 - q ** -2) * (1 - q ** -1)
+                             / ((1 - q) * (1 - q * q))]
+        assert terms[3:] == [0, 0, 0]
+
+    def test_empty(self, ctx_q14):
+        assert qhyp_terms(ctx_q14, [], [], 5, 0) == []
 
 
 class TestPochhammerInf:
