@@ -7,10 +7,9 @@ difference and integral calculus.  Everything rational in, rational out.
 """
 
 from .context import HALF_HALF, HALF_ONE, HALF_ZERO, HalfInt, QContext, frac
-from .families import (Basis, FamilyVector, connect_hahn_gaussian,
-                       expand_in_basis, family_basis_poly, hahn_factorial,
-                       position_coefficients, qfactorial_pochhammer_value,
-                       qfactorial_u, qgaussian,
+from .families import (Basis, connect_hahn_gaussian, expand_in_basis,
+                       hahn_factorial, position_coefficients,
+                       qfactorial_pochhammer_value, qfactorial_u, qgaussian,
                        qgaussian_via_qexp_operator, vector_to_poly)
 from .hahn import (SampledFn, hahn_antiderivative, hahn_derivative_poly,
                    hahn_exp_normalized, hahn_integral_closed,

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product
 
 from .context import HALF_HALF, HALF_ZERO, QContext, frac
-from .families import position_coefficients, qfactorial_u, qgaussian, hahn_factorial
+from .families import hahn_factorial, position_coefficients, qgaussian
 from .hahn import hahn_antiderivative, hahn_derivative_poly, hahn_integral_closed
 from .matel import matel_closed, matel_oracle
 from .operators import FAMILIES
@@ -24,7 +24,8 @@ from .poly import Poly
 from .qarith import q_factorial
 from .report import fmt_exact
 from .series import gaussian_genfun_lhs, hahn_genfun_lhs
-from .verify import SUITE_NAMES, RunConfig, context_dict, run_suites
+from .verify import (SUITE_LIMITS, SUITE_NAMES, RunConfig, context_dict,
+                     run_suites)
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -52,9 +53,8 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="series truncation order")
     parser.add_argument("--nmax", type=_non_negative, default=RunConfig.nmax,
                         help="largest family index to check or tabulate; "
-                             "verify caps it per suite: qkernel 20, "
-                             "polyfamilies 15, operators 12, matrixelements "
-                             "6, hahncalc polynomial degree 10")
+                             "verify caps it per suite: " + ", ".join(
+                                 f"{k} {v}" for k, v in SUITE_LIMITS.items()))
     parser.add_argument("--format", dest="fmt", default="text",
                         choices=("json", "csv", "text"))
     parser.add_argument("--out", default=None, help="output path (default stdout)")
@@ -113,12 +113,10 @@ def cmd_verify(args) -> int:
 
 
 def _poly_rows(ctx: QContext, nmax: int, order: int) -> list[dict]:
-    return [{"family": family, "n": n, "variable": variable,
-             "coeffs": [fmt_exact(c) for c in build(ctx, n).coeffs]}
-            for n in range(nmax + 1)
-            for family, variable, build in (("qgaussian", "x", qgaussian),
-                                            ("qfactorial", "u", qfactorial_u),
-                                            ("hahn", "x", hahn_factorial))]
+    return [{"family": family.name, "n": n, "variable": family.basis.var,
+             "coeffs": [fmt_exact(c)
+                        for c in family.basis.element(ctx, n).coeffs]}
+            for n in range(nmax + 1) for family in FAMILIES]
 
 
 def _matel_rows(ctx: QContext, nmax: int, order: int) -> list[dict]:

@@ -28,7 +28,10 @@ def frac(value) -> Fraction:
     if isinstance(value, Rational):
         return Fraction(value)
     if isinstance(value, (str, int)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot coerce {value!r} to an exact rational")
 
 

@@ -6,63 +6,44 @@ Families:
   * Hahn factorial  phidot_n(x) = prod_{k<n} (x - [k]_q * omega)
 
 Each family admits a product, a recursion, and an explicit-sum construction;
-all three are implemented and must agree coefficientwise.
+all three are implemented and must agree coefficientwise.  The products and
+the shifted monomials share one linear-factor product; a ``Basis`` record
+describes each of the five polynomial bases.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-from .context import QContext, frac
+from .context import QContext
 from .poly import VAR_U, VAR_X, Poly
 from .qarith import q_binomial, q_factorial, q_int, q_pochhammer
 
 
-class Basis(enum.Enum):
-    MONOMIAL = "monomial"
-    SHIFTED_MONOMIAL = "shifted_monomial"  # powers of (x - omega0)
-    QGAUSSIAN = "qgaussian"
-    QFACTORIAL = "qfactorial"
-    HAHN_FACTORIAL = "hahn_factorial"
-
-
-@dataclass(frozen=True)
-class FamilyVector:
-    """Finite coefficient vector relative to a named polynomial basis."""
-
-    basis: Basis
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(frac(c) for c in self.coeffs))
-
-    def coeff(self, n: int) -> Fraction:
-        return self.coeffs[n] if 0 <= n < len(self.coeffs) else Fraction(0)
-
-    def trimmed(self) -> "FamilyVector":
-        coeffs = list(self.coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return FamilyVector(self.basis, coeffs)
-
-
-def _check_n(n: int):
+def _check_n(n: int) -> int:
     if n < 0:
         raise ValueError(f"family index must be >= 0, got {n}")
+    return n
+
+
+def _linear_product(factors, var: str = VAR_X) -> Poly:
+    """The product of the linear factors (a + b var), given as (a, b) pairs."""
+    out = [Fraction(1)]
+    for a, b in factors:
+        out.append(Fraction(0))
+        for i in range(len(out) - 1, 0, -1):
+            out[i] = out[i] * a + out[i - 1] * b
+        out[0] *= a
+    return Poly(out, var)
 
 
 def qgaussian(ctx: QContext, n: int, method: str = "product") -> Poly:
     """phi_n(x), by 'product', 'recursion', or 'explicit_sum'."""
     _check_n(n)
     if method == "product":
-        p = Poly.one()
-        node = Fraction(1)
-        for _ in range(n):
-            p = p * Poly([-node, 1])
-            node *= ctx.q
-        return p
+        return _linear_product((-ctx.q_pow(k), 1) for k in range(n))
     if method == "recursion":
         # phi_{m+1} = (x - q^m) phi_m
         p = Poly.one()
@@ -82,11 +63,8 @@ def qgaussian(ctx: QContext, n: int, method: str = "product") -> Poly:
 def qfactorial_u(ctx: QContext, n: int) -> Poly:
     """phihat_n as a polynomial in u = q^x, via [x-k]_q = (1 - q^-k u)/(1-q)."""
     _check_n(n)
-    q = ctx.q
-    p = Poly.one(VAR_U)
-    for k in range(n):
-        p = p * (Poly([1, -(q ** -k)], VAR_U) / (1 - q))
-    return p
+    c = 1 / (1 - ctx.q)
+    return _linear_product(((c, -ctx.q_pow(-k) * c) for k in range(n)), VAR_U)
 
 
 def qfactorial_pochhammer_value(ctx: QContext, n: int, x: int) -> Fraction:
@@ -107,10 +85,7 @@ def hahn_factorial(ctx: QContext, n: int, method: str = "product") -> Poly:
     _check_n(n)
     omega = ctx.omega
     if method == "product":
-        p = Poly.one()
-        for k in range(n):
-            p = p * Poly([-q_int(ctx, k) * omega, 1])
-        return p
+        return _linear_product((-q_int(ctx, k) * omega, 1) for k in range(n))
     if method == "recursion":
         # phidot_{m+1} = (x - omega [m]_q) phidot_m
         p = Poly.one()
@@ -132,69 +107,70 @@ def hahn_factorial(ctx: QContext, n: int, method: str = "product") -> Poly:
     raise ValueError(f"unknown construction method {method!r}")
 
 
-def family_basis_poly(ctx: QContext, basis: Basis, n: int) -> Poly:
-    """The n-th basis polynomial for any of the supported bases."""
-    _check_n(n)
-    if basis is Basis.MONOMIAL:
-        return Poly.monomial(n)
-    if basis is Basis.SHIFTED_MONOMIAL:
-        p = Poly.one()
-        for _ in range(n):
-            p = p * Poly([-ctx.omega0, 1])
-        return p
-    if basis is Basis.QGAUSSIAN:
-        return qgaussian(ctx, n)
-    if basis is Basis.QFACTORIAL:
-        return qfactorial_u(ctx, n)
-    if basis is Basis.HAHN_FACTORIAL:
-        return hahn_factorial(ctx, n)
-    raise ValueError(f"unknown basis {basis!r}")
+def _invert(ctx: QContext, coeffs, c) -> list:
+    """Re-expand sum_n a_n y^n through y^n = sum_k [n,k]_q c^(n-k) basis_k.
+
+    With c = 1 this is x^n = sum_k [n,k]_q phi_k(x); with c = -omega0 it is
+    (x - omega0)^n = sum_k [n,k]_q (-omega0)^(n-k) phidot_k(x).
+    """
+    out = [Fraction(0)] * len(coeffs)
+    for n, a in enumerate(coeffs):
+        if a == 0:
+            continue
+        for k in range(n + 1):
+            out[k] += a * q_binomial(ctx, n, k) * c ** (n - k)
+    return out
 
 
-def vector_to_poly(ctx: QContext, v: FamilyVector) -> Poly:
-    """Reconstruct the polynomial a FamilyVector represents."""
-    var = VAR_U if v.basis is Basis.QFACTORIAL else VAR_X
-    p = Poly.zero(var)
-    for n, c in enumerate(v.coeffs):
+@dataclass(frozen=True)
+class Basis:
+    """A polynomial basis: its n-th element and the expansion into it.
+
+    ``name`` labels record ids; ``element(ctx, n)`` is a polynomial in
+    ``var``; ``expand(ctx, p)`` lists the coefficients of an x-polynomial in
+    the basis, and is None for the q-factorial basis, which lives in u = q^x.
+    """
+
+    name: str
+    var: str
+    element: Callable[[QContext, int], Poly]
+    expand: Callable[[QContext, Poly], list] | None
+
+
+# The family constructors are looked up by name at call time, so a rebinding
+# of the module name (bench/tracer.py does this) also reaches these calls.
+Basis.MONOMIAL = Basis("monomial", VAR_X,
+                       lambda ctx, n: Poly.monomial(_check_n(n)),
+                       lambda ctx, p: list(p.coeffs))
+Basis.SHIFTED_MONOMIAL = Basis(
+    "shifted_monomial", VAR_X,
+    lambda ctx, n: _linear_product([(-ctx.omega0, 1)] * _check_n(n)),
+    lambda ctx, p: list(p.shift(ctx.omega0).coeffs))
+Basis.QGAUSSIAN = Basis("qgaussian", VAR_X, lambda ctx, n: qgaussian(ctx, n),
+                        lambda ctx, p: _invert(ctx, p.coeffs, 1))
+Basis.QFACTORIAL = Basis("qfactorial", VAR_U,
+                         lambda ctx, n: qfactorial_u(ctx, n), None)
+Basis.HAHN_FACTORIAL = Basis(
+    "hahn_factorial", VAR_X, lambda ctx, n: hahn_factorial(ctx, n),
+    lambda ctx, p: _invert(ctx, p.shift(ctx.omega0).coeffs, -ctx.omega0))
+
+
+def vector_to_poly(ctx: QContext, basis: Basis, coeffs) -> Poly:
+    """The polynomial with the given coefficients in the basis."""
+    p = Poly.zero(basis.var)
+    for n, c in enumerate(coeffs):
         if c != 0:
-            p = p + c * family_basis_poly(ctx, v.basis, n)
+            p = p + c * basis.element(ctx, n)
     return p
 
 
-def expand_in_basis(ctx: QContext, p: Poly, basis: Basis) -> FamilyVector:
-    """Exact expansion of p in the target basis.
-
-    Monomials expand into the q-Gaussian basis through the inversion
-    formula x^n = sum_k [n,k]_q phi_k(x); shifted monomials expand into
-    the Hahn factorial basis through
-    (x-omega0)^n = sum_k [n,k]_q (-omega0)^(n-k) phidot_k(x).
-    """
+def expand_in_basis(ctx: QContext, p: Poly, basis: Basis) -> list:
+    """The exact coefficients of the x-polynomial p in the basis."""
     if p.var != VAR_X:
         raise ValueError("basis expansion is defined for polynomials in x")
-    if basis is Basis.MONOMIAL:
-        return FamilyVector(basis, p.coeffs or (0,))
-    if basis is Basis.SHIFTED_MONOMIAL:
-        return FamilyVector(basis, p.shift(ctx.omega0).coeffs or (0,))
-    if basis is Basis.QGAUSSIAN:
-        out = [Fraction(0)] * (len(p.coeffs) or 1)
-        for n, a in enumerate(p.coeffs):
-            if a == 0:
-                continue
-            for k in range(n + 1):
-                out[k] += a * q_binomial(ctx, n, k)
-        return FamilyVector(basis, out)
-    if basis is Basis.HAHN_FACTORIAL:
-        shifted = p.shift(ctx.omega0).coeffs  # coefficients of (x-omega0)^n
-        out = [Fraction(0)] * (len(shifted) or 1)
-        omega0 = ctx.omega0
-        for n, a in enumerate(shifted):
-            if a == 0:
-                continue
-            for k in range(n + 1):
-                out[k] += (a * q_binomial(ctx, n, k)
-                           * (-omega0) ** (n - k))
-        return FamilyVector(basis, out)
-    raise ValueError(f"cannot expand an x-polynomial in basis {basis!r}")
+    if basis.expand is None:
+        raise ValueError(f"cannot expand an x-polynomial in basis {basis.name!r}")
+    return basis.expand(ctx, p)
 
 
 def connect_hahn_gaussian(ctx: QContext, n: int) -> Poly:

@@ -2,7 +2,8 @@
 
 The Hahn derivative is (f(qx+w) - f(x)) / ((q-1)x + w); its fixed point is
 omega0 = w/(1-q).  On polynomials everything here is exact; the sampled-
-function integral and the exponential carry explicit geometric tail bounds.
+function integral stops on a look-ahead tail estimate, and the exponential
+is a product of a fixed number of factors.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .context import QContext, frac
-from .families import Basis, expand_in_basis, family_basis_poly
+from .families import Basis, expand_in_basis
 from .poly import VAR_X, Poly
 from .qarith import q_int
 
@@ -75,12 +76,11 @@ def hahn_antiderivative(ctx: QContext, p: Poly) -> Poly:
         raise ValueError("antiderivative acts on polynomials in x")
     if p.is_zero():
         return Poly.zero()
-    v = expand_in_basis(ctx, p, Basis.HAHN_FACTORIAL)
+    basis = Basis.HAHN_FACTORIAL
     out = Poly.zero()
-    for n, c in enumerate(v.coeffs):
+    for n, c in enumerate(expand_in_basis(ctx, p, basis)):
         if c != 0:
-            out = out + (c / q_int(ctx, n + 1)) * family_basis_poly(
-                ctx, Basis.HAHN_FACTORIAL, n + 1)
+            out = out + (c / q_int(ctx, n + 1)) * basis.element(ctx, n + 1)
     return out - out(ctx.omega0)
 
 

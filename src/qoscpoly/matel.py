@@ -37,10 +37,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from .context import HALF_HALF, HALF_ZERO, HalfInt, QContext, frac
 from .operators import Family, lowering_coeff, raising_coeff
-from .qarith import q_binomial, q_factorial, qhyp_terms
+from .qarith import q_binomial, q_factorial, q_pochhammer, qhyp_terms
 from .report import CheckRecord, record
 
 
@@ -77,19 +78,25 @@ def basic_hyp_terminating(ctx: QContext, upper: list, lower: list, z) -> Fractio
 
     Requires some upper parameter of the form q^-n; the sum then stops at
     k = n.  Each term carries the standard compensation factor
-    ((-1)^k q^(k(k-1)/2))^(1+s-r).
+    ((-1)^k q^(k(k-1)/2))^(1+s-r).  Every term is formed from its own
+    ``q_pochhammer`` products, not by ``qhyp_terms``, so this stays a
+    reference the U-polynomials are checked against.
     """
     upper = [frac(a) for a in upper]
     indices = [m for m in (_termination_index(ctx, a) for a in upper)
                if m is not None]
     if not indices:
         raise ValueError("series does not terminate: no upper parameter q^-n")
-    power = 1 + len(lower) - len(upper)
-    weight = None if power == 0 else (
-        lambda k: (-1 if k * power % 2 else 1)
-        * ctx.q_pow(k * (k - 1) // 2 * power))
-    return sum(qhyp_terms(ctx, upper, lower, z, min(indices) + 1, weight),
-               Fraction(0))
+    z, power, total = frac(z), 1 + len(lower) - len(upper), Fraction(0)
+    for k in range(min(indices) + 1):
+        den = prod((q_pochhammer(ctx, b, k) for b in lower),
+                   start=q_pochhammer(ctx, ctx.q, k))
+        if den == 0:
+            raise ValueError(f"lower-parameter Pochhammer vanishes at k = {k}")
+        num = prod((q_pochhammer(ctx, a, k) for a in upper), start=z ** k)
+        sign = -1 if k * power % 2 else 1
+        total += sign * num * ctx.q_pow(k * (k - 1) // 2 * power) / den
+    return total
 
 
 def _series_weight(ctx: QContext, half: HalfInt, c: Fraction,

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .context import QContext
-from .families import Basis, FamilyVector, qgaussian
+from .families import Basis, qgaussian
 from .hahn import hahn_derivative_poly
 from .poly import VAR_U, VAR_X, Poly
 from .qarith import q_int, q_int_at
@@ -42,13 +42,7 @@ def _qgaussian_raise(ctx: QContext, p: Poly) -> Poly:
     return Poly([-1, 1]) * scale_x(ctx, p, -1)
 
 
-def _check_u(p: Poly):
-    if p.var != VAR_U:
-        raise ValueError("q-factorial operators act on polynomials in u")
-
-
 def _qfactorial_lower(ctx: QContext, p: Poly) -> Poly:
-    _check_u(p)
     diff = p.scale_arg(ctx.q) - p
     # g(qu) - g(u) always has zero constant term
     if diff.coeff(0) != 0:
@@ -57,13 +51,10 @@ def _qfactorial_lower(ctx: QContext, p: Poly) -> Poly:
 
 
 def _qfactorial_raise(ctx: QContext, p: Poly) -> Poly:
-    _check_u(p)
     return (Poly([1, -1], VAR_U) / (1 - ctx.q)) * p.scale_arg(1 / ctx.q)
 
 
 def _hahn_raise(ctx: QContext, p: Poly) -> Poly:
-    if p.var != VAR_X:
-        raise ValueError("Hahn operators act on polynomials in x")
     return Poly([0, 1]) * p.compose_affine(1 / ctx.q, -ctx.omega / ctx.q)
 
 
@@ -122,22 +113,15 @@ def raising_coeff(ctx: QContext, family: Family, n: int) -> Fraction:
     return Fraction(1) if family.e else ctx.q_pow(-n)
 
 
-def ladder_apply(ctx: QContext, family: Family, direction: str,
-                 v: FamilyVector) -> FamilyVector:
-    """Banded ladder action on a coefficient vector in the family basis."""
-    if v.basis is not family.basis:
-        raise ValueError(
-            f"vector basis {v.basis} does not match family {family.name}")
-    n = len(v.coeffs)
+def ladder_apply(ctx: QContext, family: Family, direction: str, coeffs) -> list:
+    """Banded ladder action on coefficients in the family basis."""
     if direction == "lower":
-        out = [lowering_coeff(ctx, family, k + 1) * v.coeff(k + 1)
-               for k in range(max(n - 1, 1))]
-    elif direction == "raise":
-        out = [Fraction(0)] + [raising_coeff(ctx, family, k) * v.coeff(k)
-                               for k in range(n)]
-    else:
-        raise ValueError(f"direction must be 'lower' or 'raise', got {direction!r}")
-    return FamilyVector(v.basis, out or [0])
+        return [lowering_coeff(ctx, family, k) * coeffs[k]
+                for k in range(1, len(coeffs))]
+    if direction == "raise":
+        return [Fraction(0)] + [raising_coeff(ctx, family, k) * c
+                                for k, c in enumerate(coeffs)]
+    raise ValueError(f"direction must be 'lower' or 'raise', got {direction!r}")
 
 
 def ladder_apply_analytic(ctx: QContext, family: Family, direction: str,
@@ -149,6 +133,9 @@ def ladder_apply_analytic(ctx: QContext, family: Family, direction: str,
                               a^dag : g -> (1-u)/(1-q) * g(u/q).
     Hahn: a = D_{q,w}, a^dag : p -> x * p((x-w)/q).
     """
+    if p.var != family.basis.var:
+        raise ValueError(f"{family.name} operators act on polynomials in "
+                         f"{family.basis.var}")
     if direction == "lower":
         return family.lower(ctx, p)
     if direction == "raise":
@@ -183,10 +170,9 @@ def algebra_relations_check(ctx: QContext, family: Family,
             ("commutator", aad - ada, ctx.q_pow(-n - e)),
             ("q-commutator", aad - ada / q, ctx.q_pow(-e)),
             # [N, a] = -a and [N, a+] = a+, read at the index a or a+ moves n to
-            ("number-lowering",
-             _number_commutator(ctx, family, "lower", n).coeff(n - 1), -low),
-            ("number-raising",
-             _number_commutator(ctx, family, "raise", n).coeff(n + 1), hi),
+            ("number-lowering", _number_commutator(ctx, family, "lower", n),
+             -low),
+            ("number-raising", _number_commutator(ctx, family, "raise", n), hi),
         ]
         for name, lhs, rhs in expected:
             out.append(record(
@@ -196,18 +182,18 @@ def algebra_relations_check(ctx: QContext, family: Family,
 
 
 def _number_commutator(ctx: QContext, family: Family, direction: str,
-                       n: int) -> FamilyVector:
-    """[N, op] basis_n through ladder_apply; N multiplies coefficient k by k."""
+                       n: int) -> Fraction:
+    """[N, op] basis_n by ladder_apply, read where op moves n; N scales c_k by k."""
     def op(coeffs):
-        return ladder_apply(ctx, family, direction,
-                            FamilyVector(family.basis, coeffs)).coeffs
+        return ladder_apply(ctx, family, direction, coeffs)
 
     def number(coeffs):
         return [k * c for k, c in enumerate(coeffs)]
 
     basis_n = [0] * n + [1]
-    return FamilyVector(family.basis, [
-        x - y for x, y in zip(number(op(basis_n)), op(number(basis_n)))])
+    diff = [x - y for x, y in zip(number(op(basis_n)), op(number(basis_n)))]
+    k = n - 1 if direction == "lower" else n + 1
+    return diff[k] if 0 <= k < len(diff) else Fraction(0)
 
 
 def difference_equation_residual(ctx: QContext, n: int) -> Poly:

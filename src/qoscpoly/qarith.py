@@ -5,9 +5,9 @@ computes from a raw q.  ``q_int``, ``q_factorial`` and ``q_binomial`` read
 the context's ``QTables``: q^k, [k]_q and [k]_q! are each computed once per
 q, on first use, and the tables grow only as far as they are read.  The
 ``with_omega`` copies of a context share its tables, since none of these
-values depends on omega.  ``qhyp_terms`` is the one term walker of every
-basic hypergeometric sum in the package; ``q_pochhammer`` builds its
-product directly and is the reference the walker is tested against.
+values depends on omega.  ``qhyp_terms`` walks the terms of the package's
+basic hypergeometric sums; ``q_pochhammer`` builds its product directly and
+is the reference the walker is tested against.
 """
 
 from __future__ import annotations

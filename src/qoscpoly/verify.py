@@ -17,11 +17,10 @@ from . import matel as matelmod
 from . import operators as opsmod
 from . import series as seriesmod
 from .context import HALF_HALF, HALF_ONE, HALF_ZERO, QContext, frac
-from .families import (Basis, FamilyVector, connect_hahn_gaussian,
-                       expand_in_basis, family_basis_poly, hahn_factorial,
-                       position_coefficients, qfactorial_pochhammer_value,
-                       qfactorial_u, qgaussian, qgaussian_via_qexp_operator,
-                       vector_to_poly)
+from .families import (Basis, connect_hahn_gaussian, expand_in_basis,
+                       hahn_factorial, position_coefficients,
+                       qfactorial_pochhammer_value, qfactorial_u, qgaussian,
+                       qgaussian_via_qexp_operator, vector_to_poly)
 from .poly import VAR_T, Poly
 from .qarith import (q_binomial, q_double_factorial_even, q_factorial, q_int,
                      q_pochhammer, q_pochhammer_inf)
@@ -29,6 +28,10 @@ from .report import CheckRecord, VerificationReport, record
 
 SUITE_NAMES = ("qkernel", "qseries", "polyfamilies", "operators",
                "matrixelements", "hahncalc")
+# each suite checks indices up to min(nmax, limit); hahncalc's limit is the
+# degree of its random polynomials
+SUITE_LIMITS = {"qkernel": 20, "polyfamilies": 15, "operators": 12,
+                "matrixelements": 6, "hahncalc": 10}
 
 
 def _rand_frac(rng: random.Random, span: int = 9) -> Fraction:
@@ -45,7 +48,7 @@ def suite_qkernel(ctx: QContext, nmax: int, order: int,
                   rng: random.Random) -> list[CheckRecord]:
     out = []
     q = ctx.q
-    nmax = min(nmax, 20)
+    nmax = min(nmax, SUITE_LIMITS["qkernel"])
     for n in range(nmax + 1):
         for k in range(n + 1):
             lhs = q_binomial(ctx, n + 1, k)
@@ -159,7 +162,7 @@ def suite_qseries(ctx: QContext, nmax: int, order: int,
 def suite_polyfamilies(ctx: QContext, nmax: int, order: int,
                        rng: random.Random) -> list[CheckRecord]:
     out = []
-    nmax = min(nmax, 15)
+    nmax = min(nmax, SUITE_LIMITS["polyfamilies"])
     for n in range(nmax + 1):
         prod = qgaussian(ctx, n, "product")
         ok = (prod == qgaussian(ctx, n, "recursion")
@@ -189,10 +192,10 @@ def suite_polyfamilies(ctx: QContext, nmax: int, order: int,
     for basis in (Basis.QGAUSSIAN, Basis.HAHN_FACTORIAL, Basis.SHIFTED_MONOMIAL):
         for trial in range(5):
             p = _rand_poly(rng, nmax)
-            back = vector_to_poly(ctx, expand_in_basis(ctx, p, basis))
+            back = vector_to_poly(ctx, basis, expand_in_basis(ctx, p, basis))
             out.append(record(
-                f"polyfamilies/roundtrip/{basis.value}/trial={trial}",
-                {"basis": basis.value, "degree": p.degree}, back == p,
+                f"polyfamilies/roundtrip/{basis.name}/trial={trial}",
+                {"basis": basis.name, "degree": p.degree}, back == p,
                 list(back.coeffs), list(p.coeffs)))
     # monomial inversion, pointwise
     for n in range(min(nmax, 12) + 1):
@@ -252,16 +255,15 @@ def _position_checks(ctx: QContext) -> list[CheckRecord]:
 def suite_operators(ctx: QContext, nmax: int, order: int,
                     rng: random.Random) -> list[CheckRecord]:
     out = []
-    nmax = min(nmax, 12)
+    nmax = min(nmax, SUITE_LIMITS["operators"])
     for family in opsmod.FAMILIES:
         for n in range(nmax + 1):
-            pn = family_basis_poly(ctx, family.basis, n)
+            pn = family.basis.element(ctx, n)
             for direction in ("lower", "raise"):
-                vec = opsmod.ladder_apply(
-                    ctx, family, direction,
-                    FamilyVector(family.basis, [0] * n + [1]))
+                coeffs = opsmod.ladder_apply(ctx, family, direction,
+                                             [0] * n + [1])
                 analytic = opsmod.ladder_apply_analytic(ctx, family, direction, pn)
-                predicted = vector_to_poly(ctx, vec)
+                predicted = vector_to_poly(ctx, family.basis, coeffs)
                 out.append(record(
                     f"operators/analytic-vs-basis/{family.name}/"
                     f"{direction}/n={n:02d}",
@@ -275,7 +277,7 @@ def suite_operators(ctx: QContext, nmax: int, order: int,
         for n in range(1, 11):
             p = opsmod.ladder_apply_analytic(ctx, family, "raise", p)
             lhs = ctx.q_pow(n * (n - 1) // 2) * p
-            rhs = family_basis_poly(ctx, family.basis, n)
+            rhs = family.basis.element(ctx, n)
             out.append(record(
                 f"operators/raising-power/{family.name}/n={n:02d}",
                 {"family": family.name, "n": n}, lhs == rhs,
@@ -301,7 +303,7 @@ MATEL_AB_GRID = (Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(1, 3))
 def suite_matrixelements(ctx: QContext, nmax: int, order: int,
                          rng: random.Random) -> list[CheckRecord]:
     out = []
-    nmax = min(nmax, 6)
+    nmax = min(nmax, SUITE_LIMITS["matrixelements"])
     halves = (HALF_ZERO, HALF_HALF) if ctx.has_root else (HALF_ZERO, HALF_ONE)
     cells = list(product(range(nmax + 1), repeat=2))
     for mu, nu, alpha, beta in product(halves, halves, MATEL_AB_GRID,
@@ -367,8 +369,9 @@ def suite_matrixelements(ctx: QContext, nmax: int, order: int,
 def suite_hahncalc(ctx: QContext, nmax: int, order: int,
                    rng: random.Random) -> list[CheckRecord]:
     out = []
+    degree = min(nmax, SUITE_LIMITS["hahncalc"])
     for trial in range(8):
-        p = _rand_poly(rng, min(nmax, 10))
+        p = _rand_poly(rng, degree)
         anti = hahnmod.hahn_antiderivative(ctx, p)
         out.append(record(
             f"hahncalc/fundamental-derivative-of-integral/trial={trial}",
@@ -376,7 +379,7 @@ def suite_hahncalc(ctx: QContext, nmax: int, order: int,
             hahnmod.hahn_derivative_poly(ctx, anti) == p,
             list(hahnmod.hahn_derivative_poly(ctx, anti).coeffs),
             list(p.coeffs)))
-        big = _rand_poly(rng, min(nmax, 10))
+        big = _rand_poly(rng, degree)
         for x in (Fraction(1), Fraction(-2, 3)):
             lhs = hahnmod.hahn_integral_closed(
                 ctx, hahnmod.hahn_derivative_poly(ctx, big), x)

@@ -2,14 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from qoscpoly import Family, QContext
+from qoscpoly import Basis, Family, QContext
 
 
 def pytest_make_parametrize_id(config, val, argname):
-    # Family parameters keep the test ids they had as members of the former
-    # LadderFamily enum, so results stay comparable across versions.
+    # Family and Basis parameters keep the test ids they had as members of
+    # the former LadderFamily and Basis enums, so results stay comparable
+    # across versions.
     if isinstance(val, Family):
         return f"LadderFamily.{val.name.upper()}"
+    if isinstance(val, Basis):
+        return f"Basis.{val.name.upper()}"
     return None
 
 

@@ -118,6 +118,14 @@ class TestVerifyCommand:
         assert code == cli.EXIT_USAGE
         assert "error" in err
 
+    @pytest.mark.parametrize("argv", [
+        "verify --s 1/0", "verify --omega 1/0", "table poly --s 1/0"])
+    def test_zero_denominator_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv.split())
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "error: zero denominator in '1/0'" in err
+
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, ["verify", "--suite", "nonsense"])

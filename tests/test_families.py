@@ -2,15 +2,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from qoscpoly import (Basis, FamilyVector, Poly,
-                      connect_hahn_gaussian, expand_in_basis,
-                      family_basis_poly, hahn_factorial, position_coefficients,
+from qoscpoly import (Basis, Poly, connect_hahn_gaussian, expand_in_basis,
+                      hahn_factorial, position_coefficients,
                       q_double_factorial_even, q_factorial, q_int, qfactorial_u,
                       qfactorial_pochhammer_value, qgaussian,
                       qgaussian_via_qexp_operator, vector_to_poly)
-from qoscpoly.poly import VAR_U
+from qoscpoly.poly import VAR_U, VAR_X
 
 METHODS = ("product", "recursion", "explicit_sum")
+BASES = (Basis.MONOMIAL, Basis.SHIFTED_MONOMIAL, Basis.QGAUSSIAN,
+         Basis.QFACTORIAL, Basis.HAHN_FACTORIAL)
 
 
 class TestQGaussian:
@@ -129,34 +130,53 @@ class TestBasisConversion:
     def test_roundtrip(self, ctx_q14, basis):
         p = Poly([F(1, 3), -2, 0, F(5, 7), 1])
         v = expand_in_basis(ctx_q14, p, basis)
-        assert vector_to_poly(ctx_q14, v) == p
+        assert vector_to_poly(ctx_q14, basis, v) == p
 
     def test_monomial_inversion_pointwise(self, ctx_q916):
         # x^n = sum_k [n,k]_q phi_k(x) checked as polynomials
         for n in range(9):
             v = expand_in_basis(ctx_q916, Poly.monomial(n), Basis.QGAUSSIAN)
-            assert vector_to_poly(ctx_q916, v) == Poly.monomial(n)
+            assert vector_to_poly(ctx_q916, Basis.QGAUSSIAN, v) == Poly.monomial(n)
 
     def test_expand_single_basis_element(self, ctx_q14):
         v = expand_in_basis(ctx_q14, hahn_factorial(ctx_q14, 4),
                             Basis.HAHN_FACTORIAL)
-        assert v.trimmed().coeffs == (0, 0, 0, 0, 1)
+        assert v == [0, 0, 0, 0, 1]
 
     def test_u_polynomial_rejected(self, ctx_q14):
         with pytest.raises(ValueError):
             expand_in_basis(ctx_q14, qfactorial_u(ctx_q14, 2), Basis.MONOMIAL)
 
-    def test_family_vector_padding(self):
-        v = FamilyVector(Basis.MONOMIAL, (1, 2))
-        assert v.coeff(5) == 0
-        assert v.coeff(-1) == 0
+    def test_x_polynomial_not_expandable_in_u(self, ctx_q14):
+        with pytest.raises(ValueError, match="qfactorial"):
+            expand_in_basis(ctx_q14, Poly([1, 2]), Basis.QFACTORIAL)
 
     def test_basis_polys_match_families(self, ctx_q14):
-        assert family_basis_poly(ctx_q14, Basis.QGAUSSIAN, 3) == qgaussian(ctx_q14, 3)
-        assert (family_basis_poly(ctx_q14, Basis.HAHN_FACTORIAL, 3)
+        assert Basis.QGAUSSIAN.element(ctx_q14, 3) == qgaussian(ctx_q14, 3)
+        assert (Basis.HAHN_FACTORIAL.element(ctx_q14, 3)
                 == hahn_factorial(ctx_q14, 3))
-        assert family_basis_poly(ctx_q14, Basis.SHIFTED_MONOMIAL, 2) == (
+        assert Basis.QFACTORIAL.element(ctx_q14, 3) == qfactorial_u(ctx_q14, 3)
+        assert Basis.SHIFTED_MONOMIAL.element(ctx_q14, 2) == (
             Poly([-ctx_q14.omega0, 1]) ** 2)
+        assert Basis.MONOMIAL.element(ctx_q14, 4) == Poly.monomial(4)
+
+    @pytest.mark.parametrize("basis", BASES)
+    def test_element_variable_and_degree(self, ctx_q916, basis):
+        for n in range(7):
+            p = basis.element(ctx_q916, n)
+            assert (p.var, p.degree) == (basis.var, n)
+        assert (basis.var == VAR_U) == (basis is Basis.QFACTORIAL)
+
+    @pytest.mark.parametrize("basis", BASES)
+    def test_negative_index_rejected(self, ctx_q14, basis):
+        with pytest.raises(ValueError):
+            basis.element(ctx_q14, -1)
+
+    def test_zero_polynomial_expands_to_nothing(self, ctx_q14):
+        for basis in BASES:
+            if basis is not Basis.QFACTORIAL:
+                assert vector_to_poly(ctx_q14, basis, expand_in_basis(
+                    ctx_q14, Poly.zero(), basis)) == Poly.zero(VAR_X)
 
 
 class TestPositionCoefficients:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qoscpoly import (FAMILIES, HAHN, HALF_HALF, HALF_ZERO, QFACTORIAL,
                       QGAUSSIAN, QContext, basic_hyp_terminating,
                       matel_closed, matel_oracle, q_factorial, q_int_at,
-                      special_form_checks, u_polynomial)
+                      qhyp_terms, special_form_checks, u_polynomial)
 from qoscpoly.report import PASS
 
 HALVES = (HALF_ZERO, HALF_HALF)
@@ -61,6 +61,11 @@ class TestBasicHyp:
             z = F(2, 7)
             got = basic_hyp_terminating(ctx_q916, [q ** -n], [], z)
             assert got == q_pochhammer(ctx_q916, z * q ** -n, n)
+
+    def test_vanishing_lower_pochhammer_rejected(self, ctx_q14):
+        # (1; q)_1 = 0 in the denominator of the k = 1 term
+        with pytest.raises(ValueError, match="vanishes at k = 1"):
+            basic_hyp_terminating(ctx_q14, [ctx_q14.q_pow(-2)], [1], F(1, 3))
 
     def test_compensation_sign(self, ctx_q12):
         # 0 lower params vs 1 upper: power = 0, no compensation factor
@@ -254,3 +259,15 @@ class TestSpecialForms:
     def test_negative_rejected(self, ctx_q14):
         with pytest.raises(ValueError):
             special_form_checks(ctx_q14, -1)
+
+    def test_faulty_walker_fails(self, ctx_q14, monkeypatch):
+        # U walks its terms with qhyp_terms, the reference side does not: a
+        # walker with a wrong (q; q)_k must fail every record past n = 0
+        def faulty(ctx, upper, lower, z, count, weight=None):
+            return qhyp_terms(ctx, upper, list(lower) + [ctx.q], z, count,
+                              weight)
+
+        monkeypatch.setattr("qoscpoly.matel.qhyp_terms", faulty)
+        checks = special_form_checks(ctx_q14, 3)
+        assert len(checks) == 4 * 27
+        assert all((r.status == PASS) == (r.params["n"] == 0) for r in checks)
