@@ -5,8 +5,8 @@ Run:  python3 demos/families_tour.py
 
 from fractions import Fraction
 
-from qoscpoly import (QContext, connect_hahn_gaussian, hahn_factorial,
-                      q_factorial, qfactorial_u, qgaussian)
+from qoscpoly import (Basis, QContext, connect_hahn_gaussian, hahn_factorial,
+                      q_factorial, qgaussian)
 
 
 def show(title, poly):
@@ -23,7 +23,7 @@ def main():
 
     print("\nq-factorial polynomials phihat_n in u = q^x:")
     for n in range(4):
-        show(f"phihat_{n}", qfactorial_u(ctx, n))
+        show(f"phihat_{n}", Basis.QFACTORIAL.element(ctx, n))
 
     print("\nHahn factorial polynomials phidot_n(x) = prod (x - [k]_q w):")
     for n in range(4):

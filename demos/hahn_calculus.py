@@ -5,7 +5,7 @@ Run:  python3 demos/hahn_calculus.py
 
 from fractions import Fraction
 
-from qoscpoly import (Poly, QContext, SampledFn, hahn_antiderivative,
+from qoscpoly import (Poly, QContext, hahn_antiderivative,
                       hahn_derivative_poly, hahn_exp_normalized,
                       hahn_integral_closed, hahn_integral_numeric,
                       leibniz_residuals)
@@ -26,8 +26,7 @@ def main():
 
     x = Fraction(1)
     exact = hahn_integral_closed(ctx, p, x)
-    approx, terms = hahn_integral_numeric(ctx, SampledFn(p, "cubic"), x,
-                                          Fraction(1, 10 ** 12))
+    approx, terms = hahn_integral_numeric(ctx, p, x, Fraction(1, 10 ** 12))
     print(f"\nintegral from omega0 to {x}:")
     print(f"  closed form      : {exact}")
     print(f"  node sum ({terms} terms): {approx}")

@@ -9,9 +9,9 @@ difference and integral calculus.  Everything rational in, rational out.
 from .context import HALF_HALF, HALF_ONE, HALF_ZERO, HalfInt, QContext, frac
 from .families import (Basis, connect_hahn_gaussian, expand_in_basis,
                        hahn_factorial, position_coefficients,
-                       qfactorial_pochhammer_value, qfactorial_u, qgaussian,
+                       qfactorial_pochhammer_value, qgaussian,
                        qgaussian_via_qexp_operator, vector_to_poly)
-from .hahn import (SampledFn, hahn_antiderivative, hahn_derivative_poly,
+from .hahn import (hahn_antiderivative, hahn_derivative_poly,
                    hahn_exp_normalized, hahn_integral_closed,
                    hahn_integral_numeric, leibniz_residuals)
 from .matel import (basic_hyp_terminating, matel_closed, matel_oracle,

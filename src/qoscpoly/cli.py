@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product
 
 from .context import HALF_HALF, HALF_ZERO, QContext, frac
-from .families import hahn_factorial, position_coefficients, qgaussian
+from .families import Basis, position_coefficients
 from .hahn import hahn_antiderivative, hahn_derivative_poly, hahn_integral_closed
 from .matel import matel_closed, matel_oracle
 from .operators import FAMILIES
@@ -24,8 +24,8 @@ from .poly import Poly
 from .qarith import q_factorial
 from .report import fmt_exact
 from .series import gaussian_genfun_lhs, hahn_genfun_lhs
-from .verify import (SUITE_LIMITS, SUITE_NAMES, RunConfig, context_dict,
-                     run_suites)
+from .verify import (CHECK_LIMITS, SUITE_LIMITS, SUITE_NAMES, RunConfig,
+                     context_dict, run_suites)
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -53,8 +53,9 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="series truncation order")
     parser.add_argument("--nmax", type=_non_negative, default=RunConfig.nmax,
                         help="largest family index to check or tabulate; "
-                             "verify caps it per suite: " + ", ".join(
-                                 f"{k} {v}" for k, v in SUITE_LIMITS.items()))
+                             "verify caps it per suite and check: " + ", ".join(
+                                 f"{k} {v}" for k, v in
+                                 {**SUITE_LIMITS, **CHECK_LIMITS}.items()))
     parser.add_argument("--format", dest="fmt", default="text",
                         choices=("json", "csv", "text"))
     parser.add_argument("--out", default=None, help="output path (default stdout)")
@@ -113,10 +114,10 @@ def cmd_verify(args) -> int:
 
 
 def _poly_rows(ctx: QContext, nmax: int, order: int) -> list[dict]:
+    rows = [family.basis.elements(ctx, nmax + 1) for family in FAMILIES]
     return [{"family": family.name, "n": n, "variable": family.basis.var,
-             "coeffs": [fmt_exact(c)
-                        for c in family.basis.element(ctx, n).coeffs]}
-            for n in range(nmax + 1) for family in FAMILIES]
+             "coeffs": [fmt_exact(c) for c in row[n].coeffs]}
+            for n in range(nmax + 1) for family, row in zip(FAMILIES, rows)]
 
 
 def _matel_rows(ctx: QContext, nmax: int, order: int) -> list[dict]:
@@ -139,17 +140,18 @@ def _matel_rows(ctx: QContext, nmax: int, order: int) -> list[dict]:
 
 def _genfun_rows(ctx: QContext, nmax: int, order: int) -> list[dict]:
     rows = []
+    phis = Basis.QGAUSSIAN.elements(ctx, order + 1)
+    phidots = Basis.HAHN_FACTORIAL.elements(ctx, order + 1)
     for x in (Fraction(1, 3), Fraction(2)):
         g = gaussian_genfun_lhs(ctx, x, order)
         h = hahn_genfun_lhs(ctx, x, order)
         for n in range(order + 1):
             fact = q_factorial(ctx, n)
-            for family, series, build in (("qgaussian", g, qgaussian),
-                                          ("hahn", h, hahn_factorial)):
+            for family, series, row in (("qgaussian", g, phis),
+                                        ("hahn", h, phidots)):
                 rows.append({"family": family, "x": str(x), "n": n,
                              "series_coeff": fmt_exact(series.coeff(n)),
-                             "poly_over_factorial":
-                                 fmt_exact(build(ctx, n)(x) / fact)})
+                             "poly_over_factorial": fmt_exact(row[n](x) / fact)})
     return rows
 
 

@@ -6,9 +6,9 @@ Families:
   * Hahn factorial  phidot_n(x) = prod_{k<n} (x - [k]_q * omega)
 
 Each family admits a product, a recursion, and an explicit-sum construction;
-all three are implemented and must agree coefficientwise.  The products and
-the shifted monomials share one linear-factor product; a ``Basis`` record
-describes each of the five polynomial bases.
+all three are implemented and must agree coefficientwise.  Each of the five
+polynomial bases is a product of linear factors, so a ``Basis`` record is
+its k-th factor, and a row of its elements grows one factor at a time.
 """
 
 from __future__ import annotations
@@ -28,22 +28,11 @@ def _check_n(n: int) -> int:
     return n
 
 
-def _linear_product(factors, var: str = VAR_X) -> Poly:
-    """The product of the linear factors (a + b var), given as (a, b) pairs."""
-    out = [Fraction(1)]
-    for a, b in factors:
-        out.append(Fraction(0))
-        for i in range(len(out) - 1, 0, -1):
-            out[i] = out[i] * a + out[i - 1] * b
-        out[0] *= a
-    return Poly(out, var)
-
-
 def qgaussian(ctx: QContext, n: int, method: str = "product") -> Poly:
     """phi_n(x), by 'product', 'recursion', or 'explicit_sum'."""
     _check_n(n)
     if method == "product":
-        return _linear_product((-ctx.q_pow(k), 1) for k in range(n))
+        return Basis.QGAUSSIAN.elements(ctx, n + 1)[n]
     if method == "recursion":
         # phi_{m+1} = (x - q^m) phi_m
         p = Poly.one()
@@ -60,17 +49,10 @@ def qgaussian(ctx: QContext, n: int, method: str = "product") -> Poly:
     raise ValueError(f"unknown construction method {method!r}")
 
 
-def qfactorial_u(ctx: QContext, n: int) -> Poly:
-    """phihat_n as a polynomial in u = q^x, via [x-k]_q = (1 - q^-k u)/(1-q)."""
-    _check_n(n)
-    c = 1 / (1 - ctx.q)
-    return _linear_product(((c, -ctx.q_pow(-k) * c) for k in range(n)), VAR_U)
-
-
 def qfactorial_pochhammer_value(ctx: QContext, n: int, x: int) -> Fraction:
     """phihat_n at integer x via the (q^-x; q)_n product identity.
 
-    Independent of qfactorial_u: evaluates
+    Independent of Basis.QFACTORIAL: evaluates
     (-1)^n q^(n x - n(n-1)/2) (q^-x; q)_n / (1-q)^n directly.
     """
     _check_n(n)
@@ -83,14 +65,13 @@ def qfactorial_pochhammer_value(ctx: QContext, n: int, x: int) -> Fraction:
 def hahn_factorial(ctx: QContext, n: int, method: str = "product") -> Poly:
     """phidot_n(x), by 'product', 'recursion', or 'explicit_sum'."""
     _check_n(n)
-    omega = ctx.omega
     if method == "product":
-        return _linear_product((-q_int(ctx, k) * omega, 1) for k in range(n))
+        return Basis.HAHN_FACTORIAL.elements(ctx, n + 1)[n]
     if method == "recursion":
         # phidot_{m+1} = (x - omega [m]_q) phidot_m
         p = Poly.one()
         for m in range(n):
-            p = Poly([0, 1]) * p - omega * q_int(ctx, m) * p
+            p = Poly([0, 1]) * p - ctx.omega * q_int(ctx, m) * p
         return p
     if method == "explicit_sum":
         # sum over k of [n,k]_q q^(k(k-1)/2) omega0^k (x - omega0)^(n-k)
@@ -124,43 +105,60 @@ def _invert(ctx: QContext, coeffs, c) -> list:
 
 @dataclass(frozen=True)
 class Basis:
-    """A polynomial basis: its n-th element and the expansion into it.
+    """A basis of products of linear factors, and the expansion into it.
 
-    ``name`` labels record ids; ``element(ctx, n)`` is a polynomial in
-    ``var``; ``expand(ctx, p)`` lists the coefficients of an x-polynomial in
-    the basis, and is None for the q-factorial basis, which lives in u = q^x.
+    ``name`` labels record ids; element n is the product over k < n of the
+    factors a + b var, where ``factor(ctx, k)`` gives (a, b); ``expand(ctx,
+    p)`` lists the coefficients of an x-polynomial in the basis, and is None
+    for the q-factorial basis, which lives in u = q^x.
     """
 
     name: str
     var: str
-    element: Callable[[QContext, int], Poly]
+    factor: Callable[[QContext, int], tuple]
     expand: Callable[[QContext, Poly], list] | None
 
+    def elements(self, ctx: QContext, count: int) -> list[Poly]:
+        """Elements 0..count-1, each the previous one times one factor."""
+        if count < 0:
+            raise ValueError(f"element count must be >= 0, got {count}")
+        out = [Poly.one(self.var)][:count]
+        for k in range(count - 1):
+            a, b = self.factor(ctx, k)
+            c = out[-1].coeffs
+            out.append(Poly([a * x + b * y for x, y in zip(c + (0,), (0,) + c)],
+                            self.var))
+        return out
 
-# The family constructors are looked up by name at call time, so a rebinding
-# of the module name (bench/tracer.py does this) also reaches these calls.
-Basis.MONOMIAL = Basis("monomial", VAR_X,
-                       lambda ctx, n: Poly.monomial(_check_n(n)),
+    def element(self, ctx: QContext, n: int) -> Poly:
+        """Element n alone; a caller walking n reads one row of elements."""
+        return self.elements(ctx, _check_n(n) + 1)[n]
+
+
+# The factors look up q_int and ctx.q_pow at call time, so a rebinding of
+# those names (bench/tracer.py does this) also reaches these calls.
+Basis.MONOMIAL = Basis("monomial", VAR_X, lambda ctx, k: (0, 1),
                        lambda ctx, p: list(p.coeffs))
-Basis.SHIFTED_MONOMIAL = Basis(
-    "shifted_monomial", VAR_X,
-    lambda ctx, n: _linear_product([(-ctx.omega0, 1)] * _check_n(n)),
-    lambda ctx, p: list(p.shift(ctx.omega0).coeffs))
-Basis.QGAUSSIAN = Basis("qgaussian", VAR_X, lambda ctx, n: qgaussian(ctx, n),
+Basis.SHIFTED_MONOMIAL = Basis("shifted_monomial", VAR_X,
+                               lambda ctx, k: (-ctx.omega0, 1),
+                               lambda ctx, p: list(p.shift(ctx.omega0).coeffs))
+Basis.QGAUSSIAN = Basis("qgaussian", VAR_X, lambda ctx, k: (-ctx.q_pow(k), 1),
                         lambda ctx, p: _invert(ctx, p.coeffs, 1))
-Basis.QFACTORIAL = Basis("qfactorial", VAR_U,
-                         lambda ctx, n: qfactorial_u(ctx, n), None)
+# [x-k]_q = (1 - q^-k u)/(1-q) in u = q^x
+Basis.QFACTORIAL = Basis(
+    "qfactorial", VAR_U,
+    lambda ctx, k: (1 / (1 - ctx.q), -ctx.q_pow(-k) / (1 - ctx.q)), None)
 Basis.HAHN_FACTORIAL = Basis(
-    "hahn_factorial", VAR_X, lambda ctx, n: hahn_factorial(ctx, n),
+    "hahn_factorial", VAR_X, lambda ctx, k: (-q_int(ctx, k) * ctx.omega, 1),
     lambda ctx, p: _invert(ctx, p.shift(ctx.omega0).coeffs, -ctx.omega0))
 
 
 def vector_to_poly(ctx: QContext, basis: Basis, coeffs) -> Poly:
     """The polynomial with the given coefficients in the basis."""
     p = Poly.zero(basis.var)
-    for n, c in enumerate(coeffs):
+    for c, element in zip(coeffs, basis.elements(ctx, len(coeffs))):
         if c != 0:
-            p = p + c * basis.element(ctx, n)
+            p = p + c * element
     return p
 
 

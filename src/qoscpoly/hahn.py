@@ -8,22 +8,13 @@ is a product of a fixed number of factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .context import QContext, frac
-from .families import Basis, expand_in_basis
+from .families import Basis, expand_in_basis, vector_to_poly
 from .poly import VAR_X, Poly
 from .qarith import q_int
-
-
-@dataclass(frozen=True)
-class SampledFn:
-    """A deterministic pointwise-evaluable function with a description."""
-
-    eval: Callable
-    description: str = ""
 
 
 def _hahn_step(ctx: QContext, p: Poly) -> Poly:
@@ -74,13 +65,9 @@ def hahn_antiderivative(ctx: QContext, p: Poly) -> Poly:
     """
     if p.var != VAR_X:
         raise ValueError("antiderivative acts on polynomials in x")
-    if p.is_zero():
-        return Poly.zero()
-    basis = Basis.HAHN_FACTORIAL
-    out = Poly.zero()
-    for n, c in enumerate(expand_in_basis(ctx, p, basis)):
-        if c != 0:
-            out = out + (c / q_int(ctx, n + 1)) * basis.element(ctx, n + 1)
+    coeffs = expand_in_basis(ctx, p, Basis.HAHN_FACTORIAL)
+    out = vector_to_poly(ctx, Basis.HAHN_FACTORIAL, [0] + [
+        c / q_int(ctx, n + 1) for n, c in enumerate(coeffs)])
     return out - out(ctx.omega0)
 
 
@@ -105,8 +92,8 @@ def hahn_integral_closed(ctx: QContext, p: Poly, x) -> Fraction:
     return ((1 - q) * x - ctx.omega) * total
 
 
-def hahn_integral_numeric(ctx: QContext, f: SampledFn, x, tol) -> tuple[Fraction, int]:
-    """Tail-bounded partial sum of the Hahn integral of a sampled function.
+def hahn_integral_numeric(ctx: QContext, f: Callable, x, tol) -> tuple[Fraction, int]:
+    """Tail-bounded partial sum of the Hahn integral of a function f(x).
 
     Sums prefactor * q^k f(node_k) until the geometric tail bound
     |prefactor| * M * q^K/(1-q) drops below tol, where M is the largest
@@ -129,16 +116,16 @@ def hahn_integral_numeric(ctx: QContext, f: SampledFn, x, tol) -> tuple[Fraction
     k = 0
     while True:
         node = omega0 + (x - omega0) * qpow
-        total += qpow * frac(f.eval(node))
+        total += qpow * frac(f(node))
         qpow *= q
         k += 1
         # bound |f| near omega0 by probing the next few nodes
         probe = qpow
         m = Fraction(0)
         for _ in range(lookahead):
-            m = max(m, abs(frac(f.eval(omega0 + (x - omega0) * probe))))
+            m = max(m, abs(frac(f(omega0 + (x - omega0) * probe))))
             probe *= q
-        m = max(m, abs(frac(f.eval(omega0))))
+        m = max(m, abs(frac(f(omega0))))
         if abs(prefactor) * m * qpow / (1 - q) < tol:
             return prefactor * total, k
 
@@ -149,6 +136,8 @@ def hahn_exp_normalized(ctx: QContext, x, terms: int) -> Fraction:
     Computes 1 / prod_{k<terms} (1 + q^k ((q-1)x + w)); the infinite product
     satisfies D_{q,w} e = e, and the truncation error is geometric in q.
     """
+    if terms < 0:
+        raise ValueError(f"terms must be >= 0, got {terms}")
     x = frac(x)
     q = ctx.q
     base = (q - 1) * x + ctx.omega

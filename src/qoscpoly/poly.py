@@ -48,6 +48,8 @@ class Poly:
 
     @classmethod
     def monomial(cls, n: int, c=1, var: str = VAR_X) -> "Poly":
+        if n < 0:
+            raise ValueError(f"monomial degree must be >= 0, got {n}")
         return cls([0] * n + [c], var)
 
     @property

@@ -19,7 +19,7 @@ from . import series as seriesmod
 from .context import HALF_HALF, HALF_ONE, HALF_ZERO, QContext, frac
 from .families import (Basis, connect_hahn_gaussian, expand_in_basis,
                        hahn_factorial, position_coefficients,
-                       qfactorial_pochhammer_value, qfactorial_u, qgaussian,
+                       qfactorial_pochhammer_value, qgaussian,
                        qgaussian_via_qexp_operator, vector_to_poly)
 from .poly import VAR_T, Poly
 from .qarith import (q_binomial, q_double_factorial_even, q_factorial, q_int,
@@ -32,6 +32,9 @@ SUITE_NAMES = ("qkernel", "qseries", "polyfamilies", "operators",
 # degree of its random polynomials
 SUITE_LIMITS = {"qkernel": 20, "polyfamilies": 15, "operators": 12,
                 "matrixelements": 6, "hahncalc": 10}
+# three checks stop below their suite's limit, at min(nmax, limit)
+CHECK_LIMITS = {"polyfamilies/qfactorial-identity": 10,
+                "polyfamilies/inversion": 12, "matrixelements/special-form": 5}
 
 
 def _rand_frac(rng: random.Random, span: int = 9) -> Fraction:
@@ -104,18 +107,20 @@ def suite_qseries(ctx: QContext, nmax: int, order: int,
                           recip_ok, r_sum, 1 / prod_val,
                           "sum z^n/(q;q)_n vs 1/(z;q)_inf"))
     # generating functions, coefficient by coefficient
+    phis = Basis.QGAUSSIAN.elements(ctx, order + 1)
+    phidots = Basis.HAHN_FACTORIAL.elements(ctx, order + 1)
     for x in (Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(2)):
         g = seriesmod.gaussian_genfun_lhs(ctx, x, order)
         h = seriesmod.hahn_genfun_lhs(ctx, x, order)
         for n in range(order + 1):
             fact = q_factorial(ctx, n)
             lhs = g.coeff(n)
-            rhs = qgaussian(ctx, n)(x) / fact
+            rhs = phis[n](x) / fact
             out.append(record(
                 f"qseries/gaussian-genfun/x={x},n={n:02d}", {"x": x, "n": n},
                 lhs == rhs, lhs, rhs, "t^n coefficient vs phi_n(x)/[n]_q!"))
             lhs = h.coeff(n)
-            rhs = hahn_factorial(ctx, n)(x) / fact
+            rhs = phidots[n](x) / fact
             out.append(record(
                 f"qseries/hahn-genfun/x={x},n={n:02d}", {"x": x, "n": n},
                 lhs == rhs, lhs, rhs, "t^n coefficient vs phidot_n(x)/[n]_q!"))
@@ -146,7 +151,7 @@ def suite_qseries(ctx: QContext, nmax: int, order: int,
         # factorization of the raising-series applied to 1:
         # sum s^n phi_n(x) t^n/[n]! = 1/(s x (1-q) t; q)_inf * (s (1-q) t; q)_inf
         for x in (Fraction(1, 3), Fraction(2)):
-            lhs = Poly([s ** n * qgaussian(ctx, n)(x) / q_factorial(ctx, n)
+            lhs = Poly([s ** n * phis[n](x) / q_factorial(ctx, n)
                         for n in range(order + 1)], VAR_T)
             rhs = seriesmod.recip_poch_series(ctx, s * x * (1 - q), order)
             rhs = rhs.mul_trunc(
@@ -163,24 +168,24 @@ def suite_polyfamilies(ctx: QContext, nmax: int, order: int,
                        rng: random.Random) -> list[CheckRecord]:
     out = []
     nmax = min(nmax, SUITE_LIMITS["polyfamilies"])
+    phis = Basis.QGAUSSIAN.elements(ctx, nmax + 1)
+    phidots = Basis.HAHN_FACTORIAL.elements(ctx, nmax + 1)
     for n in range(nmax + 1):
-        prod = qgaussian(ctx, n, "product")
-        ok = (prod == qgaussian(ctx, n, "recursion")
+        ok = (phis[n] == qgaussian(ctx, n, "recursion")
               == qgaussian(ctx, n, "explicit_sum"))
         out.append(record(f"polyfamilies/gaussian-three-way/n={n:02d}", {"n": n},
-                          ok, list(prod.coeffs), "all three constructions"))
-        prod = hahn_factorial(ctx, n, "product")
-        ok = (prod == hahn_factorial(ctx, n, "recursion")
+                          ok, list(phis[n].coeffs), "all three constructions"))
+        ok = (phidots[n] == hahn_factorial(ctx, n, "recursion")
               == hahn_factorial(ctx, n, "explicit_sum"))
         out.append(record(f"polyfamilies/hahn-three-way/n={n:02d}", {"n": n},
-                          ok, list(prod.coeffs), "all three constructions"))
+                          ok, list(phidots[n].coeffs), "all three constructions"))
         op = qgaussian_via_qexp_operator(ctx, n)
         out.append(record(f"polyfamilies/gaussian-operator-form/n={n:02d}",
-                          {"n": n}, op == qgaussian(ctx, n), list(op.coeffs),
-                          list(qgaussian(ctx, n).coeffs),
+                          {"n": n}, op == phis[n], list(op.coeffs),
+                          list(phis[n].coeffs),
                           "terminating exponential-of-derivative series"))
-    for n in range(min(nmax, 10) + 1):
-        pu = qfactorial_u(ctx, n)
+    cap = min(nmax, CHECK_LIMITS["polyfamilies/qfactorial-identity"])
+    for n, pu in enumerate(Basis.QFACTORIAL.elements(ctx, cap + 1)):
         for x in range(11):
             lhs = pu(ctx.q_pow(x))
             rhs = qfactorial_pochhammer_value(ctx, n, x)
@@ -198,10 +203,10 @@ def suite_polyfamilies(ctx: QContext, nmax: int, order: int,
                 {"basis": basis.name, "degree": p.degree}, back == p,
                 list(back.coeffs), list(p.coeffs)))
     # monomial inversion, pointwise
-    for n in range(min(nmax, 12) + 1):
+    for n in range(min(nmax, CHECK_LIMITS["polyfamilies/inversion"]) + 1):
         for x in (Fraction(-1), Fraction(1, 3), Fraction(2), Fraction(5, 7),
                   Fraction(0)):
-            lhs = sum((q_binomial(ctx, n, k) * qgaussian(ctx, k)(x)
+            lhs = sum((q_binomial(ctx, n, k) * phis[k](x)
                        for k in range(n + 1)), Fraction(0))
             out.append(record(
                 f"polyfamilies/inversion/n={n:02d},x={x}", {"n": n, "x": x},
@@ -210,7 +215,7 @@ def suite_polyfamilies(ctx: QContext, nmax: int, order: int,
     if ctx.omega0 != 0:
         for n in range(nmax + 1):
             lhs = connect_hahn_gaussian(ctx, n)
-            rhs = hahn_factorial(ctx, n)
+            rhs = phidots[n]
             out.append(record(f"polyfamilies/connection/n={n:02d}", {"n": n},
                               lhs == rhs, list(lhs.coeffs), list(rhs.coeffs),
                               "phidot_n = (-w0)^n phi_n(1 - x/w0)"))
@@ -257,8 +262,7 @@ def suite_operators(ctx: QContext, nmax: int, order: int,
     out = []
     nmax = min(nmax, SUITE_LIMITS["operators"])
     for family in opsmod.FAMILIES:
-        for n in range(nmax + 1):
-            pn = family.basis.element(ctx, n)
+        for n, pn in enumerate(family.basis.elements(ctx, nmax + 1)):
             for direction in ("lower", "raise"):
                 coeffs = opsmod.ladder_apply(ctx, family, direction,
                                              [0] * n + [1])
@@ -274,10 +278,11 @@ def suite_operators(ctx: QContext, nmax: int, order: int,
     # repeated raising from the ground element
     for family in (opsmod.QGAUSSIAN, opsmod.HAHN):
         p = Poly.one()
+        row = family.basis.elements(ctx, 11)
         for n in range(1, 11):
             p = opsmod.ladder_apply_analytic(ctx, family, "raise", p)
             lhs = ctx.q_pow(n * (n - 1) // 2) * p
-            rhs = family.basis.element(ctx, n)
+            rhs = row[n]
             out.append(record(
                 f"operators/raising-power/{family.name}/n={n:02d}",
                 {"family": family.name, "n": n}, lhs == rhs,
@@ -362,7 +367,8 @@ def suite_matrixelements(ctx: QContext, nmax: int, order: int,
                 acc == x ** n, acc, x ** n,
                 "alternating sum of 2phi0(q^(j-n), 0; q; x q^(n-j)) = x^n"))
     if ctx.has_root:
-        out.extend(matelmod.special_form_checks(ctx, min(nmax, 5)))
+        out.extend(matelmod.special_form_checks(
+            ctx, min(nmax, CHECK_LIMITS["matrixelements/special-form"])))
     return out
 
 
@@ -431,9 +437,8 @@ def suite_hahncalc(ctx: QContext, nmax: int, order: int,
                           "|D_{q,w} e - e| under the truncated product"))
     # numeric integral against the closed form
     p = _rand_poly(rng, 5)
-    fn = hahnmod.SampledFn(p, "random polynomial")
     for x in (Fraction(1), Fraction(1, 2)):
-        value, _ = hahnmod.hahn_integral_numeric(ctx, fn, x, Fraction(1, 10 ** 9))
+        value, _ = hahnmod.hahn_integral_numeric(ctx, p, x, Fraction(1, 10 ** 9))
         exact = hahnmod.hahn_integral_closed(ctx, p, x)
         out.append(record(f"hahncalc/numeric-integral/x={x}",
                           {"x": x, "tol": Fraction(1, 10 ** 9)},

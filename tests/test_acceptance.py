@@ -13,9 +13,9 @@ import json
 import random
 from fractions import Fraction as F
 
-from qoscpoly import (Poly, QContext, basic_hyp_terminating, cli,
+from qoscpoly import (Basis, Poly, QContext, basic_hyp_terminating, cli,
                       hahn_factorial, q_binomial, q_factorial,
-                      qfactorial_pochhammer_value, qfactorial_u, qgaussian)
+                      qfactorial_pochhammer_value, qgaussian)
 from qoscpoly.report import DISCREPANCY, FAIL
 from qoscpoly.verify import SUITES
 
@@ -71,7 +71,7 @@ def test_criterion_01_triple_construction(capsys):
                        == hahn_factorial(ctx, n, "recursion")
                        == hahn_factorial(ctx, n, "explicit_sum"))
             for n in range(16):
-                p = qfactorial_u(ctx, n)
+                p = Basis.QFACTORIAL.element(ctx, n)
                 for x in range(11):
                     ok &= p(q ** x) == qfactorial_pochhammer_value(ctx, n, x)
     verdict(capsys, 1, ok,

@@ -172,6 +172,24 @@ class TestVerifyCommand:
         assert code == cli.EXIT_VERIFICATION_FAILED
         assert "[fail] stub/forced-failure" in out
 
+    def test_wrong_basis_factor_fails(self, capsys, monkeypatch):
+        # q^(k+1) for q^k in the q-Gaussian factors; every check built on
+        # the product basis must notice against its independent side
+        from dataclasses import replace
+
+        from qoscpoly.families import Basis
+        monkeypatch.setattr(Basis, "QGAUSSIAN", replace(
+            Basis.QGAUSSIAN, factor=lambda ctx, k: (-ctx.q_pow(k + 1), 1)))
+        code, out, _ = run_cli(capsys, [
+            "verify", "--suite", "polyfamilies", "--suite", "qseries",
+            "--nmax", "3", "--order", "4", "--format", "json"])
+        assert code == cli.EXIT_VERIFICATION_FAILED
+        failed = {"/".join(r["check_id"].split("/")[:2])
+                  for r in json.loads(out)["records"] if r["status"] == FAIL}
+        assert {"polyfamilies/gaussian-three-way", "polyfamilies/inversion",
+                "polyfamilies/connection", "qseries/gaussian-genfun",
+                "qseries/raising-series-factorizes"} <= failed
+
     @pytest.mark.parametrize("argv", [
         "verify --suite matrixelements --nmax 2", "table matel --nmax 2"])
     def test_degenerate_hahn_context_rejected(self, capsys, argv):

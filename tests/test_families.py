@@ -1,10 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qoscpoly import (Basis, Poly, connect_hahn_gaussian, expand_in_basis,
-                      hahn_factorial, position_coefficients,
-                      q_double_factorial_even, q_factorial, q_int, qfactorial_u,
+from qoscpoly import (Basis, Poly, QContext, connect_hahn_gaussian,
+                      expand_in_basis, hahn_factorial, position_coefficients,
+                      q_double_factorial_even, q_factorial, q_int,
                       qfactorial_pochhammer_value, qgaussian,
                       qgaussian_via_qexp_operator, vector_to_poly)
 from qoscpoly.poly import VAR_U, VAR_X
@@ -12,6 +14,7 @@ from qoscpoly.poly import VAR_U, VAR_X
 METHODS = ("product", "recursion", "explicit_sum")
 BASES = (Basis.MONOMIAL, Basis.SHIFTED_MONOMIAL, Basis.QGAUSSIAN,
          Basis.QFACTORIAL, Basis.HAHN_FACTORIAL)
+PHIHAT = Basis.QFACTORIAL.element
 
 
 class TestQGaussian:
@@ -54,23 +57,23 @@ class TestQGaussian:
 class TestQFactorialFamily:
     def test_low_orders(self, ctx_q12):
         q = ctx_q12.q
-        assert qfactorial_u(ctx_q12, 0) == Poly.one(VAR_U)
-        assert qfactorial_u(ctx_q12, 1) == Poly([1, -1], VAR_U) / (1 - q)
+        assert PHIHAT(ctx_q12, 0) == Poly.one(VAR_U)
+        assert PHIHAT(ctx_q12, 1) == Poly([1, -1], VAR_U) / (1 - q)
 
     def test_lives_in_u(self, ctx_q12):
-        assert qfactorial_u(ctx_q12, 3).var == VAR_U
+        assert PHIHAT(ctx_q12, 3).var == VAR_U
 
     def test_vanishes_at_small_integers(self, ctx_q916):
         # phihat_n(x) = [x]_q [x-1]_q ... [x-n+1]_q kills x = 0..n-1
         q = ctx_q916.q
-        p = qfactorial_u(ctx_q916, 5)
+        p = PHIHAT(ctx_q916, 5)
         for x in range(5):
             assert p(q ** x) == 0
 
     def test_integer_values_match_q_factorials(self, ctx_q916):
         q = ctx_q916.q
         for n in range(7):
-            p = qfactorial_u(ctx_q916, n)
+            p = PHIHAT(ctx_q916, n)
             for x in range(n, n + 5):
                 expect = q_factorial(ctx_q916, x) / q_factorial(ctx_q916, x - n)
                 assert p(q ** x) == expect
@@ -78,7 +81,7 @@ class TestQFactorialFamily:
     def test_pochhammer_identity_oracle(self, ctx_q12):
         q = ctx_q12.q
         for n in range(7):
-            p = qfactorial_u(ctx_q12, n)
+            p = PHIHAT(ctx_q12, n)
             for x in range(0, 9):
                 assert p(q ** x) == qfactorial_pochhammer_value(ctx_q12, n, x)
 
@@ -145,17 +148,21 @@ class TestBasisConversion:
 
     def test_u_polynomial_rejected(self, ctx_q14):
         with pytest.raises(ValueError):
-            expand_in_basis(ctx_q14, qfactorial_u(ctx_q14, 2), Basis.MONOMIAL)
+            expand_in_basis(ctx_q14, PHIHAT(ctx_q14, 2), Basis.MONOMIAL)
 
     def test_x_polynomial_not_expandable_in_u(self, ctx_q14):
         with pytest.raises(ValueError, match="qfactorial"):
             expand_in_basis(ctx_q14, Poly([1, 2]), Basis.QFACTORIAL)
 
     def test_basis_polys_match_families(self, ctx_q14):
-        assert Basis.QGAUSSIAN.element(ctx_q14, 3) == qgaussian(ctx_q14, 3)
+        q = ctx_q14.q
+        assert (Basis.QGAUSSIAN.element(ctx_q14, 3)
+                == qgaussian(ctx_q14, 3, "recursion"))
         assert (Basis.HAHN_FACTORIAL.element(ctx_q14, 3)
-                == hahn_factorial(ctx_q14, 3))
-        assert Basis.QFACTORIAL.element(ctx_q14, 3) == qfactorial_u(ctx_q14, 3)
+                == hahn_factorial(ctx_q14, 3, "recursion"))
+        assert Basis.QFACTORIAL.element(ctx_q14, 3) == (
+            Poly([1, -1], VAR_U) * Poly([1, -1 / q], VAR_U)
+            * Poly([1, -1 / q ** 2], VAR_U) / (1 - q) ** 3)
         assert Basis.SHIFTED_MONOMIAL.element(ctx_q14, 2) == (
             Poly([-ctx_q14.omega0, 1]) ** 2)
         assert Basis.MONOMIAL.element(ctx_q14, 4) == Poly.monomial(4)
@@ -172,11 +179,47 @@ class TestBasisConversion:
         with pytest.raises(ValueError):
             basis.element(ctx_q14, -1)
 
+    @pytest.mark.parametrize("basis", BASES)
+    def test_negative_count_rejected(self, ctx_q14, basis):
+        assert basis.elements(ctx_q14, 0) == []
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            basis.elements(ctx_q14, -1)
+
     def test_zero_polynomial_expands_to_nothing(self, ctx_q14):
         for basis in BASES:
             if basis is not Basis.QFACTORIAL:
                 assert vector_to_poly(ctx_q14, basis, expand_in_basis(
                     ctx_q14, Poly.zero(), basis)) == Poly.zero(VAR_X)
+
+
+class TestBasisRows:
+    @given(s=st.fractions(0, 1, max_denominator=9).filter(lambda s: 0 < s < 1),
+           omega=st.fractions(-2, 2, max_denominator=7),
+           count=st.integers(0, 8))
+    @settings(max_examples=25, deadline=None)
+    def test_rows_are_the_written_products(self, s, omega, count):
+        ctx = QContext(s, omega)
+        q = ctx.q
+        x = Poly([0, 1])
+        phihat = [Poly.one(VAR_U)]
+        for k in range(count):
+            phihat.append(phihat[-1] * Poly([1, -q ** -k], VAR_U) / (1 - q))
+        expect = [
+            (Basis.MONOMIAL, [x ** n for n in range(count)]),
+            (Basis.SHIFTED_MONOMIAL, [(x - ctx.omega0) ** n
+                                      for n in range(count)]),
+            (Basis.QGAUSSIAN, [qgaussian(ctx, n, "recursion")
+                               for n in range(count)]),
+            (Basis.QFACTORIAL, phihat[:count]),
+            (Basis.HAHN_FACTORIAL, [hahn_factorial(ctx, n, "recursion")
+                                    for n in range(count)]),
+        ]
+        for basis, products in expect:
+            row = basis.elements(ctx, count)
+            assert row == products
+            for n in range(count):
+                assert basis.element(ctx, n) == row[n]
+                assert basis.elements(ctx, n + 1) == row[:n + 1]
 
 
 class TestPositionCoefficients:

@@ -2,11 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from qoscpoly import (Poly, QContext, SampledFn, hahn_antiderivative,
+from qoscpoly import (Basis, Poly, QContext, hahn_antiderivative,
                       hahn_derivative_poly, hahn_exp_normalized,
                       hahn_factorial, hahn_integral_closed,
                       hahn_integral_numeric, jackson_derivative,
-                      leibniz_residuals, q_int, qfactorial_u)
+                      leibniz_residuals, q_int)
 
 
 class TestDerivative:
@@ -42,7 +42,7 @@ class TestDerivative:
 
     def test_var_guard(self, ctx_q14):
         with pytest.raises(ValueError):
-            hahn_derivative_poly(ctx_q14, qfactorial_u(ctx_q14, 2))
+            hahn_derivative_poly(ctx_q14, Basis.QFACTORIAL.element(ctx_q14, 2))
 
 
 class TestLeibniz:
@@ -97,27 +97,31 @@ class TestIntegral:
 
     def test_numeric_agrees_on_polynomials(self, ctx_q14):
         p = Poly([1, F(2, 3), -1, 0, F(1, 7)])
-        fn = SampledFn(p, "quartic")
         tol = F(1, 10 ** 9)
         for x in (F(1), F(-1, 3)):
             exact = hahn_integral_closed(ctx_q14, p, x)
-            approx, terms = hahn_integral_numeric(ctx_q14, fn, x, tol)
+            approx, terms = hahn_integral_numeric(ctx_q14, p, x, tol)
             assert abs(approx - exact) < tol
             assert terms > 0
 
     def test_numeric_zero_width(self, ctx_q14):
-        fn = SampledFn(lambda t: 1, "one")
-        value, terms = hahn_integral_numeric(ctx_q14, fn, ctx_q14.omega0, F(1, 100))
+        value, terms = hahn_integral_numeric(ctx_q14, lambda t: 1, ctx_q14.omega0,
+                                             F(1, 100))
         assert value == 0 and terms == 0
 
     def test_numeric_bad_tolerance(self, ctx_q14):
         with pytest.raises(ValueError):
-            hahn_integral_numeric(ctx_q14, SampledFn(lambda t: 1), F(1), 0)
+            hahn_integral_numeric(ctx_q14, lambda t: 1, F(1), 0)
 
 
 class TestExponential:
     def test_normalization(self, ctx_q14):
         assert hahn_exp_normalized(ctx_q14, ctx_q14.omega0, 30) == 1
+
+    def test_negative_terms_rejected(self, ctx_q14):
+        assert hahn_exp_normalized(ctx_q14, F(1, 3), 0) == 1
+        with pytest.raises(ValueError, match="terms must be >= 0"):
+            hahn_exp_normalized(ctx_q14, F(1, 3), -3)
 
     def test_functional_equation_residual_small(self, ctx_q14):
         # D_{q,w} e = e up to the geometric truncation error
@@ -133,9 +137,10 @@ class TestExponential:
     def test_integral_of_exponential(self, ctx_q14):
         # integral of e from omega0 to x is e(x) - 1 (normalized), approximately
         terms = 60
-        fn = SampledFn(lambda t: hahn_exp_normalized(ctx_q14, t, terms), "hahn exp")
         x = F(1, 2)
-        value, _ = hahn_integral_numeric(ctx_q14, fn, x, F(1, 10 ** 9))
+        value, _ = hahn_integral_numeric(
+            ctx_q14, lambda t: hahn_exp_normalized(ctx_q14, t, terms), x,
+            F(1, 10 ** 9))
         expect = hahn_exp_normalized(ctx_q14, x, terms) - 1
         assert abs(value - expect) < F(1, 10 ** 6)
 

@@ -2,11 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from qoscpoly import (FAMILIES, HAHN, QFACTORIAL, QGAUSSIAN, Poly,
+from qoscpoly import (FAMILIES, HAHN, QFACTORIAL, QGAUSSIAN, Basis, Poly,
                       algebra_relations_check, difference_equation_residual,
                       hahn_factorial, jackson_derivative, ladder_apply,
-                      ladder_apply_analytic, q_int, qfactorial_u, qgaussian,
-                      scale_x)
+                      ladder_apply_analytic, q_int, qgaussian, scale_x)
 from qoscpoly.operators import lowering_coeff, raising_coeff
 from qoscpoly.poly import VAR_U, VAR_X
 from qoscpoly.report import PASS, fmt_exact
@@ -36,7 +35,7 @@ class TestBasicOperators:
 
     def test_var_guard(self, ctx_q12):
         with pytest.raises(ValueError):
-            jackson_derivative(ctx_q12, qfactorial_u(ctx_q12, 2))
+            jackson_derivative(ctx_q12, Basis.QFACTORIAL.element(ctx_q12, 2))
 
 
 class TestLadderCoefficients:
@@ -108,12 +107,13 @@ class TestAnalyticVsBanded:
 
     def test_qfactorial_lower_then_raise(self, ctx_q14):
         q = ctx_q14.q
+        phihat = Basis.QFACTORIAL.element
         for n in range(1, 7):
-            p = qfactorial_u(ctx_q14, n)
+            p = phihat(ctx_q14, n)
             down = ladder_apply_analytic(ctx_q14, QFACTORIAL, "lower", p)
-            assert down == q ** -n * q_int(ctx_q14, n) * qfactorial_u(ctx_q14, n - 1)
+            assert down == q ** -n * q_int(ctx_q14, n) * phihat(ctx_q14, n - 1)
             up = ladder_apply_analytic(ctx_q14, QFACTORIAL, "raise", p)
-            assert up == qfactorial_u(ctx_q14, n + 1)
+            assert up == phihat(ctx_q14, n + 1)
 
 
 class TestAlgebraRelations:

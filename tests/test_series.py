@@ -33,6 +33,11 @@ class TestArithmetic:
             assert a.mul_trunc(b, order) == in_t(
                 *(full.coeff(n) for n in range(order + 1)))
 
+    def test_negative_monomial_rejected(self):
+        assert Poly.monomial(0) == 1
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            Poly.monomial(-1)
+
     def test_mul_trunc_variable_mismatch(self):
         with pytest.raises(ValueError):
             in_t(1, 1).mul_trunc(Poly([1, 1]), 3)

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qoscpoly import QContext
+from qoscpoly import QContext, cli
 from qoscpoly.report import FAIL, VerificationReport
-from qoscpoly.verify import SUITES
+from qoscpoly.verify import CHECK_LIMITS, SUITE_LIMITS, SUITES
 
 
 class TestRandomContexts:
@@ -23,3 +24,24 @@ class TestRandomContexts:
             report.extend(SUITES[name](ctx, 3, 4, random.Random(0)))
         assert [r.check_id for r in report.records if r.status == FAIL] == []
         assert report.to_json()
+
+
+class TestCheckLimits:
+    def test_checks_read_their_caps(self, monkeypatch):
+        for name in CHECK_LIMITS:
+            monkeypatch.setitem(CHECK_LIMITS, name, 1)
+        ctx = QContext(F(1, 2), F(1, 8))
+        seen = {name: set() for name in CHECK_LIMITS}
+        for suite in ("polyfamilies", "matrixelements"):
+            for r in SUITES[suite](ctx, 2, 4, random.Random(0)):
+                name = "/".join(r.check_id.split("/")[:2])
+                if name in seen:
+                    seen[name].add(r.params["n"])
+        assert seen == {name: {0, 1} for name in CHECK_LIMITS}
+
+    def test_help_names_every_cap(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["verify", "--help"])
+        out = "".join(capsys.readouterr().out.split())
+        for name, cap in {**SUITE_LIMITS, **CHECK_LIMITS}.items():
+            assert f"{name}{cap}" in out
