@@ -14,8 +14,8 @@ from .families import (Basis, connect_hahn_gaussian, expand_in_basis,
 from .hahn import (hahn_antiderivative, hahn_derivative_poly,
                    hahn_exp_normalized, hahn_integral_closed,
                    hahn_integral_numeric, leibniz_residuals)
-from .matel import (basic_hyp_terminating, matel_closed, matel_oracle,
-                    special_form_checks, u_polynomial)
+from .matel import (basic_hyp_terminating, matel_at, matel_closed,
+                    matel_oracle, special_form_checks, u_polynomial)
 from .operators import (FAMILIES, HAHN, QFACTORIAL, QGAUSSIAN, Family,
                         algebra_relations_check, difference_equation_residual,
                         jackson_derivative, ladder_apply,

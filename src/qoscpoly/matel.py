@@ -1,30 +1,31 @@
 """Matrix elements of the deformed exponential-operator products.
 
 The operator E^(mu)(alpha * adag) E^(nu)(beta * a) acting on the n-th family
-polynomial expands again in the family basis; the expansion coefficients are
-computed two independent ways, both with the signature
-``(ctx, family, mu, nu, alpha, beta, nmax)`` and both returning the whole
-matrix [n][r] for n, r <= nmax:
+polynomial expands again in the family basis.  Element (n, r) depends on
+alpha and beta only as alpha^(r-n)+ beta^(n-r)+ P_{n,r}(alpha beta), with
+deg P_{n,r} <= min(n, r).  Both builders have the signature
+``(ctx, family, mu, nu, nmax)`` and return the matrix [n][r], n, r <= nmax,
+of the polynomials P_{n,r} in alpha*beta, computed two independent ways:
 
   * ``matel_closed``  evaluates the closed-form expressions through the
     U-polynomials (terminating sums walked by ``qarith.qhyp_terms``),
     diagonal by diagonal, sharing each diagonal's powers and U argument;
   * ``matel_oracle``  applies the two truncating operator series directly via
     the exact ladder coefficients, with no reference to the closed forms.
-    Each series weight is computed once per index, each lowering and
-    raising path grows by one ladder factor per step, and the cells are
-    sums over these, so one parameter set costs O(N^3) multiplications.
+    A cell's coefficients are products of two weighted ladder paths, so
+    one matrix costs O(N^3) multiplications.
 
-The oracle is the ground truth; any exact mismatch with a closed form is
-reported as a documented discrepancy, never patched.  The q-powers and
-q-factorials of both sides come from the context's kernel tables.
+``matel_at`` evaluates either matrix at one (alpha, beta).  The oracle is
+the ground truth; any exact mismatch with a closed form is reported as a
+documented discrepancy, never patched.  The q-powers and q-factorials of
+both sides come from the context's kernel tables.
 
 One closed form serves all three families.  With d = |n - r| and
-(c, h) = (beta, nu) for r <= n, (alpha, mu) for n < r:
+h = nu for r <= n, mu for n < r:
 
-  closed = (c sigma)^d q^(h d^2) * { r <= n: q^(-e d(n+r+1)/2) [n,r]_q
-                                     n <  r: q^(-(1-e) d(n+r-1)/2) / [d]_q! }
-           * U^(mu,nu)_min(n,r)(alpha beta (q-1) kappa q^(1-e+2hd); q^(1+d))
+  P = sigma^d q^(h d^2) * { r <= n: q^(-e d(n+r+1)/2) [n,r]_q
+                            n <  r: q^(-(1-e) d(n+r-1)/2) / [d]_q! }
+      * U^(mu,nu)_min(n,r)(alpha beta (q-1) kappa q^(1-e+2hd); q^(1+d))
 
 and each printed formula is read off from its family's (e, sigma, kappa):
 
@@ -36,28 +37,31 @@ and each printed formula is read off from its family's (e, sigma, kappa):
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import prod
+from operator import mul
 
 from .context import HALF_HALF, HALF_ZERO, HalfInt, QContext, frac
 from .operators import Family, lowering_coeff, raising_coeff
+from .poly import Poly
 from .qarith import q_binomial, q_factorial, q_pochhammer, qhyp_terms
 from .report import CheckRecord, record
+from .series import emu_series
 
 
 def u_polynomial(ctx: QContext, mu: HalfInt, nu: HalfInt, n: int,
-                 q1theta, x) -> Fraction:
-    """The terminating sum U_n^(mu,nu)(x; q^(1+theta) | q).
+                 q1theta, x) -> Poly:
+    """The terms of U_n^(mu,nu)(x; q^(1+theta) | q) as one polynomial.
 
-    Sum over k = 0..n of q^(k^2 (mu+nu)) (q^-n; q)_k x^k
-    / ((q^(1+theta); q)_k (q; q)_k), walked by ``qhyp_terms``; the second
-    argument is passed as the rational value q^(1+theta) itself.
+    Coefficient k is q^(k^2 (mu+nu)) (q^-n; q)_k x^k / ((q^(1+theta); q)_k
+    (q; q)_k), walked by ``qhyp_terms``; at y the polynomial is U_n(x y).
+    The second argument is passed as the rational value q^(1+theta) itself.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     musum = HalfInt(mu.twice + nu.twice)
-    return sum(qhyp_terms(ctx, [ctx.q_pow(-n)], [q1theta], x, n + 1,
-                          lambda k: ctx.pow_half(musum, k * k)), Fraction(0))
+    return Poly(qhyp_terms(ctx, [ctx.q_pow(-n)], [q1theta], x, n + 1,
+                           lambda k: ctx.pow_half(musum, k * k)))
 
 
 def _termination_index(ctx: QContext, a: Fraction) -> int | None:
@@ -99,77 +103,74 @@ def basic_hyp_terminating(ctx: QContext, upper: list, lower: list, z) -> Fractio
     return total
 
 
-def _series_weight(ctx: QContext, half: HalfInt, c: Fraction,
-                   k: int) -> Fraction:
-    """k-th coefficient of the exponential operator series in the ladder op."""
-    return ctx.pow_half(half, k * k) * c ** k / q_factorial(ctx, k)
+def matel_at(polys: list[list[Poly]], alpha, beta) -> list[list[Fraction]]:
+    """The elements alpha^(r-n)+ beta^(n-r)+ P_{n,r}(alpha beta) of a matrix."""
+    alpha, beta = frac(alpha), frac(beta)
+    return [[p(alpha * beta) * (alpha ** (r - n) if r > n else beta ** (n - r))
+             for r, p in enumerate(row)] for n, row in enumerate(polys)]
+
+
+def _weighted_paths(weights: Poly, steps: list) -> list[Fraction]:
+    """weights.coeff(k) times the product of steps[:k], k = 0..len(steps).
+
+    Poly trims the zero weights that sigma = 0 gives; coeff reads them.
+    """
+    return [weights.coeff(k) * path for k, path in
+            enumerate(accumulate(steps, mul, initial=Fraction(1)))]
 
 
 def matel_oracle(ctx: QContext, family: Family, mu: HalfInt, nu: HalfInt,
-                 alpha, beta, nmax: int) -> list[list[Fraction]]:
-    """All matrix elements [n][r], n, r <= nmax, from the ladder coefficients.
+                 nmax: int) -> list[list[Poly]]:
+    """All P_{n,r}, n, r <= nmax, from the ladder coefficients.
 
     Applies the lowering series (index i, truncating at i = n) followed by
     the raising series (index j pinned to r - n + i); no closed form and no
-    analytic operator realization is involved.  ``down[n][i]`` is the i-th
-    lowering weight times the path n -> n - i and ``up[m][j]`` the j-th
-    raising weight times the path m -> m + j; each path grows by one ladder
-    factor per step, and cell (n, r) sums down[n][i] * up[n - i][r - n + i].
+    analytic operator realization is involved.  At alpha = beta = 1 the
+    series weights are those of ``emu_series`` at sigma; ``down[n][i]`` is
+    the i-th lowering weight times the path n -> n - i and ``up[m][j]`` the
+    j-th raising weight times the path m -> m + j.  The i-th path of cell
+    (n, r) carries (alpha beta)^(i - (n-r)+), so its product
+    down[n][i] * up[n - i][r - n + i] is that coefficient of P_{n,r}.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    sigma = family.sigma(ctx)
-    alpha, beta = frac(alpha) * sigma, frac(beta) * sigma
-    size = nmax + 1
-    w_down = [_series_weight(ctx, nu, beta, i) for i in range(size)]
-    w_up = [_series_weight(ctx, mu, alpha, j) for j in range(size)]
-    down = []
-    for n in range(size):
-        path = Fraction(1)
-        row = [w_down[0]]
-        for i in range(1, n + 1):
-            path *= lowering_coeff(ctx, family, n - i + 1)
-            row.append(w_down[i] * path)
-        down.append(row)
-    up = []
-    for m in range(size):
-        path = Fraction(1)
-        row = [w_up[0]]
-        for j in range(1, size - m):
-            path *= raising_coeff(ctx, family, m + j - 1)
-            row.append(w_up[j] * path)
-        up.append(row)
-    return [[sum(down[n][i] * up[n - i][r - n + i]
-                 for i in range(max(n - r, 0), n + 1))
+    sigma, size = family.sigma(ctx), nmax + 1
+    lower = [lowering_coeff(ctx, family, m) for m in range(1, size)]
+    raise_ = [raising_coeff(ctx, family, m) for m in range(size - 1)]
+    w_down = emu_series(ctx, nu, sigma, nmax)
+    w_up = emu_series(ctx, mu, sigma, nmax)
+    down = [_weighted_paths(w_down, lower[:n][::-1]) for n in range(size)]
+    up = [_weighted_paths(w_up, raise_[m:]) for m in range(size)]
+    return [[Poly(down[n][i] * up[n - i][r - n + i]
+                  for i in range(max(n - r, 0), n + 1))
              for r in range(size)] for n in range(size)]
 
 
 def matel_closed(ctx: QContext, family: Family, mu: HalfInt, nu: HalfInt,
-                 alpha, beta, nmax: int) -> list[list[Fraction]]:
-    """All closed-form matrix elements [n][r], n, r <= nmax, as published.
+                 nmax: int) -> list[list[Poly]]:
+    """All closed-form P_{n,r}, n, r <= nmax, as published.
 
     Walks the diagonals d = |n - r|.  Each side of a diagonal shares
-    (c sigma)^d, the U argument and q^(1+d), so a cell costs its prefactor
-    and one U-polynomial.  The n = r diagonal is evaluated from both sides,
-    which must agree (the U-polynomial depends on mu+nu only).  A family
-    with sigma = 0 (Hahn at omega0 = 1) is rejected: its published form
-    degenerates there.
+    sigma^d, the U argument and q^(1+d), so a cell costs its prefactor and
+    one U-polynomial, whose k-th term is the coefficient of (alpha beta)^k.
+    The n = r diagonal is evaluated from both sides, which must agree (the
+    U-polynomial depends on mu+nu only).  A family with sigma = 0 (Hahn at
+    omega0 = 1) is rejected: its published form degenerates there.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    alpha, beta = frac(alpha), frac(beta)
     e, sigma, size = family.e, family.sigma(ctx), nmax + 1
     if sigma == 0:
         raise ValueError(f"the {family.name} closed form is degenerate at "
                          f"omega0 = 1 (sigma = 1 - omega0 = 0)")
-    ab = alpha * beta * (ctx.q - 1) * family.kappa(ctx)
+    z = (ctx.q - 1) * family.kappa(ctx)
     out = [[None] * size for _ in range(size)]
     for d in range(size):
         q1d = ctx.q_pow(1 + d)
-        lo_scale = (beta * sigma) ** d
-        hi_scale = (alpha * sigma) ** d / q_factorial(ctx, d)
-        lo_arg = ab * ctx.q_pow(1 - e + nu.twice * d)
-        hi_arg = ab * ctx.q_pow(1 - e + mu.twice * d)
+        lo_scale = sigma ** d
+        hi_scale = sigma ** d / q_factorial(ctx, d)
+        lo_arg = z * ctx.q_pow(1 - e + nu.twice * d)
+        hi_arg = z * ctx.q_pow(1 - e + mu.twice * d)
         for k in range(size - d):
             # cells (k + d, k) and (k, k + d); d(n+r+1) and d(n+r-1) are
             # even, so each side's q-powers are one power of s = q^(1/2)
@@ -208,7 +209,7 @@ def special_form_checks(ctx: QContext, nmax: int) -> list[CheckRecord]:
                              (Fraction(1), Fraction(1, 3), Fraction(-1, 5)),
                              (q, q * q, q ** 3)):
         for name, mu, nu, top, bottom, scale in forms:
-            u = u_polynomial(ctx, mu, nu, n, q1t, x)
+            u = u_polynomial(ctx, mu, nu, n, q1t, x)(1)
             h = basic_hyp_terminating(ctx, [q ** (-n)] + top, [q1t] + bottom,
                                       scale * x)
             checks.append(record(

@@ -66,9 +66,11 @@ def qhyp_terms(ctx: QContext, upper: list, lower: list, z, count: int,
     Term k is weight(k) (upper; q)_k z^k / ((lower; q)_k (q; q)_k), where a
     list of parameters stands for the product of their Pochhammer symbols
     and no weight means weight 1.  Each term is the previous one times one
-    ratio, so no Pochhammer prefix is ever rebuilt.  Raises ValueError only
-    when one of the count terms needs a vanishing lower Pochhammer.
+    ratio, so no Pochhammer prefix is ever rebuilt.  Raises ValueError for
+    count < 0 and when a term needs a vanishing lower Pochhammer.
     """
+    if count < 0:
+        raise ValueError(f"series terms need count >= 0, got {count}")
     # a zero parameter contributes (0; q)_k = 1
     upper = [a for a in map(frac, upper) if a]
     lower = [b for b in map(frac, lower) if b]

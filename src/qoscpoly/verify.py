@@ -311,41 +311,44 @@ def suite_matrixelements(ctx: QContext, nmax: int, order: int,
     nmax = min(nmax, SUITE_LIMITS["matrixelements"])
     halves = (HALF_ZERO, HALF_HALF) if ctx.has_root else (HALF_ZERO, HALF_ONE)
     cells = list(product(range(nmax + 1), repeat=2))
-    for mu, nu, alpha, beta in product(halves, halves, MATEL_AB_GRID,
-                                       MATEL_AB_GRID):
-        args = (mu, nu, alpha, beta, nmax)
-        closed = {family: matelmod.matel_closed(ctx, family, *args)
+    ctx0 = ctx.with_omega(0)
+    for mu, nu in product(halves, halves):
+        # each matrix is built once, in alpha*beta, and read at every point
+        closed = {family: matelmod.matel_closed(ctx, family, mu, nu, nmax)
                   for family in opsmod.FAMILIES}
-        # at omega = 0 both sides of hahn-reduces are already in closed
-        zero = closed if ctx.omega == 0 else {
-            family: matelmod.matel_closed(ctx.with_omega(0), family, *args)
-            for family in (opsmod.HAHN, opsmod.QGAUSSIAN)}
-        for family in opsmod.FAMILIES:
-            # the README predicts the Hahn closed form to miss the oracle
-            # exactly where alpha*beta != 0, omega != 0; all else must match
-            predicted = (family is opsmod.HAHN and ctx.omega != 0
-                         and alpha * beta != 0)
-            oracle = matelmod.matel_oracle(ctx, family, *args)
+        oracle = {family: matelmod.matel_oracle(ctx, family, mu, nu, nmax)
+                  for family in opsmod.FAMILIES}
+        zero = {family: matelmod.matel_closed(ctx0, family, mu, nu, nmax)
+                for family in (opsmod.HAHN, opsmod.QGAUSSIAN)}
+        for alpha, beta in product(MATEL_AB_GRID, MATEL_AB_GRID):
+            tag = f"mu={mu.value},nu={nu.value},a={alpha},b={beta}"
+            point = {"mu": mu.value, "nu": nu.value, "alpha": alpha,
+                     "beta": beta}
+            for family in opsmod.FAMILIES:
+                # the README predicts the Hahn closed form to miss the oracle
+                # exactly where alpha*beta != 0, omega != 0; all else matches
+                predicted = (family is opsmod.HAHN and ctx.omega != 0
+                             and alpha * beta != 0)
+                cm = matelmod.matel_at(closed[family], alpha, beta)
+                om = matelmod.matel_at(oracle[family], alpha, beta)
+                for n, r in cells:
+                    c, o = cm[n][r], om[n][r]
+                    out.append(record(
+                        f"matrixelements/closed-vs-oracle/{family.name}/"
+                        f"{tag},n={n},r={r}",
+                        {"family": family.name, **point, "n": n, "r": r,
+                         "ratio": c / o if o != 0 else None},
+                        c == o, c, o,
+                        "closed form vs exact ladder-series oracle",
+                        discrepancy=predicted))
+            hm = matelmod.matel_at(zero[opsmod.HAHN], alpha, beta)
+            gm = matelmod.matel_at(zero[opsmod.QGAUSSIAN], alpha, beta)
             for n, r in cells:
-                c, o = closed[family][n][r], oracle[n][r]
                 out.append(record(
-                    f"matrixelements/closed-vs-oracle/{family.name}/"
-                    f"mu={mu.value},nu={nu.value},a={alpha},b={beta},"
-                    f"n={n},r={r}",
-                    {"family": family.name, "mu": mu.value, "nu": nu.value,
-                     "alpha": alpha, "beta": beta, "n": n, "r": r,
-                     "ratio": c / o if o != 0 else None},
-                    c == o, c, o, "closed form vs exact ladder-series oracle",
-                    discrepancy=predicted))
-        for n, r in cells:
-            h, g = zero[opsmod.HAHN][n][r], zero[opsmod.QGAUSSIAN][n][r]
-            out.append(record(
-                f"matrixelements/hahn-reduces/mu={mu.value},nu={nu.value},"
-                f"a={alpha},b={beta},n={n},r={r}",
-                {"mu": mu.value, "nu": nu.value, "alpha": alpha,
-                 "beta": beta, "n": n, "r": r},
-                h == g, h, g,
-                "omega = 0 collapses to the q-Gaussian matrix element"))
+                    f"matrixelements/hahn-reduces/{tag},n={n},r={r}",
+                    {**point, "n": n, "r": r},
+                    hm[n][r] == gm[n][r], hm[n][r], gm[n][r],
+                    "omega = 0 collapses to the q-Gaussian matrix element"))
     # terminating 2phi0 identities
     for n in range(9):
         for x in (Fraction(1, 3), Fraction(2), Fraction(-1)):

@@ -92,6 +92,38 @@ class TestVerifyCommand:
         assert "[fail] matrixelements/closed-vs-oracle/qfactorial/" in out
         assert "[fail] matrixelements/closed-vs-oracle/qgaussian/" not in out
 
+    def test_wrong_linear_coefficient_fails_exactly_where_it_shows(
+            self, capsys, monkeypatch):
+        # doubling only the (alpha*beta)^1 coefficient of the q-factorial
+        # closed form changes an element exactly where alpha*beta != 0 and
+        # deg P_{n,r} >= 1, i.e. min(n, r) >= 1
+        import qoscpoly.matel as matel
+        from qoscpoly import Poly
+        closed = matel.matel_closed
+
+        def corrupted(ctx, family, *args):
+            m = closed(ctx, family, *args)
+            if family is QFACTORIAL:
+                return [[Poly([p.coeff(0), 2 * p.coeff(1), *p.coeffs[2:]])
+                         for p in row] for row in m]
+            return m
+
+        monkeypatch.setattr(matel, "matel_closed", corrupted)
+        code, out, _ = run_cli(capsys, ["verify", "--suite", "matrixelements",
+                                        "--nmax", "2", "--format", "json"])
+        assert code == cli.EXIT_VERIFICATION_FAILED
+        records = json.loads(out)["records"]
+        failed = {r["check_id"] for r in records if r["status"] == FAIL}
+        expected = {
+            r["check_id"] for r in records
+            if r["check_id"].startswith(
+                "matrixelements/closed-vs-oracle/qfactorial/")
+            and Fraction(r["params"]["alpha"]) * Fraction(r["params"]["beta"])
+            and min(int(r["params"]["n"]), int(r["params"]["r"])) >= 1}
+        # 4 (mu, nu) x 9 points with alpha*beta != 0 x 4 cells with n, r >= 1
+        assert len(expected) == 144
+        assert failed == expected
+
     def test_json_schema(self, capsys):
         code, out, _ = run_cli(
             capsys, ["verify", "--suite", "qkernel", "--format", "json"] + FAST)
@@ -149,6 +181,13 @@ class TestVerifyCommand:
         assert code == cli.EXIT_USAGE
         assert out == ""
         assert "'qkernel' is listed more than once" in err
+
+    def test_table_takes_no_seed(self, capsys):
+        # tables are not randomised: --seed belongs to verify only
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["table", "poly", "--seed", "1"])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         "table matel --nmax -1", "table poly --nmax -3", "verify --order -1",

@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qoscpoly import (FAMILIES, HAHN, HALF_HALF, HALF_ZERO, QFACTORIAL,
-                      QGAUSSIAN, QContext, basic_hyp_terminating,
+                      QGAUSSIAN, QContext, basic_hyp_terminating, matel_at,
                       matel_closed, matel_oracle, q_factorial, q_int_at,
                       qhyp_terms, special_form_checks, u_polynomial)
 from qoscpoly.report import PASS
 
 HALVES = (HALF_ZERO, HALF_HALF)
-AB_VALUES = (F(0), F(1), F(-1, 2), F(1, 3))
 
 
 class TestUPolynomial:
@@ -27,7 +26,16 @@ class TestUPolynomial:
         q1t = q * q
         got = u_polynomial(ctx_q14, HALF_HALF, HALF_HALF, 1, q1t, x)
         expect = 1 + (1 - 1 / q) * q * x / ((1 - q1t) * (1 - q))
-        assert got == expect
+        assert got.degree == 1 and got(1) == expect
+
+    def test_terms_scale_the_argument(self, ctx_q916):
+        # the polynomial of the terms at x is U(x y) as a polynomial in y
+        q = ctx_q916.q
+        for n in range(5):
+            got = u_polynomial(ctx_q916, HALF_HALF, HALF_ZERO, n, q, F(2, 5))
+            for y in (F(0), F(-3), F(1, 7)):
+                assert got(y) == u_polynomial(ctx_q916, HALF_HALF, HALF_ZERO,
+                                              n, q, F(2, 5) * y)(1)
 
     def test_depends_on_musum_only(self, ctx_q916):
         q = ctx_q916.q
@@ -78,14 +86,16 @@ class TestOracleBasics:
     def test_identity_operator(self, ctx_q14):
         # alpha = beta = 0 leaves basis elements untouched
         for fam in FAMILIES:
-            m = matel_oracle(ctx_q14, fam, HALF_ZERO, HALF_ZERO, 0, 0, 4)
+            m = matel_at(matel_oracle(ctx_q14, fam, HALF_ZERO, HALF_ZERO, 4),
+                         0, 0)
             assert m == [[1 if n == r else 0 for r in range(5)]
                          for n in range(5)]
 
     def test_pure_raising(self, ctx_q916):
         # beta = 0: only the j = r - n term contributes
         a = F(1, 3)
-        m = matel_oracle(ctx_q916, QGAUSSIAN, HALF_ZERO, HALF_ZERO, a, 0, 6)
+        m = matel_at(matel_oracle(ctx_q916, QGAUSSIAN, HALF_ZERO, HALF_ZERO,
+                                  6), a, 0)
         for n in range(4):
             for r in range(n, 7):
                 d = r - n
@@ -98,7 +108,8 @@ class TestOracleBasics:
     def test_pure_lowering(self, ctx_q916):
         from qoscpoly.qarith import q_int
         b = F(-1, 2)
-        m = matel_oracle(ctx_q916, QGAUSSIAN, HALF_ZERO, HALF_ZERO, 0, b, 6)
+        m = matel_at(matel_oracle(ctx_q916, QGAUSSIAN, HALF_ZERO, HALF_ZERO,
+                                  6), 0, b)
         for r in range(4):
             for n in range(r, 7):
                 d = n - r
@@ -111,7 +122,15 @@ class TestOracleBasics:
     def test_negative_indices_rejected(self, ctx_q14):
         for builder in (matel_closed, matel_oracle):
             with pytest.raises(ValueError):
-                builder(ctx_q14, QGAUSSIAN, HALF_ZERO, HALF_ZERO, 0, 0, -1)
+                builder(ctx_q14, QGAUSSIAN, HALF_ZERO, HALF_ZERO, -1)
+
+    def test_degree_bound(self, ctx_q14):
+        # deg P_{n,r} <= min(n, r), with equality here on both sides
+        for builder in (matel_closed, matel_oracle):
+            for fam in FAMILIES:
+                m = builder(ctx_q14, fam, HALF_HALF, HALF_ZERO, 4)
+                assert all(p.degree == min(n, r)
+                           for n, row in enumerate(m) for r, p in enumerate(row))
 
 
 def path_sum(ctx, family, mu, nu, alpha, beta, n, r):
@@ -154,67 +173,67 @@ class TestOracleMatrix:
                                        nmax):
         ctx = QContext(s, omega)
         for family in FAMILIES:
-            m = matel_oracle(ctx, family, mu, nu, alpha, beta, nmax)
+            m = matel_at(matel_oracle(ctx, family, mu, nu, nmax), alpha, beta)
             assert m == [[path_sum(ctx, family, mu, nu, alpha, beta, n, r)
                           for r in range(nmax + 1)] for n in range(nmax + 1)]
 
 
 class TestClosedVsOracle:
+    """Builders compared as polynomials in alpha*beta: every (alpha, beta)."""
+
     @pytest.mark.parametrize("family", [QGAUSSIAN, QFACTORIAL])
     def test_exact_match(self, ctx_q14, family):
         for mu in HALVES:
             for nu in HALVES:
-                for a in AB_VALUES:
-                    for b in AB_VALUES:
-                        args = (mu, nu, a, b, 3)
-                        assert (matel_closed(ctx_q14, family, *args)
-                                == matel_oracle(ctx_q14, family, *args))
+                assert (matel_closed(ctx_q14, family, mu, nu, 3)
+                        == matel_oracle(ctx_q14, family, mu, nu, 3))
 
     def test_hahn_matches_at_omega_zero(self, ctx_q916):
         ctx0 = ctx_q916.with_omega(0)
         for mu in HALVES:
             for nu in HALVES:
-                args = (mu, nu, F(1, 3), F(-1, 2), 3)
-                assert (matel_closed(ctx0, HAHN, *args)
-                        == matel_oracle(ctx0, HAHN, *args))
+                assert (matel_closed(ctx0, HAHN, mu, nu, 3)
+                        == matel_oracle(ctx0, HAHN, mu, nu, 3))
 
     def test_hahn_reduces_to_gaussian_at_omega_zero(self, ctx_q916):
         ctx0 = ctx_q916.with_omega(0)
-        args = (HALF_HALF, HALF_ZERO, F(1, 3), F(1), 4)
+        args = (HALF_HALF, HALF_ZERO, 4)
         assert (matel_oracle(ctx0, HAHN, *args)
                 == matel_oracle(ctx0, QGAUSSIAN, *args))
 
     def test_hahn_closed_form_discrepancy(self, ctx_q14):
         # the published Hahn closed form disagrees with the oracle whenever
         # alpha*beta != 0 and omega != 0; this stays surfaced, not patched
-        args = (HALF_ZERO, HALF_ZERO, F(1), F(1), 2)
-        closed = matel_closed(ctx_q14, HAHN, *args)[2][2]
-        oracle = matel_oracle(ctx_q14, HAHN, *args)[2][2]
+        args = (HALF_ZERO, HALF_ZERO, 2)
+        closed = matel_at(matel_closed(ctx_q14, HAHN, *args), 1, 1)[2][2]
+        oracle = matel_at(matel_oracle(ctx_q14, HAHN, *args), 1, 1)[2][2]
         assert closed != oracle
 
-    def test_hahn_kappa_variant_matches_oracle(self):
-        # the README's claim: with (1 - omega0)^2 in place of the printed
-        # (1 + omega0)^2 the Hahn closed form equals the oracle everywhere
+    def test_hahn_kappa_polynomial_identities(self):
+        # the README's claim, for every alpha and beta: with (1 - omega0)^2
+        # in place of the printed (1 + omega0)^2 the Hahn closed form equals
+        # the oracle, and as printed its j-th coefficient is the oracle's
+        # times (kappa / sigma^2)^j
         variant = dataclasses.replace(
             HAHN, kappa=lambda ctx: (1 - ctx.omega0) ** 2)
-        cells = 0
+        polys = 0
         for s in (F(1, 2), F(3, 4)):
             for omega in (F(0), F(1, 8), F(1, 3)):
                 ctx = QContext(s, omega)
+                ratio = HAHN.kappa(ctx) / HAHN.sigma(ctx) ** 2
                 for mu in HALVES:
                     for nu in HALVES:
-                        for a in AB_VALUES:
-                            for b in AB_VALUES:
-                                args = (mu, nu, a, b, 6)
-                                m = matel_closed(ctx, variant, *args)
-                                assert m == matel_oracle(ctx, HAHN, *args)
-                                cells += sum(map(len, m))
-        assert cells == 18816
+                        oracle = matel_oracle(ctx, HAHN, mu, nu, 6)
+                        assert matel_closed(ctx, variant, mu, nu, 6) == oracle
+                        assert matel_closed(ctx, HAHN, mu, nu, 6) == [
+                            [p.scale_arg(ratio) for p in row] for row in oracle]
+                        polys += sum(map(len, oracle))
+        assert polys == 1176
 
     def test_hahn_oracle_scale_is_exact(self, ctx_q14):
         # single-raise element picks up exactly (1 - omega0) * alpha
-        got = matel_oracle(ctx_q14, HAHN, HALF_ZERO, HALF_ZERO, 1, 0, 1)[0][1]
-        assert got == 1 - ctx_q14.omega0
+        m = matel_oracle(ctx_q14, HAHN, HALF_ZERO, HALF_ZERO, 1)
+        assert matel_at(m, 1, 0)[0][1] == 1 - ctx_q14.omega0
 
 
 class TestDegenerateHahn:
@@ -223,8 +242,8 @@ class TestDegenerateHahn:
         ctx = QContext(F(1, 2), F(3, 4))
         assert ctx.omega0 == 1 and HAHN.sigma(ctx) == 0
         with pytest.raises(ValueError, match="omega0 = 1"):
-            matel_closed(ctx, HAHN, HALF_ZERO, HALF_ZERO, F(1), F(1), 2)
-        args = (HALF_HALF, HALF_ZERO, F(1, 3), F(-1, 2), 3)
+            matel_closed(ctx, HAHN, HALF_ZERO, HALF_ZERO, 2)
+        args = (HALF_HALF, HALF_ZERO, 3)
         for family in (QGAUSSIAN, QFACTORIAL):
             assert (matel_closed(ctx, family, *args)
                     == matel_oracle(ctx, family, *args))
@@ -236,7 +255,7 @@ class TestDiagonalBranches:
             for mu in HALVES:
                 for nu in HALVES:
                     # raises on mismatch
-                    matel_closed(ctx_q14, fam, mu, nu, F(1, 3), F(-1, 2), 3)
+                    matel_closed(ctx_q14, fam, mu, nu, 3)
 
 
 class TestSpecialForms:

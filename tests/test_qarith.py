@@ -163,6 +163,12 @@ class TestQhypTerms:
     def test_empty(self, ctx_q14):
         assert qhyp_terms(ctx_q14, [], [], 5, 0) == []
 
+    def test_negative_count_rejected(self, ctx_q14):
+        # like q_factorial and q_pochhammer, a negative size is an error,
+        # not an empty series
+        with pytest.raises(ValueError, match="count >= 0, got -1"):
+            qhyp_terms(ctx_q14, [], [], 5, -1)
+
 
 class TestPochhammerInf:
     def test_zero_argument(self, ctx_q12):
