@@ -8,7 +8,8 @@ Families:
 Each family admits a product, a recursion, and an explicit-sum construction;
 all three are implemented and must agree coefficientwise.  Each of the five
 polynomial bases is a product of linear factors, so a ``Basis`` record is
-its k-th factor, and a row of its elements grows one factor at a time.
+its k-th factor: a row of its elements grows one factor at a time, and
+expanding into it divides by the factors in turn.
 """
 
 from __future__ import annotations
@@ -88,35 +89,17 @@ def hahn_factorial(ctx: QContext, n: int, method: str = "product") -> Poly:
     raise ValueError(f"unknown construction method {method!r}")
 
 
-def _invert(ctx: QContext, coeffs, c) -> list:
-    """Re-expand sum_n a_n y^n through y^n = sum_k [n,k]_q c^(n-k) basis_k.
-
-    With c = 1 this is x^n = sum_k [n,k]_q phi_k(x); with c = -omega0 it is
-    (x - omega0)^n = sum_k [n,k]_q (-omega0)^(n-k) phidot_k(x).
-    """
-    out = [Fraction(0)] * len(coeffs)
-    for n, a in enumerate(coeffs):
-        if a == 0:
-            continue
-        for k in range(n + 1):
-            out[k] += a * q_binomial(ctx, n, k) * c ** (n - k)
-    return out
-
-
 @dataclass(frozen=True)
 class Basis:
-    """A basis of products of linear factors, and the expansion into it.
+    """A basis of products of linear factors.
 
     ``name`` labels record ids; element n is the product over k < n of the
-    factors a + b var, where ``factor(ctx, k)`` gives (a, b); ``expand(ctx,
-    p)`` lists the coefficients of an x-polynomial in the basis, and is None
-    for the q-factorial basis, which lives in u = q^x.
+    factors a + b var, where ``factor(ctx, k)`` gives (a, b).
     """
 
     name: str
     var: str
     factor: Callable[[QContext, int], tuple]
-    expand: Callable[[QContext, Poly], list] | None
 
     def elements(self, ctx: QContext, count: int) -> list[Poly]:
         """Elements 0..count-1, each the previous one times one factor."""
@@ -137,20 +120,16 @@ class Basis:
 
 # The factors look up q_int and ctx.q_pow at call time, so a rebinding of
 # those names (bench/tracer.py does this) also reaches these calls.
-Basis.MONOMIAL = Basis("monomial", VAR_X, lambda ctx, k: (0, 1),
-                       lambda ctx, p: list(p.coeffs))
+Basis.MONOMIAL = Basis("monomial", VAR_X, lambda ctx, k: (0, 1))
 Basis.SHIFTED_MONOMIAL = Basis("shifted_monomial", VAR_X,
-                               lambda ctx, k: (-ctx.omega0, 1),
-                               lambda ctx, p: list(p.shift(ctx.omega0).coeffs))
-Basis.QGAUSSIAN = Basis("qgaussian", VAR_X, lambda ctx, k: (-ctx.q_pow(k), 1),
-                        lambda ctx, p: _invert(ctx, p.coeffs, 1))
+                               lambda ctx, k: (-ctx.omega0, 1))
+Basis.QGAUSSIAN = Basis("qgaussian", VAR_X, lambda ctx, k: (-ctx.q_pow(k), 1))
 # [x-k]_q = (1 - q^-k u)/(1-q) in u = q^x
 Basis.QFACTORIAL = Basis(
     "qfactorial", VAR_U,
-    lambda ctx, k: (1 / (1 - ctx.q), -ctx.q_pow(-k) / (1 - ctx.q)), None)
+    lambda ctx, k: (1 / (1 - ctx.q), -ctx.q_pow(-k) / (1 - ctx.q)))
 Basis.HAHN_FACTORIAL = Basis(
-    "hahn_factorial", VAR_X, lambda ctx, k: (-q_int(ctx, k) * ctx.omega, 1),
-    lambda ctx, p: _invert(ctx, p.shift(ctx.omega0).coeffs, -ctx.omega0))
+    "hahn_factorial", VAR_X, lambda ctx, k: (-q_int(ctx, k) * ctx.omega, 1))
 
 
 def vector_to_poly(ctx: QContext, basis: Basis, coeffs) -> Poly:
@@ -163,12 +142,19 @@ def vector_to_poly(ctx: QContext, basis: Basis, coeffs) -> Poly:
 
 
 def expand_in_basis(ctx: QContext, p: Poly, basis: Basis) -> list:
-    """The exact coefficients of the x-polynomial p in the basis."""
-    if p.var != VAR_X:
-        raise ValueError("basis expansion is defined for polynomials in x")
-    if basis.expand is None:
-        raise ValueError(f"cannot expand an x-polynomial in basis {basis.name!r}")
-    return basis.expand(ctx, p)
+    """The exact coefficients c_0..c_deg of p in the basis.
+
+    With f_k the k-th factor, p = c_0 + f_0 (c_1 + f_1 (c_2 + ...)), so each
+    division by the next factor leaves the next coefficient as remainder.
+    """
+    if p.var != basis.var:
+        raise ValueError(f"cannot expand a polynomial in {p.var} in basis "
+                         f"{basis.name!r}, which is in {basis.var}")
+    out = []
+    for k in range(p.degree + 1):
+        p, c = p.divmod_linear(*basis.factor(ctx, k))
+        out.append(c)
+    return out
 
 
 def connect_hahn_gaussian(ctx: QContext, n: int) -> Poly:

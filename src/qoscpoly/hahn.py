@@ -1,9 +1,12 @@
 """Hahn difference calculus: derivative, integral, Leibniz rules, exponential.
 
 The Hahn derivative is (f(qx+w) - f(x)) / ((q-1)x + w); its fixed point is
-omega0 = w/(1-q).  On polynomials everything here is exact; the sampled-
-function integral stops on a look-ahead tail estimate, and the exponential
-is a product of a fixed number of factors.
+omega0 = w/(1-q).  On polynomials everything here is exact and rests on
+division by a linear factor: the derivative divides by (q-1)x + w, the
+antiderivative expands in the Hahn factorial basis and the closed integral
+in powers of x - omega0.  The sampled-function integral stops on a
+look-ahead tail estimate, and the exponential is a product of a fixed
+number of factors.
 """
 
 from __future__ import annotations
@@ -26,15 +29,14 @@ def hahn_derivative_poly(ctx: QContext, p: Poly) -> Poly:
     """Exact Hahn derivative of a polynomial.
 
     The numerator p(qx+w) - p(x) is always divisible by (q-1)x + w (both
-    vanish at x = omega0), so synthetic division leaves no remainder.
+    vanish at x = omega0), so a nonzero remainder is an internal fault.
     """
     if p.var != VAR_X:
         raise ValueError("Hahn derivative acts on polynomials in x")
-    numerator = _hahn_step(ctx, p) - p
-    divisor = Poly([ctx.omega, ctx.q - 1])
-    if numerator.is_zero():
-        return Poly.zero()
-    return numerator.divexact(divisor)
+    quot, rem = (_hahn_step(ctx, p) - p).divmod_linear(ctx.omega, ctx.q - 1)
+    if rem != 0:
+        raise AssertionError(f"Hahn difference leaves remainder {rem}")
+    return quot
 
 
 def leibniz_residuals(ctx: QContext, f: Poly, g: Poly) -> tuple[Poly, Poly]:
@@ -83,10 +85,10 @@ def hahn_integral_closed(ctx: QContext, p: Poly, x) -> Fraction:
     x = frac(x)
     q = ctx.q
     y = x - ctx.omega0
-    shifted = p.shift(ctx.omega0)  # coefficients b_j of (x - omega0)^j
     total = Fraction(0)
     ypow = Fraction(1)
-    for j, b in enumerate(shifted.coeffs):
+    # b_j, the coefficient of (x - omega0)^j
+    for j, b in enumerate(expand_in_basis(ctx, p, Basis.SHIFTED_MONOMIAL)):
         total += b * ypow / (1 - q ** (j + 1))
         ypow *= y
     return ((1 - q) * x - ctx.omega) * total

@@ -43,11 +43,11 @@ def _qgaussian_raise(ctx: QContext, p: Poly) -> Poly:
 
 
 def _qfactorial_lower(ctx: QContext, p: Poly) -> Poly:
-    diff = p.scale_arg(ctx.q) - p
-    # g(qu) - g(u) always has zero constant term
-    if diff.coeff(0) != 0:
+    # (g(qu) - g(u)) / (q u); the numerator always vanishes at u = 0
+    quot, rem = (p.scale_arg(ctx.q) - p).divmod_linear(0, ctx.q)
+    if rem != 0:
         raise AssertionError("lowering numerator not divisible by u")
-    return Poly(diff.coeffs[1:], VAR_U) / ctx.q
+    return quot
 
 
 def _qfactorial_raise(ctx: QContext, p: Poly) -> Poly:

@@ -154,38 +154,26 @@ class Poly:
                 out[k] += c * comb(n, k) * a ** k * b ** (n - k)
         return Poly(out, self.var)
 
-    def shift(self, h) -> "Poly":
-        """p(var + h)."""
-        return self.compose_affine(1, h)
-
     def scale_arg(self, a) -> "Poly":
         """p(a*var)."""
         a = frac(a)
         return Poly((c * a ** n for n, c in enumerate(self.coeffs)), self.var)
 
-    def divexact(self, divisor: "Poly") -> "Poly":
-        """Exact polynomial division; raises if the remainder is nonzero."""
-        self._check_var(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        d = list(divisor.coeffs)
-        if len(rem) < len(d):
-            if any(rem):
-                raise ValueError("inexact polynomial division")
-            return Poly.zero(self.var)
-        qlen = len(rem) - len(d) + 1
-        quot = [Fraction(0)] * qlen
-        lead = d[-1]
-        for i in range(qlen - 1, -1, -1):
-            quot[i] = rem[i + len(d) - 1] / lead
-            if quot[i] == 0:
-                continue
-            for j, dc in enumerate(d):
-                rem[i + j] -= quot[i] * dc
-        if any(rem):
-            raise ValueError("inexact polynomial division")
-        return Poly(quot, self.var)
+    def divmod_linear(self, a, b) -> tuple["Poly", Fraction]:
+        """(quotient, remainder) of the division by a + b var, b nonzero.
+
+        Synthetic division from the top coefficient down; the remainder is
+        p(-a/b).
+        """
+        a, b = frac(a), frac(b)
+        if b == 0:
+            raise ZeroDivisionError("division by a + b var needs b != 0")
+        quot = []
+        carry = Fraction(0)
+        for c in reversed(self.coeffs[1:]):
+            carry = (c - a * carry) / b
+            quot.append(carry)
+        return Poly(reversed(quot), self.var), self.coeff(0) - a * carry
 
     def __repr__(self):
         if self.is_zero():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -6,10 +7,10 @@ from hypothesis import strategies as st
 
 from qoscpoly import (Basis, Poly, QContext, connect_hahn_gaussian,
                       expand_in_basis, hahn_factorial, position_coefficients,
-                      q_double_factorial_even, q_factorial, q_int,
+                      q_binomial, q_double_factorial_even, q_factorial, q_int,
                       qfactorial_pochhammer_value, qgaussian,
                       qgaussian_via_qexp_operator, vector_to_poly)
-from qoscpoly.poly import VAR_U, VAR_X
+from qoscpoly.poly import VAR_U
 
 METHODS = ("product", "recursion", "explicit_sum")
 BASES = (Basis.MONOMIAL, Basis.SHIFTED_MONOMIAL, Basis.QGAUSSIAN,
@@ -127,13 +128,61 @@ class TestHahnFactorial:
             connect_hahn_gaussian(ctx_q916.with_omega(0), 3)
 
 
+def _inversion_references(ctx, n):
+    """x^n and (x - w0)^n with their coefficients in the q-Gaussian and Hahn
+    factorial bases, from the q-binomial inversion, not from any factor."""
+    w0 = ctx.omega0
+    return [
+        (Basis.QGAUSSIAN, Poly.monomial(n),
+         [q_binomial(ctx, n, k) for k in range(n + 1)]),
+        (Basis.HAHN_FACTORIAL, Poly([-w0, 1]) ** n,
+         [q_binomial(ctx, n, k) * (-w0) ** (n - k) for k in range(n + 1)]),
+    ]
+
+
 class TestBasisConversion:
-    @pytest.mark.parametrize("basis", [Basis.MONOMIAL, Basis.SHIFTED_MONOMIAL,
-                                       Basis.QGAUSSIAN, Basis.HAHN_FACTORIAL])
+    @pytest.mark.parametrize("basis", BASES)
     def test_roundtrip(self, ctx_q14, basis):
-        p = Poly([F(1, 3), -2, 0, F(5, 7), 1])
+        p = Poly([F(1, 3), -2, 0, F(5, 7), 1], basis.var)
         v = expand_in_basis(ctx_q14, p, basis)
         assert vector_to_poly(ctx_q14, basis, v) == p
+
+    @pytest.mark.parametrize("ctx_name", ["ctx_q14", "ctx_q916"])
+    def test_expansion_matches_q_binomial_inversion(self, request, ctx_name):
+        ctx = request.getfixturevalue(ctx_name)
+        for n in range(13):
+            for basis, p, expect in _inversion_references(ctx, n):
+                assert expand_in_basis(ctx, p, basis) == expect
+
+    def test_wrong_factor_fails_inversion(self, ctx_q14):
+        # a wrong factor cancels in a roundtrip, since division and
+        # vector_to_poly read the same factor; the inversion catches it
+        wrong = {
+            Basis.QGAUSSIAN: replace(
+                Basis.QGAUSSIAN,
+                factor=lambda ctx, k: (-ctx.q_pow(k + 1), 1)),
+            Basis.HAHN_FACTORIAL: replace(
+                Basis.HAHN_FACTORIAL,
+                factor=lambda ctx, k: (-q_int(ctx, k + 1) * ctx.omega, 1)),
+        }
+        for n in (2, 5):
+            for basis, p, expect in _inversion_references(ctx_q14, n):
+                v = expand_in_basis(ctx_q14, p, wrong[basis])
+                assert vector_to_poly(ctx_q14, wrong[basis], v) == p
+                assert v != expect
+
+    @given(coeffs=st.lists(st.fractions(-3, 3, max_denominator=7),
+                           max_size=7))
+    @settings(max_examples=25, deadline=None)
+    def test_qfactorial_expansion_pointwise(self, coeffs):
+        # sum_k c_k phihat_k(x) == g(q^x), phihat_k read from the
+        # Pochhammer closed form rather than from the basis factors
+        ctx = QContext(F(3, 4), F(1, 8))
+        g = Poly(coeffs, VAR_U)
+        v = expand_in_basis(ctx, g, Basis.QFACTORIAL)
+        for x in range(9):
+            assert sum((c * qfactorial_pochhammer_value(ctx, k, x)
+                        for k, c in enumerate(v)), F(0)) == g(ctx.q ** x)
 
     def test_monomial_inversion_pointwise(self, ctx_q916):
         # x^n = sum_k [n,k]_q phi_k(x) checked as polynomials
@@ -187,9 +236,9 @@ class TestBasisConversion:
 
     def test_zero_polynomial_expands_to_nothing(self, ctx_q14):
         for basis in BASES:
-            if basis is not Basis.QFACTORIAL:
-                assert vector_to_poly(ctx_q14, basis, expand_in_basis(
-                    ctx_q14, Poly.zero(), basis)) == Poly.zero(VAR_X)
+            zero = Poly.zero(basis.var)
+            assert expand_in_basis(ctx_q14, zero, basis) == []
+            assert vector_to_poly(ctx_q14, basis, []) == zero
 
 
 class TestBasisRows:

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qoscpoly import hahn
 from qoscpoly import (Basis, Poly, QContext, hahn_antiderivative,
                       hahn_derivative_poly, hahn_exp_normalized,
                       hahn_factorial, hahn_integral_closed,
@@ -43,6 +44,13 @@ class TestDerivative:
     def test_var_guard(self, ctx_q14):
         with pytest.raises(ValueError):
             hahn_derivative_poly(ctx_q14, Basis.QFACTORIAL.element(ctx_q14, 2))
+
+    def test_nonzero_remainder_raises(self, ctx_q14, monkeypatch):
+        # a step without w: p(qx) - p(x) is not divisible by (q-1)x + w
+        monkeypatch.setattr(hahn, "_hahn_step",
+                            lambda ctx, p: p.compose_affine(ctx.q, 0))
+        with pytest.raises(AssertionError, match="remainder"):
+            hahn_derivative_poly(ctx_q14, Poly([0, 0, 1]))
 
 
 class TestLeibniz:

@@ -21,7 +21,8 @@ class TestBasicOperators:
         p = Poly([F(1, 3), -2, 0, F(5, 7), 1])
         q = ctx_q916.q
         num = p - scale_x(ctx_q916, p, 1)
-        assert num.divexact(Poly([0, 1 - q])) == jackson_derivative(ctx_q916, p)
+        quot, rem = num.divmod_linear(0, 1 - q)
+        assert (quot, rem) == (jackson_derivative(ctx_q916, p), 0)
 
     def test_jackson_classical_limit_shape(self, ctx_q12):
         assert jackson_derivative(ctx_q12, Poly.one()).is_zero()
@@ -31,7 +32,7 @@ class TestBasicOperators:
         q = ctx_q12.q
         assert scale_x(ctx_q12, p, 1) == Poly([1, 2 * q, 3 * q ** 2])
         assert scale_x(ctx_q12, p, -1)(q) == p(1)
-        assert p.shift(F(1, 2))(0) == p(F(1, 2))
+        assert p.compose_affine(1, F(1, 2))(0) == p(F(1, 2))
 
     def test_var_guard(self, ctx_q12):
         with pytest.raises(ValueError):
