@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from itertools import product
 
-from .context import HALF_HALF, HALF_ZERO, QContext, frac
+from .context import HALF_HALF, QContext, frac
 from .families import Basis, position_coefficients
 from .hahn import hahn_antiderivative, hahn_derivative_poly, hahn_integral_closed
 from .matel import matel_closed, matel_oracle
@@ -122,7 +122,7 @@ def _poly_rows(ctx: QContext, nmax: int, order: int) -> list[dict]:
 
 def _matel_rows(ctx: QContext, nmax: int, order: int) -> list[dict]:
     rows = []
-    mu = HALF_HALF if ctx.has_root else HALF_ZERO
+    mu = HALF_HALF
     for family in FAMILIES:
         # at alpha = beta = 1 an element is the sum of its coefficients
         closed, oracle = ([[sum(p.coeffs) for p in row]

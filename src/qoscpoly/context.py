@@ -16,6 +16,7 @@ context share it.  It takes no part in equality or hashing.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from numbers import Rational
@@ -47,6 +48,7 @@ def rational_sqrt(value: Fraction) -> Fraction | None:
     return None
 
 
+@dataclass(frozen=True, slots=True)
 class HalfInt:
     """A half-integer mu = twice/2, stored by its doubled value.
 
@@ -54,12 +56,11 @@ class HalfInt:
     evaluated exactly as s**(twice*e).
     """
 
-    __slots__ = ("twice",)
+    twice: int
 
-    def __init__(self, twice: int):
-        if not isinstance(twice, int):
+    def __post_init__(self):
+        if not isinstance(self.twice, int):
             raise TypeError("HalfInt stores the doubled value as an int")
-        object.__setattr__(self, "twice", twice)
 
     @classmethod
     def of(cls, value) -> "HalfInt":
@@ -71,18 +72,6 @@ class HalfInt:
     @property
     def value(self) -> Fraction:
         return Fraction(self.twice, 2)
-
-    def __eq__(self, other):
-        return isinstance(other, HalfInt) and self.twice == other.twice
-
-    def __hash__(self):
-        return hash(("HalfInt", self.twice))
-
-    def __setattr__(self, *_):
-        raise AttributeError("HalfInt is immutable")
-
-    def __repr__(self) -> str:
-        return f"HalfInt({self.value})"
 
 
 class QTables:
@@ -122,7 +111,6 @@ class QTables:
 
 HALF_ZERO = HalfInt(0)
 HALF_HALF = HalfInt(1)
-HALF_ONE = HalfInt(2)
 
 
 class QContext:
@@ -172,10 +160,6 @@ class QContext:
     @property
     def omega0(self) -> Fraction:
         return self._omega / (1 - self._q)
-
-    @property
-    def has_root(self) -> bool:
-        return self._s is not None
 
     @property
     def s(self) -> Fraction:

@@ -37,15 +37,14 @@ and each printed formula is read off from its family's (e, sigma, kappa):
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate
 from math import prod
 from operator import mul
 
-from .context import HALF_HALF, HALF_ZERO, HalfInt, QContext, frac
+from .context import HALF_HALF, HalfInt, QContext, frac
 from .operators import Family, lowering_coeff, raising_coeff
 from .poly import Poly
 from .qarith import q_binomial, q_factorial, q_pochhammer, qhyp_terms
-from .report import CheckRecord, record
 from .series import emu_series
 
 
@@ -188,31 +187,3 @@ def matel_closed(ctx: QContext, family: Family, mu: HalfInt, nu: HalfInt,
             out[k + d][k], out[k][k + d] = lo, hi
     return out
 
-
-def special_form_checks(ctx: QContext, nmax: int) -> list[CheckRecord]:
-    """Verify the named q-hypergeometric forms of U for special (mu, nu).
-
-    U^(0,0)   = 2phi1(q^-n, 0; q^(1+theta); q; x)
-    U^(0,1/2) = 1phi1(q^-n; q^(1+theta); q; -x q^(1/2))
-    U^(1/2,1/2) = 1phi2(q^-n; q^(1+theta), 0; q; q x)
-    """
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    q = ctx.q
-    # name, (mu, nu), the parameters after q^-n and after q^(1+theta), and
-    # the factor that multiplies x in the series argument
-    forms = (("u00_vs_2phi1", HALF_ZERO, HALF_ZERO, [0], [], 1),
-             ("u0h_vs_1phi1", HALF_ZERO, HALF_HALF, [], [], -ctx.s),
-             ("uhh_vs_1phi2", HALF_HALF, HALF_HALF, [], [0], q))
-    checks = []
-    for n, x, q1t in product(range(nmax + 1),
-                             (Fraction(1), Fraction(1, 3), Fraction(-1, 5)),
-                             (q, q * q, q ** 3)):
-        for name, mu, nu, top, bottom, scale in forms:
-            u = u_polynomial(ctx, mu, nu, n, q1t, x)(1)
-            h = basic_hyp_terminating(ctx, [q ** (-n)] + top, [q1t] + bottom,
-                                      scale * x)
-            checks.append(record(
-                f"matrixelements/special-form/{name}/n={n},x={x},q1t={q1t}",
-                {"n": n, "x": x, "q1theta": q1t}, u == h, u, h, name))
-    return checks

@@ -20,7 +20,6 @@ from .families import Basis, qgaussian
 from .hahn import hahn_derivative_poly
 from .poly import VAR_U, VAR_X, Poly
 from .qarith import q_int, q_int_at
-from .report import CheckRecord, record
 
 
 def jackson_derivative(ctx: QContext, p: Poly) -> Poly:
@@ -30,16 +29,9 @@ def jackson_derivative(ctx: QContext, p: Poly) -> Poly:
     return Poly((q_int(ctx, n) * p.coeff(n) for n in range(1, len(p.coeffs))))
 
 
-def scale_x(ctx: QContext, p: Poly, e: int) -> Poly:
-    """p(q^e x): coefficient c_n -> q^(e n) c_n."""
-    if p.var != VAR_X:
-        raise ValueError("scaling acts on polynomials in x")
-    return Poly((ctx.q_pow(e * n) * c for n, c in enumerate(p.coeffs)))
-
-
 # the analytic operators without a public name; see ladder_apply_analytic
 def _qgaussian_raise(ctx: QContext, p: Poly) -> Poly:
-    return Poly([-1, 1]) * scale_x(ctx, p, -1)
+    return Poly([-1, 1]) * p.scale_arg(1 / ctx.q)
 
 
 def _qfactorial_lower(ctx: QContext, p: Poly) -> Poly:
@@ -143,59 +135,6 @@ def ladder_apply_analytic(ctx: QContext, family: Family, direction: str,
     raise ValueError(f"bad direction {direction!r}")
 
 
-def algebra_relations_check(ctx: QContext, family: Family,
-                            nmax: int) -> list[CheckRecord]:
-    """Verify the oscillator-algebra eigen-relations on basis indices <= nmax.
-
-    With e = family.e (1 for q-factorial, 0 otherwise):
-        a a+ = q^(-n-e) [n+1],  a+ a = q^(1-n-e) [n],
-        [a, a+] = q^(-n-e),     a a+ - q^-1 a+ a = q^-e.
-    Plus the number-operator relations [N, a] = -a and [N, a+] = a+.
-    """
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    q = ctx.q
-    e = family.e
-    out = []
-    for n in range(nmax + 1):
-        low = lowering_coeff(ctx, family, n)
-        hi = raising_coeff(ctx, family, n)
-        # products of ladder coefficients on basis index n
-        aad = raising_coeff(ctx, family, n) * lowering_coeff(ctx, family, n + 1)
-        ada = (lowering_coeff(ctx, family, n)
-               * (raising_coeff(ctx, family, n - 1) if n > 0 else Fraction(0)))
-        expected = [
-            ("a.adag eigenvalue", aad, ctx.q_pow(-n - e) * q_int(ctx, n + 1)),
-            ("adag.a eigenvalue", ada, ctx.q_pow(1 - n - e) * q_int(ctx, n)),
-            ("commutator", aad - ada, ctx.q_pow(-n - e)),
-            ("q-commutator", aad - ada / q, ctx.q_pow(-e)),
-            # [N, a] = -a and [N, a+] = a+, read at the index a or a+ moves n to
-            ("number-lowering", _number_commutator(ctx, family, "lower", n),
-             -low),
-            ("number-raising", _number_commutator(ctx, family, "raise", n), hi),
-        ]
-        for name, lhs, rhs in expected:
-            out.append(record(
-                f"operators/algebra/{family.name}/{name}/n={n:02d}",
-                {"family": family.name, "n": n}, lhs == rhs, lhs, rhs, name))
-    return out
-
-
-def _number_commutator(ctx: QContext, family: Family, direction: str,
-                       n: int) -> Fraction:
-    """[N, op] basis_n by ladder_apply, read where op moves n; N scales c_k by k."""
-    def op(coeffs):
-        return ladder_apply(ctx, family, direction, coeffs)
-
-    def number(coeffs):
-        return [k * c for k, c in enumerate(coeffs)]
-
-    basis_n = [0] * n + [1]
-    diff = [x - y for x, y in zip(number(op(basis_n)), op(number(basis_n)))]
-    k = n - 1 if direction == "lower" else n + 1
-    return diff[k] if 0 <= k < len(diff) else Fraction(0)
-
-
 def difference_equation_residual(ctx: QContext, n: int) -> Poly:
     """Residual of ((x-1) q^{-x d/dx} D_q - [n]_{1/q}) applied to phi_n.
 
@@ -204,6 +143,6 @@ def difference_equation_residual(ctx: QContext, n: int) -> Poly:
     if n < 0:
         raise ValueError("n must be >= 0")
     phi = qgaussian(ctx, n)
-    lhs = Poly([-1, 1]) * scale_x(ctx, jackson_derivative(ctx, phi), -1)
+    lhs = Poly([-1, 1]) * jackson_derivative(ctx, phi).scale_arg(1 / ctx.q)
     eig = q_int_at(1 / ctx.q, n) if n > 0 else Fraction(0)
     return lhs - eig * phi

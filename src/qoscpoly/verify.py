@@ -1,8 +1,11 @@
 """Verification suites: every identity in scope as a machine-checkable record.
 
 Each suite function takes the context plus size limits and returns a list of
-CheckRecords.  Exact identities compare Fractions for equality; the few
+CheckRecords; every record is built here, the modules it checks only
+compute.  Exact identities compare Fractions for equality; the few
 truncation-bounded checks (infinite products) carry explicit tolerances.
+The qkernel, qseries and matrixelements suites check half-integer powers
+of q, so they raise ValueError at a context without a base root s.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from . import hahn as hahnmod
 from . import matel as matelmod
 from . import operators as opsmod
 from . import series as seriesmod
-from .context import HALF_HALF, HALF_ONE, HALF_ZERO, QContext, frac
+from .context import HALF_HALF, HALF_ZERO, QContext, frac
 from .families import (Basis, connect_hahn_gaussian, expand_in_basis,
                        hahn_factorial, position_coefficients,
                        qfactorial_pochhammer_value, qgaussian,
@@ -75,21 +78,19 @@ def suite_qkernel(ctx: QContext, nmax: int, order: int,
             rhs = q_pochhammer(ctx, z, m) * q_pochhammer(ctx, z * q ** m, n)
             out.append(record(f"qkernel/pochhammer-split/m={m:02d},n={n:02d}",
                               {"m": m, "n": n, "z": z}, lhs == rhs, lhs, rhs))
-    if ctx.has_root:
-        for a in range(-4, 5):
-            for b in range(-4, 5):
-                lhs = ctx.pow_half(HALF_HALF, a) * ctx.pow_half(HALF_HALF, b)
-                rhs = ctx.pow_half(HALF_HALF, a + b)
-                out.append(record(
-                    f"qkernel/half-power-additive/a={a:+d},b={b:+d}",
-                    {"a": a, "b": b}, lhs == rhs, lhs, rhs))
+    for a in range(-4, 5):
+        for b in range(-4, 5):
+            lhs = ctx.pow_half(HALF_HALF, a) * ctx.pow_half(HALF_HALF, b)
+            rhs = ctx.pow_half(HALF_HALF, a + b)
+            out.append(record(f"qkernel/half-power-additive/a={a:+d},b={b:+d}",
+                              {"a": a, "b": b}, lhs == rhs, lhs, rhs))
     return out
 
 
 def suite_qseries(ctx: QContext, nmax: int, order: int,
                   rng: random.Random) -> list[CheckRecord]:
     out = []
-    q = ctx.q
+    q, s = ctx.q, ctx.s
     tol = Fraction(1, 10 ** 12)
     # Euler expansions against the tail-bounded infinite product
     for z in (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)):
@@ -133,34 +134,32 @@ def suite_qseries(ctx: QContext, nmax: int, order: int,
         out.append(record(f"qseries/eqw-reduces/x={x}", {"x": x},
                           lhs == rhs, lhs, rhs,
                           "shift-free exponential matches the (q,mu) series"))
-    if ctx.has_root:
-        s = ctx.s
-        # a series record lists all order + 1 terms, trailing zeros included
-        res = seriesmod.exp_pair_identity_residual(ctx, order)
-        out.append(record("qseries/exp-pair-identity", {"order": order},
-                          res.is_zero(),
-                          [res.coeff(n) for n in range(order + 1)], 0,
-                          "E^(0)(t) E^(1/2)(-q^(-1/2) t) = 1, exact to order"))
-        alt = seriesmod.exp_pair_alternate_residual(ctx, order)
-        first = next((c for c in alt.coeffs if c != 0), Fraction(0))
-        out.append(record("qseries/exp-pair-alternate", {"order": order},
-                          alt.is_zero(), first, 0,
-                          "alternate pairing E^(0)(t) E^(1/2)(-q^(1/2) t) does "
-                          "not vanish; the -q^(-1/2) pairing is the identity",
-                          discrepancy=True))
-        # factorization of the raising-series applied to 1:
-        # sum s^n phi_n(x) t^n/[n]! = 1/(s x (1-q) t; q)_inf * (s (1-q) t; q)_inf
-        for x in (Fraction(1, 3), Fraction(2)):
-            lhs = Poly([s ** n * phis[n](x) / q_factorial(ctx, n)
-                        for n in range(order + 1)], VAR_T)
-            rhs = seriesmod.recip_poch_series(ctx, s * x * (1 - q), order)
-            rhs = rhs.mul_trunc(
-                seriesmod.e_type_series(ctx, s * (1 - q), order), order)
-            out.append(record(
-                f"qseries/raising-series-factorizes/x={x}", {"x": x},
-                lhs == rhs, [lhs.coeff(n) for n in range(order + 1)],
-                [rhs.coeff(n) for n in range(order + 1)],
-                "q^(n/2) phi_n(x)/[n]! series splits into two Euler factors"))
+    # a series record lists all order + 1 terms, trailing zeros included
+    res = seriesmod.exp_pair_identity_residual(ctx, order)
+    out.append(record("qseries/exp-pair-identity", {"order": order},
+                      res.is_zero(),
+                      [res.coeff(n) for n in range(order + 1)], 0,
+                      "E^(0)(t) E^(1/2)(-q^(-1/2) t) = 1, exact to order"))
+    alt = seriesmod.exp_pair_alternate_residual(ctx, order)
+    first = next((c for c in alt.coeffs if c != 0), Fraction(0))
+    out.append(record("qseries/exp-pair-alternate", {"order": order},
+                      alt.is_zero(), first, 0,
+                      "alternate pairing E^(0)(t) E^(1/2)(-q^(1/2) t) does "
+                      "not vanish; the -q^(-1/2) pairing is the identity",
+                      discrepancy=True))
+    # factorization of the raising-series applied to 1:
+    # sum s^n phi_n(x) t^n/[n]! = 1/(s x (1-q) t; q)_inf * (s (1-q) t; q)_inf
+    for x in (Fraction(1, 3), Fraction(2)):
+        lhs = Poly([s ** n * phis[n](x) / q_factorial(ctx, n)
+                    for n in range(order + 1)], VAR_T)
+        rhs = seriesmod.recip_poch_series(ctx, s * x * (1 - q), order)
+        rhs = rhs.mul_trunc(
+            seriesmod.e_type_series(ctx, s * (1 - q), order), order)
+        out.append(record(
+            f"qseries/raising-series-factorizes/x={x}", {"x": x},
+            lhs == rhs, [lhs.coeff(n) for n in range(order + 1)],
+            [rhs.coeff(n) for n in range(order + 1)],
+            "q^(n/2) phi_n(x)/[n]! series splits into two Euler factors"))
     return out
 
 
@@ -274,7 +273,7 @@ def suite_operators(ctx: QContext, nmax: int, order: int,
                     {"family": family.name, "direction": direction, "n": n},
                     analytic == predicted, list(analytic.coeffs),
                     list(predicted.coeffs)))
-        out.extend(opsmod.algebra_relations_check(ctx, family, nmax))
+        out.extend(_algebra_relations(ctx, family, nmax))
     # repeated raising from the ground element
     for family in (opsmod.QGAUSSIAN, opsmod.HAHN):
         p = Poly.one()
@@ -302,6 +301,56 @@ def suite_operators(ctx: QContext, nmax: int, order: int,
     return out
 
 
+def _algebra_relations(ctx: QContext, family: opsmod.Family,
+                       nmax: int) -> list[CheckRecord]:
+    """The oscillator-algebra eigen-relations on basis indices <= nmax.
+
+    With e = family.e (1 for q-factorial, 0 otherwise):
+        a a+ = q^(-n-e) [n+1],  a+ a = q^(1-n-e) [n],
+        [a, a+] = q^(-n-e),     a a+ - q^-1 a+ a = q^-e.
+    Plus the number-operator relations [N, a] = -a and [N, a+] = a+.
+    """
+    e = family.e
+    out = []
+    for n in range(nmax + 1):
+        low = opsmod.lowering_coeff(ctx, family, n)
+        hi = opsmod.raising_coeff(ctx, family, n)
+        # products of ladder coefficients on basis index n
+        aad = hi * opsmod.lowering_coeff(ctx, family, n + 1)
+        ada = low * (opsmod.raising_coeff(ctx, family, n - 1) if n > 0
+                     else Fraction(0))
+        expected = [
+            ("a.adag eigenvalue", aad, ctx.q_pow(-n - e) * q_int(ctx, n + 1)),
+            ("adag.a eigenvalue", ada, ctx.q_pow(1 - n - e) * q_int(ctx, n)),
+            ("commutator", aad - ada, ctx.q_pow(-n - e)),
+            ("q-commutator", aad - ada / ctx.q, ctx.q_pow(-e)),
+            # [N, a] = -a and [N, a+] = a+, read at the index a or a+ moves n to
+            ("number-lowering", _number_commutator(ctx, family, "lower", n),
+             -low),
+            ("number-raising", _number_commutator(ctx, family, "raise", n), hi),
+        ]
+        for name, lhs, rhs in expected:
+            out.append(record(
+                f"operators/algebra/{family.name}/{name}/n={n:02d}",
+                {"family": family.name, "n": n}, lhs == rhs, lhs, rhs, name))
+    return out
+
+
+def _number_commutator(ctx: QContext, family: opsmod.Family, direction: str,
+                       n: int) -> Fraction:
+    """[N, op] basis_n by ladder_apply, read where op moves n; N scales c_k by k."""
+    def op(coeffs):
+        return opsmod.ladder_apply(ctx, family, direction, coeffs)
+
+    def number(coeffs):
+        return [k * c for k, c in enumerate(coeffs)]
+
+    basis_n = [0] * n + [1]
+    diff = [x - y for x, y in zip(number(op(basis_n)), op(number(basis_n)))]
+    k = n - 1 if direction == "lower" else n + 1
+    return diff[k] if 0 <= k < len(diff) else Fraction(0)
+
+
 MATEL_AB_GRID = (Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(1, 3))
 
 
@@ -309,7 +358,7 @@ def suite_matrixelements(ctx: QContext, nmax: int, order: int,
                          rng: random.Random) -> list[CheckRecord]:
     out = []
     nmax = min(nmax, SUITE_LIMITS["matrixelements"])
-    halves = (HALF_ZERO, HALF_HALF) if ctx.has_root else (HALF_ZERO, HALF_ONE)
+    halves = (HALF_ZERO, HALF_HALF)
     cells = list(product(range(nmax + 1), repeat=2))
     ctx0 = ctx.with_omega(0)
     for mu, nu in product(halves, halves):
@@ -318,21 +367,23 @@ def suite_matrixelements(ctx: QContext, nmax: int, order: int,
                   for family in opsmod.FAMILIES}
         oracle = {family: matelmod.matel_oracle(ctx, family, mu, nu, nmax)
                   for family in opsmod.FAMILIES}
-        zero = {family: matelmod.matel_closed(ctx0, family, mu, nu, nmax)
-                for family in (opsmod.HAHN, opsmod.QGAUSSIAN)}
+        # hahn-reduces reads the q-Gaussian matrix above: its closed form
+        # does not depend on omega
+        hahn0 = matelmod.matel_closed(ctx0, opsmod.HAHN, mu, nu, nmax)
         for alpha, beta in product(MATEL_AB_GRID, MATEL_AB_GRID):
             tag = f"mu={mu.value},nu={nu.value},a={alpha},b={beta}"
             point = {"mu": mu.value, "nu": nu.value, "alpha": alpha,
                      "beta": beta}
+            cm = {family: matelmod.matel_at(closed[family], alpha, beta)
+                  for family in opsmod.FAMILIES}
             for family in opsmod.FAMILIES:
                 # the README predicts the Hahn closed form to miss the oracle
                 # exactly where alpha*beta != 0, omega != 0; all else matches
                 predicted = (family is opsmod.HAHN and ctx.omega != 0
                              and alpha * beta != 0)
-                cm = matelmod.matel_at(closed[family], alpha, beta)
                 om = matelmod.matel_at(oracle[family], alpha, beta)
                 for n, r in cells:
-                    c, o = cm[n][r], om[n][r]
+                    c, o = cm[family][n][r], om[n][r]
                     out.append(record(
                         f"matrixelements/closed-vs-oracle/{family.name}/"
                         f"{tag},n={n},r={r}",
@@ -341,8 +392,8 @@ def suite_matrixelements(ctx: QContext, nmax: int, order: int,
                         c == o, c, o,
                         "closed form vs exact ladder-series oracle",
                         discrepancy=predicted))
-            hm = matelmod.matel_at(zero[opsmod.HAHN], alpha, beta)
-            gm = matelmod.matel_at(zero[opsmod.QGAUSSIAN], alpha, beta)
+            hm = matelmod.matel_at(hahn0, alpha, beta)
+            gm = cm[opsmod.QGAUSSIAN]
             for n, r in cells:
                 out.append(record(
                     f"matrixelements/hahn-reduces/{tag},n={n},r={r}",
@@ -369,9 +420,35 @@ def suite_matrixelements(ctx: QContext, nmax: int, order: int,
                 f"matrixelements/2phi0-second/n={n},x={x}", {"n": n, "x": x},
                 acc == x ** n, acc, x ** n,
                 "alternating sum of 2phi0(q^(j-n), 0; q; x q^(n-j)) = x^n"))
-    if ctx.has_root:
-        out.extend(matelmod.special_form_checks(
-            ctx, min(nmax, CHECK_LIMITS["matrixelements/special-form"])))
+    out.extend(_special_forms(
+        ctx, min(nmax, CHECK_LIMITS["matrixelements/special-form"])))
+    return out
+
+
+def _special_forms(ctx: QContext, nmax: int) -> list[CheckRecord]:
+    """The named q-hypergeometric forms of U for special (mu, nu).
+
+    U^(0,0)   = 2phi1(q^-n, 0; q^(1+theta); q; x)
+    U^(0,1/2) = 1phi1(q^-n; q^(1+theta); q; -x q^(1/2))
+    U^(1/2,1/2) = 1phi2(q^-n; q^(1+theta), 0; q; q x)
+    """
+    q = ctx.q
+    # name, (mu, nu), the parameters after q^-n and after q^(1+theta), and
+    # the factor that multiplies x in the series argument
+    forms = (("u00_vs_2phi1", HALF_ZERO, HALF_ZERO, [0], [], 1),
+             ("u0h_vs_1phi1", HALF_ZERO, HALF_HALF, [], [], -ctx.s),
+             ("uhh_vs_1phi2", HALF_HALF, HALF_HALF, [], [0], q))
+    out = []
+    for n, x, q1t in product(range(nmax + 1),
+                             (Fraction(1), Fraction(1, 3), Fraction(-1, 5)),
+                             (q, q * q, q ** 3)):
+        for name, mu, nu, top, bottom, scale in forms:
+            u = matelmod.u_polynomial(ctx, mu, nu, n, q1t, x)(1)
+            h = matelmod.basic_hyp_terminating(
+                ctx, [q ** (-n)] + top, [q1t] + bottom, scale * x)
+            out.append(record(
+                f"matrixelements/special-form/{name}/n={n},x={x},q1t={q1t}",
+                {"n": n, "x": x, "q1theta": q1t}, u == h, u, h, name))
     return out
 
 
@@ -472,11 +549,14 @@ class RunConfig:
 
 def context_dict(ctx: QContext) -> dict:
     """The context block of reports and tables, as exact strings."""
-    return {"s": str(ctx.s) if ctx.has_root else None, "q": str(ctx.q),
-            "omega": str(ctx.omega), "omega0": str(ctx.omega0)}
+    return {"s": str(ctx.s), "q": str(ctx.q), "omega": str(ctx.omega),
+            "omega0": str(ctx.omega0)}
 
 
 def run_suites(config: RunConfig) -> VerificationReport:
+    if config.nmax < 0 or config.order < 0:
+        raise ValueError(f"nmax and order must be >= 0, got nmax={config.nmax}"
+                         f", order={config.order}")
     ctx = QContext(frac(config.s), frac(config.omega))
     report = VerificationReport(context=context_dict(ctx), seed=config.seed)
     for i, name in enumerate(config.suites):

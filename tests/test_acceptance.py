@@ -57,8 +57,9 @@ def verdict(capsys, number, ok, description):
 
 
 def test_criterion_01_triple_construction(capsys):
-    # polyfamilies at these six contexts would add about 5 s to the tests,
-    # so this criterion keeps its own loop
+    # the polyfamilies suite caps qfactorial-identity at n <= 10 and this
+    # criterion checks n <= 15, so it keeps its own loop (which is also the
+    # cheaper of the two at these six contexts)
     ok = True
     for q in QS:
         for omega in OMEGAS:

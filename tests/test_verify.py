@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from qoscpoly import QContext, cli
 from qoscpoly.report import FAIL, VerificationReport
-from qoscpoly.verify import CHECK_LIMITS, SUITE_LIMITS, SUITES
+from qoscpoly.verify import (CHECK_LIMITS, SUITE_LIMITS, SUITE_NAMES, SUITES,
+                             RunConfig, run_suites)
 
 
 class TestRandomContexts:
@@ -45,3 +46,18 @@ class TestCheckLimits:
         out = "".join(capsys.readouterr().out.split())
         for name, cap in {**SUITE_LIMITS, **CHECK_LIMITS}.items():
             assert f"{name}{cap}" in out
+
+
+class TestRunSuites:
+    @pytest.mark.parametrize("size", ["nmax", "order"])
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_negative_size_rejected(self, suite, size):
+        with pytest.raises(ValueError, match=f"{size}=-1"):
+            run_suites(RunConfig(suites=(suite,), **{size: -1}))
+
+    @pytest.mark.parametrize("suite", ["qkernel", "qseries", "matrixelements"])
+    def test_rootless_context_rejected(self, suite):
+        # q = 1/2 has no rational square root, so q^(1/2) is not exact
+        ctx = QContext.from_q(F(1, 2), F(1, 8))
+        with pytest.raises(ValueError, match="base root"):
+            SUITES[suite](ctx, 2, 4, random.Random(0))
