@@ -18,7 +18,7 @@ from itertools import product
 from .context import HALF_HALF, QContext, frac
 from .families import Basis, position_coefficients
 from .hahn import hahn_antiderivative, hahn_derivative_poly, hahn_integral_closed
-from .matel import matel_closed, matel_oracle
+from .matel import matel_at, matel_closed, matel_oracle
 from .operators import FAMILIES
 from .poly import Poly
 from .qarith import q_factorial
@@ -124,9 +124,7 @@ def _matel_rows(ctx: QContext, nmax: int, order: int) -> list[dict]:
     rows = []
     mu = HALF_HALF
     for family in FAMILIES:
-        # at alpha = beta = 1 an element is the sum of its coefficients
-        closed, oracle = ([[sum(p.coeffs) for p in row]
-                           for row in build(ctx, family, mu, mu, nmax)]
+        closed, oracle = (matel_at(build(ctx, family, mu, mu, nmax), 1, 1)
                           for build in (matel_closed, matel_oracle))
         for n, r in product(range(nmax + 1), repeat=2):
             c, o = closed[n][r], oracle[n][r]

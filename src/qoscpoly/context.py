@@ -8,15 +8,16 @@ directly from ``q`` via :meth:`QContext.from_q`; if ``q`` happens to be a
 perfect rational square the base root is recovered, otherwise operations
 needing a genuine ``q**(1/2)`` are unavailable and raise.
 
-Each context carries one :class:`QTables` of kernel values (``q^k``,
-``[k]_q``, ``[k]_q!``).  It is made on first use, grows on demand, and
-depends on ``q`` alone, so the :meth:`QContext.with_omega` copies of a
-context share it.  It takes no part in equality or hashing.
+A context is one frozen value.  Its kernel tables (``q^(t/2)`` for every
+integer t, odd t included, ``[k]_q`` and ``[k]_q!``) are made with it and
+grow as they are read, so each value is computed once per ``q``.  They
+depend on ``q`` alone, so the :meth:`QContext.with_omega` copies of a
+context share them, and they take no part in equality, hashing or repr.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 from numbers import Rational
@@ -74,68 +75,42 @@ class HalfInt:
         return Fraction(self.twice, 2)
 
 
-class QTables:
-    """Kernel values of one base q, each computed once and kept.
-
-    ``power(k)`` is q^k and ``q_int(k)`` is [k]_q = (1 - q^k)/(1 - q), both
-    for any integer k; ``factorial(n)`` is [n]_q! for n >= 0.  Nothing is
-    computed up front: each table grows only as far as it is read.
-    """
-
-    __slots__ = ("q", "_powers", "_ints", "_factorials")
-
-    def __init__(self, q: Fraction):
-        self.q = q
-        self._powers = {}
-        self._ints = {}
-        self._factorials = [Fraction(1)]
-
-    def power(self, k: int) -> Fraction:
-        value = self._powers.get(k)
-        if value is None:
-            value = self._powers[k] = self.q ** k
-        return value
-
-    def q_int(self, k: int) -> Fraction:
-        value = self._ints.get(k)
-        if value is None:
-            value = self._ints[k] = (1 - self.power(k)) / (1 - self.q)
-        return value
-
-    def factorial(self, n: int) -> Fraction:
-        facts = self._factorials
-        while len(facts) <= n:
-            facts.append(facts[-1] * self.q_int(len(facts)))
-        return facts[n]
-
-
 HALF_ZERO = HalfInt(0)
 HALF_HALF = HalfInt(1)
 
 
+# no slots: with them, assigning a name that is not a field (s, omega0)
+# raises TypeError instead of FrozenInstanceError on Python 3.10-3.13
+@dataclass(frozen=True, init=False)
 class QContext:
     """Deformation parameters: base q in (0, 1) and the Hahn shift omega.
 
     ``omega0 = omega/(1-q)`` is the fixed point of the Hahn step
-    ``x -> qx + omega``.  The optional base root ``s`` (with ``q = s**2``)
-    makes half-integer powers of ``q`` exact.  ``tables`` holds the kernel
-    values of ``q``; it is not part of the context's value.
+    ``x -> qx + omega``.  ``root`` is the base root ``s`` (with ``q = s**2``),
+    which makes half-integer powers of ``q`` exact, or None when ``q`` is not
+    a rational square.  ``tables`` is ``(powers, ints, factorials)``: q^(t/2)
+    by the exponent t of s, [k]_q by k, and the list of [0]_q! .. [n]_q!.
+    They depend on ``q`` alone and are not part of the context's value.
     """
 
-    __slots__ = ("_s", "_q", "_omega", "_tables")
+    q: Fraction
+    omega: Fraction
+    root: Fraction | None
+    tables: tuple = field(compare=False, repr=False)
 
     def __init__(self, s, omega=0):
         s = frac(s)
         if not (0 < s < 1):
             raise ValueError(f"base root s must satisfy 0 < s < 1, got {s}")
-        self._set(s, s * s, omega)
+        self._fill(s * s, omega, s)
 
-    def _set(self, s, q, omega, tables=None) -> "QContext":
-        """Fill the slots past the immutability guard; returns self."""
-        object.__setattr__(self, "_s", s)
-        object.__setattr__(self, "_q", q)
-        object.__setattr__(self, "_omega", frac(omega))
-        object.__setattr__(self, "_tables", tables)
+    def _fill(self, q, omega, root, tables=None) -> "QContext":
+        """Set the fields of this frozen value; returns self."""
+        if tables is None:
+            tables = ({}, {}, [Fraction(1)])
+        for name, value in (("q", q), ("omega", frac(omega)), ("root", root),
+                            ("tables", tables)):
+            object.__setattr__(self, name, value)
         return self
 
     @classmethod
@@ -144,65 +119,37 @@ class QContext:
         q = frac(q)
         if not (0 < q < 1):
             raise ValueError(f"q must satisfy 0 < q < 1, got {q}")
-        return object.__new__(cls)._set(rational_sqrt(q), q, omega)
-
-    def __setattr__(self, *_):
-        raise AttributeError("QContext is immutable")
-
-    @property
-    def q(self) -> Fraction:
-        return self._q
-
-    @property
-    def omega(self) -> Fraction:
-        return self._omega
+        return object.__new__(cls)._fill(q, omega, rational_sqrt(q))
 
     @property
     def omega0(self) -> Fraction:
-        return self._omega / (1 - self._q)
+        return self.omega / (1 - self.q)
 
     @property
     def s(self) -> Fraction:
-        if self._s is None:
+        if self.root is None:
             raise ValueError(
-                f"q = {self._q} is not a rational square; exact q**(1/2) "
+                f"q = {self.q} is not a rational square; exact q**(1/2) "
                 "needs a context built from its base root s")
-        return self._s
+        return self.root
 
-    @property
-    def tables(self) -> QTables:
-        """The kernel tables of q, made empty on first use."""
-        if self._tables is None:
-            object.__setattr__(self, "_tables", QTables(self._q))
-        return self._tables
+    def _power(self, t: int) -> Fraction:
+        """q**(t/2) = s**t, computed once per t; odd t needs the base root."""
+        powers = self.tables[0]
+        value = powers.get(t)
+        if value is None:
+            value = powers[t] = self.q ** (t // 2) if t % 2 == 0 else self.s ** t
+        return value
 
     def q_pow(self, e: int) -> Fraction:
         """q**e for integer e (possibly negative)."""
-        return self.tables.power(e)
+        return self._power(2 * e)
 
     def pow_half(self, mu: HalfInt, e: int) -> Fraction:
-        """q**(mu*e) = s**(twice*e), exact for any half-integer mu.
-
-        Even s-exponents need only q; odd ones need the base root.
-        """
-        t = mu.twice * e
-        if t % 2 == 0:
-            return self.tables.power(t // 2)
-        return self.s ** t
+        """q**(mu*e) = s**(twice*e), exact for any half-integer mu."""
+        return self._power(mu.twice * e)
 
     def with_omega(self, omega) -> "QContext":
         """The same q with another omega; shares this context's tables."""
-        return object.__new__(QContext)._set(self._s, self._q, omega,
-                                             self.tables)
-
-    def _key(self):
-        return (self._s, self._q, self._omega)
-
-    def __eq__(self, other):
-        return isinstance(other, QContext) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"QContext(q={self._q}, omega={self._omega}, s={self._s})"
+        return object.__new__(QContext)._fill(self.q, omega, self.root,
+                                              self.tables)

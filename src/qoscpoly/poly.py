@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from numbers import Rational
 
 from .context import frac
 
@@ -130,14 +131,22 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs and self.var == other.var
-        return self.coeffs == _trim([frac(other)])
+        if isinstance(other, Rational):
+            return self.coeffs == _trim([other])
+        return NotImplemented
 
     def __hash__(self):
+        # a constant equals its value, so it hashes as that value
+        if self.degree <= 0:
+            return hash(self.coeff(0))
         return hash((self.coeffs, self.var))
 
     def __call__(self, value) -> Fraction:
         out = Fraction(0)
         v = frac(value)
+        if v == 1:
+            # Horner's multiplications by 1 would each build a Fraction
+            return sum(self.coeffs, out)
         for c in reversed(self.coeffs):
             out = out * v + c
         return out

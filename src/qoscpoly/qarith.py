@@ -2,12 +2,12 @@
 
 Everything returns Fractions and depends only on its inputs.  ``q_int_at``
 computes from a raw q.  ``q_int``, ``q_factorial`` and ``q_binomial`` read
-the context's ``QTables``: q^k, [k]_q and [k]_q! are each computed once per
-q, on first use, and the tables grow only as far as they are read.  The
-``with_omega`` copies of a context share its tables, since none of these
-values depends on omega.  ``qhyp_terms`` walks the terms of the package's
-basic hypergeometric sums; ``q_pochhammer`` builds its product directly and
-is the reference the walker is tested against.
+the context's tables (see :class:`QContext`): [k]_q and [k]_q! are each
+computed once per q, on first use, and the tables grow only as far as they
+are read.  The ``with_omega`` copies of a context share its tables, since
+none of these values depends on omega.  ``qhyp_terms`` walks the terms of
+the package's basic hypergeometric sums; ``q_pochhammer`` builds its
+product directly and is the reference the walker is tested against.
 """
 
 from __future__ import annotations
@@ -28,22 +28,34 @@ def q_int_at(q: Fraction, n: int) -> Fraction:
 
 def q_int(ctx: QContext, n: int) -> Fraction:
     """The q-integer [n]_q; defined for negative n as well."""
-    return ctx.tables.q_int(n)
+    ints = ctx.tables[1]
+    value = ints.get(n)
+    if value is None:
+        value = ints[n] = (1 - ctx.q_pow(n)) / (1 - ctx.q)
+    return value
+
+
+def _factorials(ctx: QContext, n: int) -> list[Fraction]:
+    """The context's table of [0]_q! .. [m]_q!, grown to m >= n."""
+    facts = ctx.tables[2]
+    while len(facts) <= n:
+        facts.append(facts[-1] * q_int(ctx, len(facts)))
+    return facts
 
 
 def q_factorial(ctx: QContext, n: int) -> Fraction:
     """[n]_q! = product of [k]_q for k = 1..n, with [0]_q! = 1."""
     if n < 0:
         raise ValueError(f"q-factorial needs n >= 0, got {n}")
-    return ctx.tables.factorial(n)
+    return _factorials(ctx, n)[n]
 
 
 def q_binomial(ctx: QContext, n: int, k: int) -> Fraction:
     """Gaussian binomial [n choose k]_q; exactly 0 outside 0 <= k <= n."""
     if k < 0 or k > n or n < 0:
         return Fraction(0)
-    fact = ctx.tables.factorial
-    return fact(n) / (fact(n - k) * fact(k))
+    fact = _factorials(ctx, n)
+    return fact[n] / (fact[n - k] * fact[k])
 
 
 def q_pochhammer(ctx: QContext, z, n: int) -> Fraction:

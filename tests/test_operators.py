@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +10,7 @@ from qoscpoly import (FAMILIES, HAHN, QFACTORIAL, QGAUSSIAN, Basis, Poly,
 from qoscpoly.operators import lowering_coeff, raising_coeff
 from qoscpoly.poly import VAR_U, VAR_X
 from qoscpoly.report import PASS, fmt_exact
-from qoscpoly.verify import _algebra_relations
+from qoscpoly.verify import _algebra_relations, suite_operators
 
 
 class TestBasicOperators:
@@ -161,6 +162,20 @@ class TestAlgebraRelations:
         raising = [r for r in checks if r.note == "number-raising"]
         assert [r.status == PASS for r in lowering] == [True] + [False] * 4
         assert not any(r.status == PASS for r in raising)
+
+    def test_jackson_is_lowering_catches_wrong_derivative(self, ctx_q14,
+                                                          monkeypatch):
+        # x^n -> [n+1]_q x^(n-1): the record's rhs is the banded ladder, so
+        # it must not follow the patched derivative
+        def wrong(ctx, p):
+            return Poly(q_int(ctx, n + 1) * p.coeff(n)
+                        for n in range(1, len(p.coeffs)))
+
+        monkeypatch.setattr("qoscpoly.operators.jackson_derivative", wrong)
+        checks = suite_operators(ctx_q14, 3, 4, random.Random(0))
+        status = {r.check_id: r.status for r in checks}
+        assert status["operators/jackson-is-lowering"] != PASS
+        assert status["operators/analytic-vs-basis/qgaussian/lower/n=02"] != PASS
 
 
 class TestDifferenceEquation:

@@ -32,3 +32,36 @@ class TestDivmodLinear:
     def test_constant_divisor_rejected(self):
         with pytest.raises(ZeroDivisionError):
             Poly([1, 2]).divmod_linear(3, 0)
+
+
+class TestEquality:
+    @pytest.mark.parametrize("other", [None, "x", "1", 1.0, [1]])
+    def test_non_rational_is_unequal(self, other):
+        assert not Poly([1]) == other
+        assert Poly([1]) != other
+
+    def test_constant_equals_its_value(self):
+        assert Poly([3]) == 3 and 3 == Poly([3])
+        assert Poly([F(1, 2)], VAR_U) == F(1, 2)
+        assert Poly.zero() == 0 and Poly([1, 1]) != 1
+
+    @given(c=RATIONALS, var=st.sampled_from([VAR_X, VAR_U, VAR_T]))
+    @settings(max_examples=30, deadline=None)
+    def test_constant_hashes_as_its_value(self, c, var):
+        assert hash(Poly.const(c, var)) == hash(c)
+        assert len({Poly.const(c, var), c}) == 1
+
+    def test_hash_follows_equality(self):
+        assert hash(Poly([1, 2])) == hash(Poly([F(1), F(2), 0]))
+        assert Poly([1, 2]) != Poly([1, 2], VAR_U)
+
+
+class TestEvaluation:
+    @given(coeffs=st.lists(RATIONALS, max_size=9),
+           var=st.sampled_from([VAR_X, VAR_U, VAR_T]))
+    @settings(max_examples=40, deadline=None)
+    def test_value_at_one(self, coeffs, var):
+        # p(1) is the constant term of p(x + 1), which is read at 0
+        p = Poly(coeffs, var)
+        assert p(1) == p.compose_affine(1, 1)(0) == p(F(1))
+        assert type(p(1)) is F

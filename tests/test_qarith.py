@@ -254,9 +254,10 @@ class TestKernelTables:
     """The context's tables give the q_int_at and ** values, shared by copies."""
 
     @given(s=roots, omega=shifts, other=shifts, copy_first=st.booleans(),
-           n=st.integers(-8, 14), k=st.integers(-2, 16))
+           n=st.integers(-8, 14), k=st.integers(-2, 16),
+           twice=st.sampled_from([-3, -1, 1, 3]))
     @settings(max_examples=60, deadline=None)
-    def test_match_definitions(self, s, omega, other, copy_first, n, k):
+    def test_match_definitions(self, s, omega, other, copy_first, n, k, twice):
         ctx = QContext(s, omega)
         copy = ctx.with_omega(other)
         q = s * s
@@ -266,6 +267,8 @@ class TestKernelTables:
 
         for c in (copy, ctx) if copy_first else (ctx, copy):
             assert c.q_pow(n) == q ** n
+            # an odd twice * n is an odd power of s, negative ones included
+            assert c.pow_half(HalfInt(twice), n) == s ** (twice * n)
             assert q_int(c, n) == q_int_at(q, n)
             if n >= 0:
                 assert q_factorial(c, n) == fact(n)
@@ -279,3 +282,20 @@ class TestKernelTables:
         q_factorial(ctx, 9)
         assert ctx == fresh and hash(ctx) == hash(fresh)
         assert ctx.tables is not fresh.tables
+        assert repr(ctx) == repr(fresh) and "tables" not in repr(ctx)
+
+    def test_odd_power_needs_the_root(self):
+        ctx = QContext.from_q(F(1, 2))
+        assert ctx.pow_half(HALF_HALF, 2) == F(1, 2)
+        with pytest.raises(ValueError, match="base root"):
+            ctx.pow_half(HALF_HALF, -3)
+
+    @pytest.mark.parametrize("name", ["q", "omega", "root", "tables", "s",
+                                      "omega0", "other"])
+    def test_immutable(self, name):
+        ctx = QContext(F(1, 2), F(1, 8))
+        with pytest.raises(AttributeError):
+            setattr(ctx, name, F(1, 3))
+        with pytest.raises(AttributeError):
+            setattr(ctx.with_omega(0), name, F(1, 3))
+        assert ctx == QContext(F(1, 2), F(1, 8))
