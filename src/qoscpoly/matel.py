@@ -8,8 +8,10 @@ deg P_{n,r} <= min(n, r).  Both builders have the signature
 of the polynomials P_{n,r} in alpha*beta, computed two independent ways:
 
   * ``matel_closed``  evaluates the closed-form expressions through the
-    U-polynomials (terminating sums walked by ``qarith.qhyp_terms``),
-    diagonal by diagonal, sharing each diagonal's powers and U argument;
+    U-polynomials, diagonal by diagonal: coefficient j of U_n is a column
+    q^(j^2(mu+nu)) x^j / ((q^(1+d); q)_j (q; q)_j), walked once per
+    diagonal and side, times a row (q^-n; q)_j, built once per matrix, so a
+    cell costs prefactor * (column_j * row_j) per coefficient;
   * ``matel_oracle``  applies the two truncating operator series directly via
     the exact ladder coefficients, with no reference to the closed forms.
     A cell's coefficients are products of two weighted ladder paths, so
@@ -52,15 +54,31 @@ def u_polynomial(ctx: QContext, mu: HalfInt, nu: HalfInt, n: int,
                  q1theta, x) -> Poly:
     """The terms of U_n^(mu,nu)(x; q^(1+theta) | q) as one polynomial.
 
-    Coefficient k is q^(k^2 (mu+nu)) (q^-n; q)_k x^k / ((q^(1+theta); q)_k
-    (q; q)_k), walked by ``qhyp_terms``; at y the polynomial is U_n(x y).
-    The second argument is passed as the rational value q^(1+theta) itself.
+    Coefficient j is q^(j^2 (mu+nu)) (q^-n; q)_j x^j / ((q^(1+theta); q)_j
+    (q; q)_j): the column ``_u_column`` times the row ``_u_row``, as in
+    ``matel_closed``; at y the polynomial is U_n(x y).  The second argument
+    is passed as the rational value q^(1+theta) itself.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    return Poly(map(mul, _u_column(ctx, mu, nu, q1theta, x, n + 1),
+                    _u_row(ctx, n)))
+
+
+def _u_column(ctx: QContext, mu: HalfInt, nu: HalfInt, q1theta, x,
+              count: int) -> list[Fraction]:
+    """q^(j^2 (mu+nu)) x^j / ((q^(1+theta); q)_j (q; q)_j) for j < count:
+    the part of U's coefficient j free of the degree n, walked by
+    ``qhyp_terms``."""
     musum = HalfInt(mu.twice + nu.twice)
-    return Poly(qhyp_terms(ctx, [ctx.q_pow(-n)], [q1theta], x, n + 1,
-                           lambda k: ctx.pow_half(musum, k * k)))
+    return qhyp_terms(ctx, [], [q1theta], x, count,
+                      lambda j: ctx.pow_half(musum, j * j))
+
+
+def _u_row(ctx: QContext, n: int) -> list[Fraction]:
+    """(q^-n; q)_j for j = 0..n, the part of U's coefficients set by n."""
+    return list(accumulate((1 - ctx.q_pow(j - n) for j in range(n)), mul,
+                           initial=Fraction(1)))
 
 
 def _termination_index(ctx: QContext, a: Fraction) -> int | None:
@@ -105,8 +123,15 @@ def basic_hyp_terminating(ctx: QContext, upper: list, lower: list, z) -> Fractio
 def matel_at(polys: list[list[Poly]], alpha, beta) -> list[list[Fraction]]:
     """The elements alpha^(r-n)+ beta^(n-r)+ P_{n,r}(alpha beta) of a matrix."""
     alpha, beta = frac(alpha), frac(beta)
-    return [[p(alpha * beta) * (alpha ** (r - n) if r > n else beta ** (n - r))
+    x = alpha * beta
+    return [[_times_power(p(x), alpha, r - n) if r > n
+             else _times_power(p(x), beta, n - r)
              for r, p in enumerate(row)] for n, row in enumerate(polys)]
+
+
+def _times_power(value: Fraction, base: Fraction, d: int) -> Fraction:
+    """value * base^d; the factor is not built when it is 1."""
+    return value if d == 0 or base == 1 else value * base ** d
 
 
 def _weighted_paths(weights: Poly, steps: list) -> list[Fraction]:
@@ -150,8 +175,9 @@ def matel_closed(ctx: QContext, family: Family, mu: HalfInt, nu: HalfInt,
     """All closed-form P_{n,r}, n, r <= nmax, as published.
 
     Walks the diagonals d = |n - r|.  Each side of a diagonal shares
-    sigma^d, the U argument and q^(1+d), so a cell costs its prefactor and
-    one U-polynomial, whose k-th term is the coefficient of (alpha beta)^k.
+    sigma^d and the U column at its argument and q^(1+d); every cell reads
+    the row (q^-k; q)_j of its U degree k = min(n, r).  The coefficient of
+    (alpha beta)^j is the cell's prefactor times column_j * row_j.
     The n = r diagonal is evaluated from both sides, which must agree (the
     U-polynomial depends on mu+nu only).  A family with sigma = 0 (Hahn at
     omega0 = 1) is rejected: its published form degenerates there.
@@ -163,27 +189,29 @@ def matel_closed(ctx: QContext, family: Family, mu: HalfInt, nu: HalfInt,
         raise ValueError(f"the {family.name} closed form is degenerate at "
                          f"omega0 = 1 (sigma = 1 - omega0 = 0)")
     z = (ctx.q - 1) * family.kappa(ctx)
+    rows = [_u_row(ctx, k) for k in range(size)]
     out = [[None] * size for _ in range(size)]
     for d in range(size):
         q1d = ctx.q_pow(1 + d)
         lo_scale = sigma ** d
         hi_scale = sigma ** d / q_factorial(ctx, d)
-        lo_arg = z * ctx.q_pow(1 - e + nu.twice * d)
-        hi_arg = z * ctx.q_pow(1 - e + mu.twice * d)
+        lo_col = _u_column(ctx, mu, nu, q1d,
+                           z * ctx.q_pow(1 - e + nu.twice * d), size - d)
+        hi_col = _u_column(ctx, mu, nu, q1d,
+                           z * ctx.q_pow(1 - e + mu.twice * d), size - d)
         for k in range(size - d):
             # cells (k + d, k) and (k, k + d); d(n+r+1) and d(n+r-1) are
             # even, so each side's q-powers are one power of s = q^(1/2)
-            lo = (lo_scale * q_binomial(ctx, k + d, k)
-                  * ctx.pow_half(HALF_HALF, nu.twice * d * d
-                                 - e * d * (2 * k + d + 1))
-                  * u_polynomial(ctx, mu, nu, k, q1d, lo_arg))
-            hi = (hi_scale
-                  * ctx.pow_half(HALF_HALF, mu.twice * d * d
-                                 - (1 - e) * d * (2 * k + d - 1))
-                  * u_polynomial(ctx, mu, nu, k, q1d, hi_arg))
+            lo_pref = (lo_scale * q_binomial(ctx, k + d, k)
+                       * ctx.pow_half(HALF_HALF, nu.twice * d * d
+                                      - e * d * (2 * k + d + 1)))
+            hi_pref = (hi_scale
+                       * ctx.pow_half(HALF_HALF, mu.twice * d * d
+                                      - (1 - e) * d * (2 * k + d - 1)))
+            lo = Poly(lo_pref * (c * r) for c, r in zip(lo_col, rows[k]))
+            hi = Poly(hi_pref * (c * r) for c, r in zip(hi_col, rows[k]))
             if d == 0 and lo != hi:
                 raise AssertionError(
                     f"diagonal branch mismatch at n = r = {k}: {lo} vs {hi}")
             out[k + d][k], out[k][k + d] = lo, hi
     return out
-

@@ -3,17 +3,19 @@ from fractions import Fraction as F
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qoscpoly import (FAMILIES, HAHN, HALF_HALF, HALF_ZERO, QFACTORIAL,
-                      QGAUSSIAN, QContext, basic_hyp_terminating, matel_at,
-                      matel_closed, matel_oracle, q_factorial, q_int_at,
-                      qhyp_terms, u_polynomial)
+                      QGAUSSIAN, QContext, basic_hyp_terminating, cli,
+                      matel_at, matel_closed, matel_oracle, q_factorial,
+                      q_int_at, q_pochhammer, qhyp_terms, u_polynomial)
 from qoscpoly.report import PASS
 from qoscpoly.verify import _special_forms
 
 HALVES = (HALF_ZERO, HALF_HALF)
+roots = st.fractions(0, 1, max_denominator=9).filter(lambda s: 0 < s < 1)
+small = st.fractions(-2, 2, max_denominator=7)
 
 
 class TestUPolynomial:
@@ -48,6 +50,25 @@ class TestUPolynomial:
     def test_vanishing_denominator_rejected(self, ctx_q14):
         with pytest.raises(ValueError):
             u_polynomial(ctx_q14, HALF_ZERO, HALF_ZERO, 3, 1, F(1, 2))
+
+    @given(s=roots, x=small, q1theta=small, n=st.integers(0, 8),
+           mu=st.sampled_from(HALVES), nu=st.sampled_from(HALVES))
+    @settings(max_examples=40, deadline=None)
+    def test_coefficients_from_pochhammer_products(self, s, x, q1theta, n,
+                                                   mu, nu):
+        # each coefficient formed directly, independent of qhyp_terms (the
+        # column) and of the running product (q^-n; q)_j (the row)
+        ctx = QContext(s)
+        q = ctx.q
+        assume(q_pochhammer(ctx, q1theta, n) != 0)
+        got = u_polynomial(ctx, mu, nu, n, q1theta, x)
+        assert got.degree <= n
+        for j in range(n + 1):
+            expect = (s ** ((mu.twice + nu.twice) * j * j)
+                      * q_pochhammer(ctx, q ** -n, j) * x ** j
+                      / (q_pochhammer(ctx, q1theta, j)
+                         * q_pochhammer(ctx, q, j)))
+            assert got.coeff(j) == expect
 
 
 class TestBasicHyp:
@@ -161,12 +182,8 @@ def path_sum(ctx, family, mu, nu, alpha, beta, n, r):
     return total
 
 
-small = st.fractions(-2, 2, max_denominator=7)
-
-
 class TestOracleMatrix:
-    @given(s=st.fractions(0, 1, max_denominator=9).filter(lambda s: 0 < s < 1),
-           omega=small, alpha=small, beta=small,
+    @given(s=roots, omega=small, alpha=small, beta=small,
            mu=st.sampled_from(HALVES), nu=st.sampled_from(HALVES),
            nmax=st.integers(0, 6))
     @settings(max_examples=25, deadline=None)
@@ -188,6 +205,16 @@ class TestClosedVsOracle:
             for nu in HALVES:
                 assert (matel_closed(ctx_q14, family, mu, nu, 3)
                         == matel_oracle(ctx_q14, family, mu, nu, 3))
+
+    def test_exact_match_large(self, ctx_q14):
+        # twice the suite's limit of 6: the row (q^-n; q)_j reaches n = 12
+        ctx0 = ctx_q14.with_omega(0)
+        for ctx, family in ((ctx_q14, QGAUSSIAN), (ctx_q14, QFACTORIAL),
+                            (ctx0, HAHN)):
+            for mu in HALVES:
+                for nu in HALVES:
+                    assert (matel_closed(ctx, family, mu, nu, 12)
+                            == matel_oracle(ctx, family, mu, nu, 12))
 
     def test_hahn_matches_at_omega_zero(self, ctx_q916):
         ctx0 = ctx_q916.with_omega(0)
@@ -287,3 +314,18 @@ class TestSpecialForms:
         checks = _special_forms(ctx_q14, 3)
         assert len(checks) == 4 * 27
         assert all((r.status == PASS) == (r.params["n"] == 0) for r in checks)
+
+    def test_faulty_row_fails(self, ctx_q14, monkeypatch, capsys):
+        # U and matel_closed share the row (q^-n; q)_j: built from q^(1-n)
+        # it must fail every record past n = 0 and the suite's verify run
+        def faulty(ctx, n):
+            return [q_pochhammer(ctx, ctx.q_pow(1 - n), j)
+                    for j in range(n + 1)]
+
+        monkeypatch.setattr("qoscpoly.matel._u_row", faulty)
+        checks = _special_forms(ctx_q14, 3)
+        assert len(checks) == 4 * 27
+        assert all((r.status == PASS) == (r.params["n"] == 0) for r in checks)
+        code = cli.main(["verify", "--suite", "matrixelements", "--nmax", "3"])
+        capsys.readouterr()
+        assert code == cli.EXIT_VERIFICATION_FAILED
