@@ -23,7 +23,7 @@ from .poly import VAR_T, Poly
 from .qarith import (q_binomial, q_double_factorial_even, q_factorial, q_int,
                      q_int_at, q_pochhammer, q_pochhammer_inf, qhyp_terms)
 from .report import VerificationReport
-from .series import (emu_series, eqw_eval, exp_pair_identity_residual,
+from .series import (emu_series, eqw_eval, exp_pair_residual,
                      gaussian_genfun_lhs, hahn_genfun_lhs)
 from .verify import RunConfig, run_suites
 

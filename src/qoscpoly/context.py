@@ -49,7 +49,8 @@ def rational_sqrt(value: Fraction) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True, slots=True)
+# no slots, as for QContext below
+@dataclass(frozen=True)
 class HalfInt:
     """A half-integer mu = twice/2, stored by its doubled value.
 

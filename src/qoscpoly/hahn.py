@@ -5,8 +5,8 @@ omega0 = w/(1-q).  On polynomials everything here is exact and rests on
 division by a linear factor: the derivative divides by (q-1)x + w, the
 antiderivative expands in the Hahn factorial basis and the closed integral
 in powers of x - omega0.  The sampled-function integral stops on a
-look-ahead tail estimate, and the exponential is a product of a fixed
-number of factors.
+look-ahead tail estimate, and the exponential is the reciprocal of a
+fixed number of factors of a q-Pochhammer product.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable
 from .context import QContext, frac
 from .families import Basis, expand_in_basis, vector_to_poly
 from .poly import VAR_X, Poly
-from .qarith import q_int
+from .qarith import q_int, q_pochhammer
 
 
 def _hahn_step(ctx: QContext, p: Poly) -> Poly:
@@ -135,20 +135,14 @@ def hahn_integral_numeric(ctx: QContext, f: Callable, x, tol) -> tuple[Fraction,
 def hahn_exp_normalized(ctx: QContext, x, terms: int) -> Fraction:
     """e_{q,w}(x)/e_{q,w}(omega0) as a truncated reciprocal product.
 
-    Computes 1 / prod_{k<terms} (1 + q^k ((q-1)x + w)); the infinite product
-    satisfies D_{q,w} e = e, and the truncation error is geometric in q.
+    Computes 1/((1-q)x - w; q)_terms by ``q_pochhammer``, that is
+    1 / prod_{k<terms} (1 + q^k ((q-1)x + w)) (Gasper & Rahman 2004, 1.3);
+    the infinite product satisfies D_{q,w} e = e, and the truncation error
+    is geometric in q.  Raises ValueError when the product vanishes.
     """
     if terms < 0:
         raise ValueError(f"terms must be >= 0, got {terms}")
-    x = frac(x)
-    q = ctx.q
-    base = (q - 1) * x + ctx.omega
-    prod = Fraction(1)
-    qpow = Fraction(1)
-    for k in range(terms):
-        factor = 1 + qpow * base
-        if factor == 0:
-            raise ValueError(f"product factor vanishes at k = {k}")
-        prod *= factor
-        qpow *= q
+    prod = q_pochhammer(ctx, (1 - ctx.q) * frac(x) - ctx.omega, terms)
+    if prod == 0:
+        raise ValueError(f"((1-q)x - w; q)_{terms} vanishes at x = {x}")
     return 1 / prod

@@ -177,9 +177,8 @@ def matel_closed(ctx: QContext, family: Family, mu: HalfInt, nu: HalfInt,
     Walks the diagonals d = |n - r|.  Each side of a diagonal shares
     sigma^d and the U column at its argument and q^(1+d); every cell reads
     the row (q^-k; q)_j of its U degree k = min(n, r).  The coefficient of
-    (alpha beta)^j is the cell's prefactor times column_j * row_j.
-    The n = r diagonal is evaluated from both sides, which must agree (the
-    U-polynomial depends on mu+nu only).  A family with sigma = 0 (Hahn at
+    (alpha beta)^j is the cell's prefactor times column_j * row_j.  The
+    n = r diagonal has one side.  A family with sigma = 0 (Hahn at
     omega0 = 1) is rejected: its published form degenerates there.
     """
     if nmax < 0:
@@ -192,26 +191,24 @@ def matel_closed(ctx: QContext, family: Family, mu: HalfInt, nu: HalfInt,
     rows = [_u_row(ctx, k) for k in range(size)]
     out = [[None] * size for _ in range(size)]
     for d in range(size):
-        q1d = ctx.q_pow(1 + d)
-        lo_scale = sigma ** d
-        hi_scale = sigma ** d / q_factorial(ctx, d)
-        lo_col = _u_column(ctx, mu, nu, q1d,
-                           z * ctx.q_pow(1 - e + nu.twice * d), size - d)
-        hi_col = _u_column(ctx, mu, nu, q1d,
-                           z * ctx.q_pow(1 - e + mu.twice * d), size - d)
+        q1d, lo_scale = ctx.q_pow(1 + d), sigma ** d
+        # cells (k + d, k); d(n+r+1) is even, so the q-power is one power
+        # of s = q^(1/2)
+        col = _u_column(ctx, mu, nu, q1d,
+                        z * ctx.q_pow(1 - e + nu.twice * d), size - d)
         for k in range(size - d):
-            # cells (k + d, k) and (k, k + d); d(n+r+1) and d(n+r-1) are
-            # even, so each side's q-powers are one power of s = q^(1/2)
-            lo_pref = (lo_scale * q_binomial(ctx, k + d, k)
-                       * ctx.pow_half(HALF_HALF, nu.twice * d * d
-                                      - e * d * (2 * k + d + 1)))
-            hi_pref = (hi_scale
-                       * ctx.pow_half(HALF_HALF, mu.twice * d * d
-                                      - (1 - e) * d * (2 * k + d - 1)))
-            lo = Poly(lo_pref * (c * r) for c, r in zip(lo_col, rows[k]))
-            hi = Poly(hi_pref * (c * r) for c, r in zip(hi_col, rows[k]))
-            if d == 0 and lo != hi:
-                raise AssertionError(
-                    f"diagonal branch mismatch at n = r = {k}: {lo} vs {hi}")
-            out[k + d][k], out[k][k + d] = lo, hi
+            pref = (lo_scale * q_binomial(ctx, k + d, k)
+                    * ctx.pow_half(HALF_HALF, nu.twice * d * d
+                                   - e * d * (2 * k + d + 1)))
+            out[k + d][k] = Poly(pref * (c * r) for c, r in zip(col, rows[k]))
+        if d == 0:
+            continue
+        # cells (k, k + d); likewise d(n+r-1) is even
+        hi_scale = lo_scale / q_factorial(ctx, d)
+        col = _u_column(ctx, mu, nu, q1d,
+                        z * ctx.q_pow(1 - e + mu.twice * d), size - d)
+        for k in range(size - d):
+            pref = hi_scale * ctx.pow_half(HALF_HALF, mu.twice * d * d
+                                           - (1 - e) * d * (2 * k + d - 1))
+            out[k][k + d] = Poly(pref * (c * r) for c, r in zip(col, rows[k]))
     return out

@@ -3,13 +3,15 @@
 The variable is ``x`` (the default), ``u`` or ``t``.  ``u`` marks
 polynomials in u = q^x, where the q-factorial family lives; ``t`` marks the
 truncated power series of the generating functions, whose products
-``mul_trunc`` cuts at a given order.
+``mul_trunc`` cuts at a given order; a full product is ``mul_trunc`` at the
+sum of the degrees.  Division by a linear factor, ``divmod_linear``, is the
+one division, and substitution of a*var + b is division too: the
+remainders by var - b are the coefficients in powers of var - b.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from numbers import Rational
 
 from .context import frac
@@ -92,16 +94,7 @@ class Poly:
         if not isinstance(other, Poly):
             c = frac(other)
             return Poly((c * a for a in self.coeffs), self.var)
-        self._check_var(other)
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out, self.var)
+        return self.mul_trunc(other, len(self.coeffs) + len(other.coeffs) - 2)
 
     __rmul__ = __mul__
 
@@ -152,16 +145,18 @@ class Poly:
         return out
 
     def compose_affine(self, a, b) -> "Poly":
-        """p(a*var + b), expanded exactly."""
-        a, b = frac(a), frac(b)
-        out = [Fraction(0)] * (len(self.coeffs) or 1)
-        for n, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            # (a v + b)^n term by binomial expansion
-            for k in range(n + 1):
-                out[k] += c * comb(n, k) * a ** k * b ** (n - k)
-        return Poly(out, self.var)
+        """p(a*var + b), expanded exactly.
+
+        Dividing p by var - b leaves p = c_0 + (var - b) p_1, so the
+        successive remainders c_0, c_1, ... of ``divmod_linear`` are the
+        coefficients of p in powers of var - b, and scaling var by a in
+        them gives p(a*var + b).
+        """
+        rest, shifted, b = self, [], frac(b)
+        for _ in self.coeffs:
+            rest, rem = rest.divmod_linear(-b, 1)
+            shifted.append(rem)
+        return Poly(shifted, self.var).scale_arg(a)
 
     def scale_arg(self, a) -> "Poly":
         """p(a*var)."""

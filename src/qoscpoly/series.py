@@ -88,20 +88,13 @@ def hahn_genfun_lhs(ctx: QContext, x, order: int) -> Poly:
     return num.mul_trunc(den, order)
 
 
-def exp_pair_identity_residual(ctx: QContext, order: int) -> Poly:
-    """Residual of E^(0)(t) * E^(1/2)(-q^(-1/2) t) - 1; exactly zero."""
-    e0 = emu_series(ctx, HALF_ZERO, 1, order)
-    e_half = emu_series(ctx, HALF_HALF, Fraction(-1) / ctx.s, order)
-    return e0.mul_trunc(e_half, order) - 1
+def exp_pair_residual(ctx: QContext, c, order: int) -> Poly:
+    """Residual of the pairing E^(0)(t) * E^(1/2)(c t) - 1.
 
-
-def exp_pair_alternate_residual(ctx: QContext, order: int) -> Poly:
-    """Residual of the alternate pairing E^(0)(t) * E^(1/2)(-q^(1/2) t) - 1.
-
-    This variant circulates alongside the one above but does not vanish;
-    it is surfaced by the verification report as a documented discrepancy
-    rather than silently dropped.
+    It vanishes exactly at c = -q^(-1/2).  The alternate pairing
+    c = -q^(1/2) circulates alongside it but does not vanish; the
+    verification report surfaces it as a documented discrepancy.
     """
     e0 = emu_series(ctx, HALF_ZERO, 1, order)
-    e_half = emu_series(ctx, HALF_HALF, -ctx.s, order)
+    e_half = emu_series(ctx, HALF_HALF, c, order)
     return e0.mul_trunc(e_half, order) - 1

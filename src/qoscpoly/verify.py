@@ -29,8 +29,6 @@ from .qarith import (q_binomial, q_double_factorial_even, q_factorial, q_int,
                      q_pochhammer, q_pochhammer_inf)
 from .report import CheckRecord, VerificationReport, record
 
-SUITE_NAMES = ("qkernel", "qseries", "polyfamilies", "operators",
-               "matrixelements", "hahncalc")
 # each suite checks indices up to min(nmax, limit); hahncalc's limit is the
 # degree of its random polynomials
 SUITE_LIMITS = {"qkernel": 20, "polyfamilies": 15, "operators": 12,
@@ -135,12 +133,12 @@ def suite_qseries(ctx: QContext, nmax: int, order: int,
                           lhs == rhs, lhs, rhs,
                           "shift-free exponential matches the (q,mu) series"))
     # a series record lists all order + 1 terms, trailing zeros included
-    res = seriesmod.exp_pair_identity_residual(ctx, order)
+    res = seriesmod.exp_pair_residual(ctx, -1 / s, order)
     out.append(record("qseries/exp-pair-identity", {"order": order},
                       res.is_zero(),
                       [res.coeff(n) for n in range(order + 1)], 0,
                       "E^(0)(t) E^(1/2)(-q^(-1/2) t) = 1, exact to order"))
-    alt = seriesmod.exp_pair_alternate_residual(ctx, order)
+    alt = seriesmod.exp_pair_residual(ctx, -s, order)
     first = next((c for c in alt.coeffs if c != 0), Fraction(0))
     out.append(record("qseries/exp-pair-alternate", {"order": order},
                       alt.is_zero(), first, 0,
@@ -538,6 +536,7 @@ SUITES = {
     "matrixelements": suite_matrixelements,
     "hahncalc": suite_hahncalc,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 @dataclass

@@ -1,6 +1,9 @@
 from fractions import Fraction as F
+from math import prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qoscpoly import hahn
 from qoscpoly import (Basis, Poly, QContext, hahn_antiderivative,
@@ -123,6 +126,21 @@ class TestIntegral:
 
 
 class TestExponential:
+    @given(s=st.fractions(0, 1, max_denominator=12).filter(lambda s: 0 < s < 1),
+           omega=st.fractions(-2, 2, max_denominator=9),
+           x=st.fractions(-3, 3, max_denominator=9), terms=st.integers(0, 40))
+    @example(s=F(1, 2), omega=F(1, 8), x=F(3, 2), terms=10)  # first factor 0
+    @settings(max_examples=40, deadline=None)
+    def test_reciprocal_product(self, s, omega, x, terms):
+        ctx = QContext(s, omega)
+        q, w = ctx.q, ctx.omega
+        factors = [1 + q ** k * ((q - 1) * x + w) for k in range(terms)]
+        if 0 in factors:
+            with pytest.raises(ValueError, match="vanishes"):
+                hahn_exp_normalized(ctx, x, terms)
+        else:
+            assert hahn_exp_normalized(ctx, x, terms) == 1 / prod(factors)
+
     def test_normalization(self, ctx_q14):
         assert hahn_exp_normalized(ctx_q14, ctx_q14.omega0, 30) == 1
 

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qoscpoly import Poly
@@ -65,3 +65,37 @@ class TestEvaluation:
         p = Poly(coeffs, var)
         assert p(1) == p.compose_affine(1, 1)(0) == p(F(1))
         assert type(p(1)) is F
+
+    @given(coeffs=st.lists(RATIONALS, max_size=13), a=RATIONALS, b=RATIONALS,
+           t=RATIONALS, var=st.sampled_from([VAR_X, VAR_U, VAR_T]))
+    @example(coeffs=[1, -2, F(1, 3)], a=0, b=F(1, 2), t=3, var=VAR_U)
+    @example(coeffs=[1, -2, F(1, 3)], a=F(2, 3), b=0, t=3, var=VAR_T)
+    @example(coeffs=[], a=F(2, 3), b=F(1, 2), t=3, var=VAR_X)
+    @settings(max_examples=40, deadline=None)
+    def test_compose_affine_substitutes(self, coeffs, a, b, t, var):
+        p = Poly(coeffs, var)
+        out = p.compose_affine(a, b)
+        assert out.var == var
+        assert out(t) == p(a * t + b)
+        if a != 0:
+            assert out.degree == p.degree
+        else:
+            assert out == Poly.const(p(b), var)
+
+    @pytest.mark.parametrize("var", [VAR_X, VAR_U, VAR_T])
+    def test_compose_affine_of_zero(self, var):
+        assert Poly.zero(var).compose_affine(F(1, 2), 3) == Poly.zero(var)
+
+    @given(pc=st.lists(RATIONALS, max_size=9), rc=st.lists(RATIONALS, max_size=9),
+           t=RATIONALS, var=st.sampled_from([VAR_X, VAR_U, VAR_T]))
+    @example(pc=[], rc=[1, 2], t=3, var=VAR_U)
+    @example(pc=[1, 2], rc=[], t=3, var=VAR_T)
+    @settings(max_examples=40, deadline=None)
+    def test_product_is_pointwise(self, pc, rc, t, var):
+        p, r = Poly(pc, var), Poly(rc, var)
+        prod = p * r
+        assert prod(t) == p(t) * r(t)
+        if p.is_zero() or r.is_zero():
+            assert prod == Poly.zero(var)
+        else:
+            assert prod.var == var and prod.degree == p.degree + r.degree

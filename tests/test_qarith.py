@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from math import prod
 
@@ -217,6 +218,13 @@ class TestHalfPowers:
         assert HalfInt.of(F(1, 2)).twice == 1
         with pytest.raises(ValueError):
             HalfInt.of(F(1, 3))
+
+    @pytest.mark.parametrize("name", ["twice", "value", "other"])
+    def test_half_int_immutable(self, name):
+        half = HalfInt(1)
+        with pytest.raises(FrozenInstanceError):
+            setattr(half, name, 3)
+        assert half == HALF_HALF and half.value == F(1, 2)
 
 
 class TestDoubleFactorial:

@@ -1,15 +1,16 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qoscpoly import (VAR_T, Poly, QContext, emu_series, eqw_eval,
                       q_factorial, q_pochhammer, qgaussian, hahn_factorial,
                       gaussian_genfun_lhs, hahn_genfun_lhs,
-                      exp_pair_identity_residual)
+                      exp_pair_residual)
 from qoscpoly.context import HALF_HALF, HALF_ZERO
 from qoscpoly.report import fmt_exact
-from qoscpoly.series import (e_type_series, exp_pair_alternate_residual,
-                             recip_poch_series)
+from qoscpoly.series import e_type_series, recip_poch_series
 from qoscpoly.verify import RunConfig, run_suites
 
 
@@ -135,12 +136,14 @@ class TestHahnGenfun:
 
 
 class TestExpPair:
+    """The pairing E^(0)(t) E^(1/2)(c t) - 1 vanishes at c = -q^(-1/2)."""
+
     def test_order_zero(self, ctx_q14):
-        assert exp_pair_identity_residual(ctx_q14, 0).is_zero()
+        assert exp_pair_residual(ctx_q14, -1 / ctx_q14.s, 0).is_zero()
 
     def test_exact_zero_series(self):
-        assert exp_pair_identity_residual(QContext(F(1, 2)), 5).is_zero()
-        assert exp_pair_identity_residual(QContext(F(3, 4)), 12).is_zero()
+        assert exp_pair_residual(QContext(F(1, 2)), -2, 5).is_zero()
+        assert exp_pair_residual(QContext(F(3, 4)), F(-4, 3), 12).is_zero()
 
     def test_product_oracle(self):
         # independent check: convolve the two coefficient sequences directly
@@ -153,7 +156,17 @@ class TestExpPair:
             assert conv == (1 if n == 0 else 0)
 
     def test_alternate_pairing_fails(self):
-        assert not exp_pair_alternate_residual(QContext(F(1, 2)), 12).is_zero()
+        assert not exp_pair_residual(QContext(F(1, 2)), -F(1, 2), 12).is_zero()
+
+    @given(s=st.fractions(0, 1, max_denominator=12).filter(lambda s: 0 < s < 1),
+           order=st.integers(1, 10))
+    @settings(max_examples=30, deadline=None)
+    def test_zero_at_identity_pairing_only(self, s, order):
+        # the t coefficient at c = -q^(1/2) is 1 - q, never 0
+        ctx = QContext(s)
+        assert exp_pair_residual(ctx, -1 / s, order).is_zero()
+        alternate = exp_pair_residual(ctx, -s, order)
+        assert not alternate.is_zero() and alternate.coeff(1) == 1 - ctx.q
 
 
 class TestRaisingSeriesFactorization:
