@@ -107,10 +107,7 @@ class Basis:
             raise ValueError(f"element count must be >= 0, got {count}")
         out = [Poly.one(self.var)][:count]
         for k in range(count - 1):
-            a, b = self.factor(ctx, k)
-            c = out[-1].coeffs
-            out.append(Poly([a * x + b * y for x, y in zip(c + (0,), (0,) + c)],
-                            self.var))
+            out.append(out[-1] * Poly(self.factor(ctx, k), self.var))
         return out
 
     def element(self, ctx: QContext, n: int) -> Poly:

@@ -89,7 +89,7 @@ def hahn_integral_closed(ctx: QContext, p: Poly, x) -> Fraction:
     ypow = Fraction(1)
     # b_j, the coefficient of (x - omega0)^j
     for j, b in enumerate(expand_in_basis(ctx, p, Basis.SHIFTED_MONOMIAL)):
-        total += b * ypow / (1 - q ** (j + 1))
+        total += b * ypow / (1 - ctx.q_pow(j + 1))
         ypow *= y
     return ((1 - q) * x - ctx.omega) * total
 

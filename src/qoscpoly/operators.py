@@ -26,7 +26,7 @@ def jackson_derivative(ctx: QContext, p: Poly) -> Poly:
     """D_q p: monomial action x^n -> [n]_q x^(n-1)."""
     if p.var != VAR_X:
         raise ValueError("Jackson derivative acts on polynomials in x")
-    return Poly((q_int(ctx, n) * p.coeff(n) for n in range(1, len(p.coeffs))))
+    return Poly((q_int(ctx, n) * p.coeff(n) for n in range(1, p.degree + 1)))
 
 
 # the analytic operators without a public name; see ladder_apply_analytic

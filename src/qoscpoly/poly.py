@@ -1,5 +1,13 @@
 """Dense univariate polynomials over exact rationals.
 
+A polynomial is stored as FLINT's ``fmpq_poly`` stores it: integer
+numerators ``nums`` (ascending) over one positive denominator ``den``.  The
+form is normal: no trailing zero numerator, ``gcd(content(nums), den) = 1``,
+and the zero polynomial is ``((), 1)``.  It is unique, so ``==`` and
+``hash`` read it directly, and a constant equals and hashes as its value.
+Every operation works on integers and normalises its result once; the
+Fraction coefficients ``coeffs`` are built when read.
+
 The variable is ``x`` (the default), ``u`` or ``t``.  ``u`` marks
 polynomials in u = q^x, where the q-factorial family lives; ``t`` marks the
 truncated power series of the generating functions, whose products
@@ -12,6 +20,8 @@ remainders by var - b are the coefficients in powers of var - b.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, lcm
 from numbers import Rational
 
 from .context import frac
@@ -21,21 +31,46 @@ VAR_U = "u"
 VAR_T = "t"
 
 
-def _trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
 class Poly:
-    """Immutable dense polynomial with Fraction coefficients (ascending)."""
+    """Immutable dense polynomial: integer numerators over one denominator."""
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("nums", "den", "var")
 
     def __init__(self, coeffs, var: str = VAR_X):
-        self.coeffs = _trim(frac(c) for c in coeffs)
-        self.var = var
+        coeffs = [frac(c) for c in coeffs]
+        den = 1
+        for c in coeffs:
+            den = lcm(den, c.denominator)
+        # over the lcm of reduced denominators the content is already
+        # coprime to den: each prime of den divides some c's denominator
+        # to its full power, so it does not divide that c's numerator
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        while nums and not nums[-1]:
+            nums.pop()
+        self.nums, self.den, self.var = tuple(nums), den, var
+
+    @classmethod
+    def _reduced(cls, nums: list, den: int, var: str) -> "Poly":
+        """nums/den (den nonzero) brought to the normal form; nums is
+        divided in place."""
+        while nums and not nums[-1]:
+            nums.pop()
+        # pairwise, stopping at 1: a gcd over all of nums at once would
+        # build an argument tuple per call
+        g = abs(den)
+        for n in nums:
+            if g == 1:
+                break
+            g = gcd(g, n)
+        if den < 0:
+            g = -g
+        if g != 1:
+            for k in range(len(nums)):
+                nums[k] //= g
+            den //= g
+        p = object.__new__(cls)
+        p.nums, p.den, p.var = tuple(nums), den, var
+        return p
 
     @classmethod
     def zero(cls, var: str = VAR_X) -> "Poly":
@@ -56,15 +91,23 @@ class Poly:
         return cls([0] * n + [c], var)
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, ascending, built on each read."""
+        den = self.den
+        return tuple([Fraction(n, den) for n in self.nums])
+
+    @property
     def degree(self) -> int:
         """Degree, with the zero polynomial reporting -1."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def coeff(self, n: int) -> Fraction:
-        return self.coeffs[n] if 0 <= n < len(self.coeffs) else Fraction(0)
+        if 0 <= n < len(self.nums):
+            return Fraction(self.nums[n], self.den)
+        return Fraction(0)
 
     def _check_var(self, other: "Poly"):
         if self.var != other.var:
@@ -74,13 +117,17 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.const(other, self.var)
         self._check_var(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly((self.coeff(i) + other.coeff(i) for i in range(n)), self.var)
+        # both sides over the lcm of the denominators
+        g = gcd(self.den, other.den)
+        sa, so = other.den // g, self.den // g
+        return Poly._reduced([a * sa + b * so for a, b in
+                              zip_longest(self.nums, other.nums, fillvalue=0)],
+                             self.den * sa, self.var)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly((-c for c in self.coeffs), self.var)
+        return Poly._reduced([-n for n in self.nums], self.den, self.var)
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -93,22 +140,20 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             c = frac(other)
-            return Poly((c * a for a in self.coeffs), self.var)
-        return self.mul_trunc(other, len(self.coeffs) + len(other.coeffs) - 2)
+            return Poly._reduced([n * c.numerator for n in self.nums],
+                                 self.den * c.denominator, self.var)
+        return self.mul_trunc(other, len(self.nums) + len(other.nums) - 2)
 
     __rmul__ = __mul__
 
     def mul_trunc(self, other: "Poly", order: int) -> "Poly":
         """The product with only its terms of degree <= order formed."""
         self._check_var(other)
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for i in range(min(order, len(a) + len(b) - 2) + 1):
-            acc = Fraction(0)
-            for k in range(max(0, i - len(b) + 1), min(i, len(a) - 1) + 1):
-                acc += a[k] * b[i - k]
-            out.append(acc)
-        return Poly(out, self.var)
+        a, b = self.nums, other.nums
+        out = [sum(a[k] * b[i - k]
+                   for k in range(max(0, i - len(b) + 1), min(i, len(a) - 1) + 1))
+               for i in range(min(order, len(a) + len(b) - 2) + 1)]
+        return Poly._reduced(out, self.den * other.den, self.var)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -123,26 +168,32 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs and self.var == other.var
+            return (self.nums == other.nums and self.den == other.den
+                    and self.var == other.var)
         if isinstance(other, Rational):
-            return self.coeffs == _trim([other])
+            if len(self.nums) > 1:
+                return False
+            n = self.nums[0] if self.nums else 0
+            return n * other.denominator == other.numerator * self.den
         return NotImplemented
 
     def __hash__(self):
         # a constant equals its value, so it hashes as that value
-        if self.degree <= 0:
+        if len(self.nums) <= 1:
             return hash(self.coeff(0))
-        return hash((self.coeffs, self.var))
+        return hash((self.nums, self.den, self.var))
 
     def __call__(self, value) -> Fraction:
-        out = Fraction(0)
+        """p(value) by Horner's rule on the numerators, one Fraction at the end."""
         v = frac(value)
-        if v == 1:
-            # Horner's multiplications by 1 would each build a Fraction
-            return sum(self.coeffs, out)
-        for c in reversed(self.coeffs):
-            out = out * v + c
-        return out
+        vn, vd = v.numerator, v.denominator
+        # acc collects sum nums[k] vn^k vd^(deg - k) from the top term down
+        acc, scale = 0, 1
+        for n in reversed(self.nums):
+            acc = acc * vn + n * scale
+            scale *= vd
+        # scale ends one factor of vd past vd^deg
+        return Fraction(acc * vd, self.den * scale)
 
     def compose_affine(self, a, b) -> "Poly":
         """p(a*var + b), expanded exactly.
@@ -153,31 +204,56 @@ class Poly:
         them gives p(a*var + b).
         """
         rest, shifted, b = self, [], frac(b)
-        for _ in self.coeffs:
+        for _ in self.nums:
             rest, rem = rest.divmod_linear(-b, 1)
             shifted.append(rem)
         return Poly(shifted, self.var).scale_arg(a)
 
     def scale_arg(self, a) -> "Poly":
-        """p(a*var)."""
+        """p(a*var): nums[k] times a_num^k a_den^(deg - k) over den a_den^deg."""
         a = frac(a)
-        return Poly((c * a ** n for n, c in enumerate(self.coeffs)), self.var)
+        out = list(self.nums)
+        power = 1
+        for k in range(1, len(out)):
+            power *= a.numerator
+            out[k] *= power
+        power = 1
+        for k in range(len(out) - 2, -1, -1):
+            power *= a.denominator
+            out[k] *= power
+        return Poly._reduced(out, self.den * power, self.var)
 
     def divmod_linear(self, a, b) -> tuple["Poly", Fraction]:
         """(quotient, remainder) of the division by a + b var, b nonzero.
 
-        Synthetic division from the top coefficient down; the remainder is
-        p(-a/b).
+        Synthetic division from the top coefficient down, kept in integers.
+        With A = a_num b_den and B = b_num a_den, the carries
+        t_j = nums[deg - j] B^j - A t_(j-1) divide nums by A + B var: the
+        quotient's coefficient k is t_(deg-1-k) B^k / B^deg and the
+        remainder t_deg / B^deg.  Since a + b var = (A + B var)/(a_den b_den),
+        p's quotient is that quotient times a_den b_den / den, and its
+        remainder, p(-a/b), is that remainder over den.
         """
         a, b = frac(a), frac(b)
         if b == 0:
             raise ZeroDivisionError("division by a + b var needs b != 0")
-        quot = []
-        carry = Fraction(0)
-        for c in reversed(self.coeffs[1:]):
-            carry = (c - a * carry) / b
-            quot.append(carry)
-        return Poly(reversed(quot), self.var), self.coeff(0) - a * carry
+        big_a = a.numerator * b.denominator
+        big_b = b.numerator * a.denominator
+        carries, carry, power = [], 0, 1
+        for n in reversed(self.nums):
+            carry = n * power - big_a * carry
+            carries.append(carry)
+            power *= big_b
+        if not carries:
+            return Poly.zero(self.var), Fraction(0)
+        power //= big_b  # B^deg
+        rem = Fraction(carries.pop(), self.den * power)
+        carries.reverse()
+        scale = a.denominator * b.denominator
+        for k in range(len(carries)):
+            carries[k] *= scale
+            scale *= big_b
+        return Poly._reduced(carries, self.den * power, self.var), rem
 
     def __repr__(self):
         if self.is_zero():

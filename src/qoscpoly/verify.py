@@ -94,8 +94,8 @@ def suite_qseries(ctx: QContext, nmax: int, order: int,
     for z in (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)):
         prod_val, _ = q_pochhammer_inf(ctx, z, tol)
         # 80-term partial sums of the two expansions at t = 1
-        e_sum = sum(seriesmod.e_type_series(ctx, z, 79).coeffs)
-        r_sum = sum(seriesmod.recip_poch_series(ctx, z, 79).coeffs)
+        e_sum = seriesmod.e_type_series(ctx, z, 79)(1)
+        r_sum = seriesmod.recip_poch_series(ctx, z, 79)(1)
         bound = Fraction(1, 10 ** 9)
         ok = abs(e_sum - prod_val) < bound
         out.append(record(f"qseries/euler-product/z={z}", {"z": z, "tol": bound},
@@ -128,7 +128,7 @@ def suite_qseries(ctx: QContext, nmax: int, order: int,
     for x in (Fraction(1, 3), Fraction(-1, 2)):
         lhs = seriesmod.eqw_eval(ctx0, HALF_ZERO, x, order)
         series = seriesmod.emu_series(ctx, HALF_ZERO, x, order)
-        rhs = sum(series.coeffs, Fraction(0))
+        rhs = series(1)
         out.append(record(f"qseries/eqw-reduces/x={x}", {"x": x},
                           lhs == rhs, lhs, rhs,
                           "shift-free exponential matches the (q,mu) series"))
