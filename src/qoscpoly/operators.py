@@ -144,5 +144,5 @@ def difference_equation_residual(ctx: QContext, n: int) -> Poly:
         raise ValueError("n must be >= 0")
     phi = qgaussian(ctx, n)
     lhs = Poly([-1, 1]) * jackson_derivative(ctx, phi).scale_arg(1 / ctx.q)
-    eig = q_int_at(1 / ctx.q, n) if n > 0 else Fraction(0)
-    return lhs - eig * phi
+    # the eigenvalue [n]_(1/q) is 0 at n = 0, so no branch is needed
+    return lhs - q_int_at(1 / ctx.q, n) * phi

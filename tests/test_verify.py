@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qoscpoly import QContext, cli
-from qoscpoly.report import FAIL, VerificationReport
+from qoscpoly import Poly, QContext, cli
+from qoscpoly.report import (DISCREPANCY, FAIL, PASS, VerificationReport,
+                             fmt_exact)
 from qoscpoly.verify import (CHECK_LIMITS, SUITE_LIMITS, SUITE_NAMES, SUITES,
-                             RunConfig, run_suites)
+                             TOL, RunConfig, _exact, _near, run_suites)
 
 
 class TestRandomContexts:
@@ -61,3 +63,59 @@ class TestRunSuites:
         ctx = QContext.from_q(F(1, 2), F(1, 8))
         with pytest.raises(ValueError, match="base root"):
             SUITES[suite](ctx, 2, 4, random.Random(0))
+
+
+class TestPassRules:
+    def test_exact_passes_iff_equal(self):
+        assert _exact("a", {}, F(1, 3), F(2, 6)).status == PASS
+        assert _exact("a", {}, F(1, 3), F(1, 4)).status == FAIL
+        assert _exact("a", {}, Poly([1, 2]), Poly([1, 2])).status == PASS
+        assert _exact("a", {}, Poly([1, 2]), Poly([1, 3])).status == FAIL
+        assert _exact("a", {}, Poly.zero(), 0).status == PASS
+        assert _exact("a", {}, Poly([0, 1]), 0).status == FAIL
+
+    def test_exact_shows_poly_coefficients(self):
+        p, r = Poly([F(1, 2), 0, 3]), Poly([F(-1, 3)])
+        rec = _exact("a", {"n": 1}, p, r, "note")
+        assert (rec.lhs, rec.rhs) == (fmt_exact(list(p.coeffs)),
+                                      fmt_exact(list(r.coeffs)))
+        assert (rec.params, rec.note) == ({"n": 1}, "note")
+        assert _exact("a", {}, Poly([1, 1]), 0).rhs == "0"
+
+    def test_exact_discrepancy(self):
+        assert _exact("a", {}, 1, 2, discrepancy=True).status == DISCREPANCY
+        assert _exact("a", {}, 1, 1, discrepancy=True).status == PASS
+
+    def test_near_is_strict(self):
+        assert _near("a", {}, TOL, 0).status == FAIL
+        assert _near("a", {}, 1 + TOL, 1).status == FAIL
+        assert _near("a", {}, 0, TOL).status == FAIL
+        assert _near("a", {}, TOL / 2, 0).status == PASS
+        assert _near("a", {}, -TOL / 2, 0).status == PASS
+
+    def test_near_adds_tol(self):
+        rec = _near("a", {"x": F(1, 2)}, F(1, 3), F(1, 3))
+        assert rec.params == {"x": F(1, 2), "tol": TOL}
+        assert (rec.lhs, rec.rhs) == ("1/3", "1/3")
+
+
+class TestFaultContainment:
+    def test_hahn_fault_becomes_raised_records(self, capsys, monkeypatch):
+        # a Hahn step off by one leaves a remainder in every Hahn difference;
+        # the operators suite meets it in the Hahn lowering
+        import qoscpoly.hahn as hahn
+        monkeypatch.setattr(hahn, "_hahn_step", lambda ctx, p:
+                            p.compose_affine(ctx.q, ctx.omega) + 1)
+        code = cli.main(["verify", "--format", "json"])
+        assert code == cli.EXIT_VERIFICATION_FAILED
+        records = json.loads(capsys.readouterr().out)["records"]
+        failed = {r["check_id"]: r for r in records if r["status"] == FAIL}
+        assert set(failed) == {"hahncalc/raised", "operators/raised"}
+        raised = failed["hahncalc/raised"]
+        assert raised["lhs"].startswith(
+            "AssertionError: Hahn difference leaves remainder")
+        assert raised["note"].startswith(
+            "raised in hahn_derivative_poly at hahn.py:")
+        suites = {r["check_id"].split("/")[0] for r in records}
+        assert {"qkernel", "qseries", "polyfamilies",
+                "matrixelements"} <= suites
