@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from fractions import Fraction
 from itertools import product
@@ -22,7 +21,7 @@ from .matel import matel_at, matel_closed, matel_oracle
 from .operators import FAMILIES
 from .poly import Poly
 from .qarith import q_factorial
-from .report import fmt_exact
+from .report import fmt_exact, json_text
 from .series import gaussian_genfun_lhs, hahn_genfun_lhs
 from .verify import (CHECK_LIMITS, SUITE_LIMITS, SUITE_NAMES, RunConfig,
                      context_dict, run_suites)
@@ -189,7 +188,7 @@ def cmd_table(args) -> int:
         return EXIT_USAGE
     payload = {"context": context_dict(ctx), "kind": args.kind, "rows": rows}
     if args.fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json_text(payload)
     elif args.fmt == "csv":
         buf = io.StringIO()
         fieldnames = sorted({k for row in rows for k in row})

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from decimal import Decimal
-from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 PASS = "pass"
 FAIL = "fail"
@@ -30,6 +30,56 @@ def fmt_exact(value) -> str:
         # it exactly, without that limit, and prints it in plain digits
         num, den = Decimal(value.numerator), value.denominator
         return f"{num}/{Decimal(den)}" if den != 1 else str(num)
+
+
+def json_text(value) -> str:
+    """Write value exactly as ``json.dumps(value, indent=2, sort_keys=True)``
+    does, plus a final newline: ASCII-escaped strings, sorted keys, one item
+    per line at two spaces a level.
+
+    Reports and tables hold only dicts with str keys, lists, tuples, str,
+    int, bool and None; any other value (a float, a Fraction, a non-str key)
+    raises TypeError, since an exact report has none.  A list may also come
+    as an iterator, read one item at a time: a report's records arrive so.
+    """
+    return _json(value, "\n", "\n")
+
+
+def _json(value, newline: str, end: str = "") -> str:
+    """value as json_text writes it, on a line begun by newline, then end.
+
+    Each container item is rendered to one string, and the items are
+    joined once with the brackets, so the text is never held as tokens.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value) + end
+    if value is None:
+        return "null" + end
+    if value is True:
+        return "true" + end
+    if value is False:
+        return "false" + end
+    if isinstance(value, int):
+        return int.__repr__(value) + end
+    inner = newline + "  "
+    if isinstance(value, dict):
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"key {key!r} of type {type(key).__name__} "
+                                "is not a str")
+        items = (f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                 for k, v in sorted(value.items()))
+        opening, closing = "{", "}"
+    elif isinstance(value, (list, tuple, Iterator)):
+        items = (_json(v, inner) for v in value)
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(f"{type(value).__name__} value {value!r} is not exact "
+                        "report data")
+    body = ("," + inner).join(items)
+    if not body:
+        return opening + closing + end
+    return "".join((opening, inner, body, newline, closing, end))
 
 
 @dataclass(frozen=True)
@@ -77,26 +127,15 @@ class VerificationReport:
     def ok(self) -> bool:
         return self.counts[FAIL] == 0
 
-    def to_dict(self) -> dict:
-        return {
-            "context": self.context,
-            "seed": self.seed,
-            "summary": self.counts,
-            "records": [
-                {
-                    "check_id": r.check_id,
-                    "params": {k: fmt_exact(v) for k, v in r.params.items()},
-                    "status": r.status,
-                    "lhs": r.lhs,
-                    "rhs": r.rhs,
-                    "note": r.note,
-                }
-                for r in self.sorted_records()
-            ],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        # the records go in one at a time: only their written text is held
+        records = ({"check_id": r.check_id,
+                    "params": {k: fmt_exact(v) for k, v in r.params.items()},
+                    "status": r.status, "lhs": r.lhs, "rhs": r.rhs,
+                    "note": r.note}
+                   for r in self.sorted_records())
+        return json_text({"context": self.context, "seed": self.seed,
+                          "summary": self.counts, "records": records})
 
     def to_csv(self) -> str:
         buf = io.StringIO()
