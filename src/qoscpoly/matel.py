@@ -10,12 +10,18 @@ of the polynomials P_{n,r} in alpha*beta, computed two independent ways:
   * ``matel_closed``  evaluates the closed-form expressions through the
     U-polynomials, diagonal by diagonal: coefficient j of U_n is a column
     q^(j^2(mu+nu)) x^j / ((q^(1+d); q)_j (q; q)_j), walked once per
-    diagonal and side, times a row (q^-n; q)_j, built once per matrix, so a
-    cell costs prefactor * (column_j * row_j) per coefficient;
+    diagonal and side, times a row (q^-n; q)_j, built once per matrix;
   * ``matel_oracle``  applies the two truncating operator series directly via
     the exact ladder coefficients, with no reference to the closed forms.
     A cell's coefficients are products of two weighted ladder paths, so
     one matrix costs O(N^3) multiplications.
+
+Both keep their factors as ``Poly`` keeps its coefficients, integer
+numerators over one denominator: each column and row, each list of
+lowering paths and all raising paths together.  A closed-form coefficient
+is then the integer product prefactor_num * column_j * row_j, an oracle
+coefficient the integer product of two path numerators, and each cell is
+normalised once, by ``Poly.over``; no Fraction is built per coefficient.
 
 ``matel_at`` evaluates either matrix at one (alpha, beta).  The oracle is
 the ground truth; any exact mismatch with a closed form is reported as a
@@ -40,7 +46,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import prod
+from math import lcm, prod
 from operator import mul
 
 from .context import HALF_HALF, HalfInt, QContext, frac
@@ -61,24 +67,34 @@ def u_polynomial(ctx: QContext, mu: HalfInt, nu: HalfInt, n: int,
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return Poly(map(mul, _u_column(ctx, mu, nu, q1theta, x, n + 1),
-                    _u_row(ctx, n)))
+    return _cell(1, _u_column(ctx, mu, nu, q1theta, x, n + 1), _u_row(ctx, n))
 
 
 def _u_column(ctx: QContext, mu: HalfInt, nu: HalfInt, q1theta, x,
-              count: int) -> list[Fraction]:
-    """q^(j^2 (mu+nu)) x^j / ((q^(1+theta); q)_j (q; q)_j) for j < count:
-    the part of U's coefficient j free of the degree n, walked by
-    ``qhyp_terms``."""
+              count: int) -> Poly:
+    """q^(j^2 (mu+nu)) x^j / ((q^(1+theta); q)_j (q; q)_j) for j < count as
+    the coefficients of one Poly: the part of U's coefficient j free of the
+    degree n, walked by ``qhyp_terms``."""
     musum = HalfInt(mu.twice + nu.twice)
-    return qhyp_terms(ctx, [], [q1theta], x, count,
-                      lambda j: ctx.pow_half(musum, j * j))
+    return Poly(qhyp_terms(ctx, [], [q1theta], x, count,
+                           lambda j: ctx.pow_half(musum, j * j)))
 
 
-def _u_row(ctx: QContext, n: int) -> list[Fraction]:
-    """(q^-n; q)_j for j = 0..n, the part of U's coefficients set by n."""
-    return list(accumulate((1 - ctx.q_pow(j - n) for j in range(n)), mul,
+def _u_row(ctx: QContext, n: int) -> Poly:
+    """(q^-n; q)_j for j = 0..n as the coefficients of one Poly: the part of
+    U's coefficients set by n."""
+    return Poly(accumulate((1 - ctx.q_pow(j - n) for j in range(n)), mul,
                            initial=Fraction(1)))
+
+
+def _cell(pref, col: Poly, row: Poly) -> Poly:
+    """pref times col and row coefficient by coefficient: the numerators are
+    integer products over one denominator, normalised once.  A column that
+    Poly trimmed of its zero terms (x = 0) ends the products early, where
+    the coefficients are zero."""
+    p = pref.numerator
+    return Poly.over([p * c * r for c, r in zip(col.nums, row.nums)],
+                     pref.denominator * col.den * row.den)
 
 
 def _termination_index(ctx: QContext, a: Fraction) -> int | None:
@@ -134,13 +150,18 @@ def _times_power(value: Fraction, base: Fraction, d: int) -> Fraction:
     return value if d == 0 or base == 1 else value * base ** d
 
 
-def _weighted_paths(weights: Poly, steps: list) -> list[Fraction]:
-    """weights.coeff(k) times the product of steps[:k], k = 0..len(steps).
+def _weighted_paths(weights: Poly, steps: list) -> tuple[list[int], int]:
+    """Weight k times the product of steps[:k], k = 0..len(steps), as
+    integer numerators over one denominator.
 
-    Poly trims the zero weights that sigma = 0 gives; coeff reads them.
+    Poly trims the zero weights that sigma = 0 gives; they come back as
+    zero numerators.
     """
-    return [weights.coeff(k) * path for k, path in
-            enumerate(accumulate(steps, mul, initial=Fraction(1)))]
+    paths = list(accumulate(steps, mul, initial=Fraction(1)))
+    den = lcm(*(path.denominator for path in paths))
+    nums = [w * path.numerator * (den // path.denominator)
+            for w, path in zip(weights.nums, paths)]
+    return nums + [0] * (len(paths) - len(nums)), weights.den * den
 
 
 def matel_oracle(ctx: QContext, family: Family, mu: HalfInt, nu: HalfInt,
@@ -155,6 +176,9 @@ def matel_oracle(ctx: QContext, family: Family, mu: HalfInt, nu: HalfInt,
     j-th raising weight times the path m -> m + j.  The i-th path of cell
     (n, r) carries (alpha beta)^(i - (n-r)+), so its product
     down[n][i] * up[n - i][r - n + i] is that coefficient of P_{n,r}.
+    Each ``down[n]`` is kept as integer numerators over its own denominator
+    and all of ``up`` over one shared denominator, so a cell is integer
+    products over one denominator, normalised once.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
@@ -165,9 +189,11 @@ def matel_oracle(ctx: QContext, family: Family, mu: HalfInt, nu: HalfInt,
     w_up = emu_series(ctx, mu, sigma, nmax)
     down = [_weighted_paths(w_down, lower[:n][::-1]) for n in range(size)]
     up = [_weighted_paths(w_up, raise_[m:]) for m in range(size)]
-    return [[Poly(down[n][i] * up[n - i][r - n + i]
-                  for i in range(max(n - r, 0), n + 1))
-             for r in range(size)] for n in range(size)]
+    up_den = lcm(*(den for _, den in up))
+    up = [[u * (up_den // den) for u in nums] for nums, den in up]
+    return [[Poly.over([dn[i] * up[n - i][r - n + i]
+                        for i in range(max(n - r, 0), n + 1)], dd * up_den)
+             for r in range(size)] for n, (dn, dd) in enumerate(down)]
 
 
 def matel_closed(ctx: QContext, family: Family, mu: HalfInt, nu: HalfInt,
@@ -200,7 +226,7 @@ def matel_closed(ctx: QContext, family: Family, mu: HalfInt, nu: HalfInt,
             pref = (lo_scale * q_binomial(ctx, k + d, k)
                     * ctx.pow_half(HALF_HALF, nu.twice * d * d
                                    - e * d * (2 * k + d + 1)))
-            out[k + d][k] = Poly(pref * (c * r) for c, r in zip(col, rows[k]))
+            out[k + d][k] = _cell(pref, col, rows[k])
         if d == 0:
             continue
         # cells (k, k + d); likewise d(n+r-1) is even
@@ -210,5 +236,5 @@ def matel_closed(ctx: QContext, family: Family, mu: HalfInt, nu: HalfInt,
         for k in range(size - d):
             pref = hi_scale * ctx.pow_half(HALF_HALF, mu.twice * d * d
                                            - (1 - e) * d * (2 * k + d - 1))
-            out[k][k + d] = Poly(pref * (c * r) for c, r in zip(col, rows[k]))
+            out[k][k + d] = _cell(pref, col, rows[k])
     return out

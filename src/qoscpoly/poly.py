@@ -5,8 +5,9 @@ numerators ``nums`` (ascending) over one positive denominator ``den``.  The
 form is normal: no trailing zero numerator, ``gcd(content(nums), den) = 1``,
 and the zero polynomial is ``((), 1)``.  It is unique, so ``==`` and
 ``hash`` read it directly, and a constant equals and hashes as its value.
-Every operation works on integers and normalises its result once; the
-Fraction coefficients ``coeffs`` are built when read.
+Every operation works on integers and normalises its result once, through
+``Poly.over``, the one normaliser; the Fraction coefficients ``coeffs`` are
+built when read.
 
 The variable is ``x`` (the default), ``u`` or ``t``.  ``u`` marks
 polynomials in u = q^x, where the q-factorial family lives; ``t`` marks the
@@ -50,9 +51,13 @@ class Poly:
         self.nums, self.den, self.var = tuple(nums), den, var
 
     @classmethod
-    def _reduced(cls, nums: list, den: int, var: str) -> "Poly":
-        """nums/den (den nonzero) brought to the normal form; nums is
-        divided in place."""
+    def over(cls, nums: list, den: int, var: str = VAR_X) -> "Poly":
+        """The polynomial nums/den, integer numerators over a nonzero
+        denominator of any sign, brought to the normal form.
+
+        The one normaliser: every operation builds its integer result and
+        ends here.  The list nums is divided in place.
+        """
         while nums and not nums[-1]:
             nums.pop()
         # pairwise, stopping at 1: a gcd over all of nums at once would
@@ -120,14 +125,14 @@ class Poly:
         # both sides over the lcm of the denominators
         g = gcd(self.den, other.den)
         sa, so = other.den // g, self.den // g
-        return Poly._reduced([a * sa + b * so for a, b in
-                              zip_longest(self.nums, other.nums, fillvalue=0)],
-                             self.den * sa, self.var)
+        return Poly.over([a * sa + b * so for a, b in
+                          zip_longest(self.nums, other.nums, fillvalue=0)],
+                         self.den * sa, self.var)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._reduced([-n for n in self.nums], self.den, self.var)
+        return Poly.over([-n for n in self.nums], self.den, self.var)
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -140,8 +145,8 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             c = frac(other)
-            return Poly._reduced([n * c.numerator for n in self.nums],
-                                 self.den * c.denominator, self.var)
+            return Poly.over([n * c.numerator for n in self.nums],
+                             self.den * c.denominator, self.var)
         return self.mul_trunc(other, len(self.nums) + len(other.nums) - 2)
 
     __rmul__ = __mul__
@@ -153,7 +158,7 @@ class Poly:
         out = [sum(a[k] * b[i - k]
                    for k in range(max(0, i - len(b) + 1), min(i, len(a) - 1) + 1))
                for i in range(min(order, len(a) + len(b) - 2) + 1)]
-        return Poly._reduced(out, self.den * other.den, self.var)
+        return Poly.over(out, self.den * other.den, self.var)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -221,7 +226,7 @@ class Poly:
         for k in range(len(out) - 2, -1, -1):
             power *= a.denominator
             out[k] *= power
-        return Poly._reduced(out, self.den * power, self.var)
+        return Poly.over(out, self.den * power, self.var)
 
     def divmod_linear(self, a, b) -> tuple["Poly", Fraction]:
         """(quotient, remainder) of the division by a + b var, b nonzero.
@@ -253,7 +258,7 @@ class Poly:
         for k in range(len(carries)):
             carries[k] *= scale
             scale *= big_b
-        return Poly._reduced(carries, self.den * power, self.var), rem
+        return Poly.over(carries, self.den * power, self.var), rem
 
     def __repr__(self):
         if self.is_zero():

@@ -1,21 +1,92 @@
 import dataclasses
 from fractions import Fraction as F
+from itertools import accumulate
 from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qoscpoly import (FAMILIES, HAHN, HALF_HALF, HALF_ZERO, QFACTORIAL,
-                      QGAUSSIAN, QContext, basic_hyp_terminating, cli,
-                      matel_at, matel_closed, matel_oracle, q_factorial,
+                      QGAUSSIAN, HalfInt, Poly, QContext,
+                      basic_hyp_terminating, cli, emu_series, matel_at,
+                      matel_closed, matel_oracle, q_binomial, q_factorial,
                       q_int_at, q_pochhammer, qhyp_terms, u_polynomial)
+from qoscpoly.operators import lowering_coeff, raising_coeff
 from qoscpoly.report import PASS
 from qoscpoly.verify import _special_forms
 
 HALVES = (HALF_ZERO, HALF_HALF)
+# negative exponents too: -1, -1/2, 0, 1/2, 1
+SIGNED_HALVES = tuple(HalfInt(t) for t in range(-2, 3))
 roots = st.fractions(0, 1, max_denominator=9).filter(lambda s: 0 < s < 1)
 small = st.fractions(-2, 2, max_denominator=7)
+
+
+def _reference_column(ctx, mu, nu, q1theta, x, count):
+    musum = HalfInt(mu.twice + nu.twice)
+    return qhyp_terms(ctx, [], [q1theta], x, count,
+                      lambda j: ctx.pow_half(musum, j * j))
+
+
+def _reference_row(ctx, n):
+    return list(accumulate((1 - ctx.q_pow(j - n) for j in range(n)), mul,
+                           initial=F(1)))
+
+
+def reference_closed(ctx, family, mu, nu, nmax):
+    """The reference closed form: every coefficient of a cell formed as
+    pref * (column_j * row_j) over Fractions and the cell built by the
+    Poly constructor (the former ``qoscpoly.matel.matel_closed``)."""
+    e, sigma, size = family.e, family.sigma(ctx), nmax + 1
+    z = (ctx.q - 1) * family.kappa(ctx)
+    rows = [_reference_row(ctx, k) for k in range(size)]
+    out = [[None] * size for _ in range(size)]
+    for d in range(size):
+        q1d, lo_scale = ctx.q_pow(1 + d), sigma ** d
+        col = _reference_column(ctx, mu, nu, q1d,
+                                z * ctx.q_pow(1 - e + nu.twice * d), size - d)
+        for k in range(size - d):
+            pref = (lo_scale * q_binomial(ctx, k + d, k)
+                    * ctx.pow_half(HALF_HALF, nu.twice * d * d
+                                   - e * d * (2 * k + d + 1)))
+            out[k + d][k] = Poly(pref * (c * r) for c, r in zip(col, rows[k]))
+        if d == 0:
+            continue
+        hi_scale = lo_scale / q_factorial(ctx, d)
+        col = _reference_column(ctx, mu, nu, q1d,
+                                z * ctx.q_pow(1 - e + mu.twice * d), size - d)
+        for k in range(size - d):
+            pref = hi_scale * ctx.pow_half(HALF_HALF, mu.twice * d * d
+                                           - (1 - e) * d * (2 * k + d - 1))
+            out[k][k + d] = Poly(pref * (c * r) for c, r in zip(col, rows[k]))
+    return out
+
+
+def reference_oracle(ctx, family, mu, nu, nmax):
+    """The reference oracle: weighted ladder paths as Fractions and every
+    cell built by the Poly constructor from their Fraction products (the
+    former ``qoscpoly.matel.matel_oracle``)."""
+    sigma, size = family.sigma(ctx), nmax + 1
+    lower = [lowering_coeff(ctx, family, m) for m in range(1, size)]
+    raise_ = [raising_coeff(ctx, family, m) for m in range(size - 1)]
+
+    def weighted_paths(weights, steps):
+        return [weights.coeff(k) * path for k, path in
+                enumerate(accumulate(steps, mul, initial=F(1)))]
+
+    w_down = emu_series(ctx, nu, sigma, nmax)
+    w_up = emu_series(ctx, mu, sigma, nmax)
+    down = [weighted_paths(w_down, lower[:n][::-1]) for n in range(size)]
+    up = [weighted_paths(w_up, raise_[m:]) for m in range(size)]
+    return [[Poly(down[n][i] * up[n - i][r - n + i]
+                  for i in range(max(n - r, 0), n + 1))
+             for r in range(size)] for n in range(size)]
+
+
+def normal_forms(matrix):
+    return [[(p.nums, p.den, p.var) for p in row] for row in matrix]
 
 
 class TestUPolynomial:
@@ -279,11 +350,48 @@ class TestDegenerateHahn:
 
 class TestDiagonalBranches:
     def test_branches_agree_on_diagonal(self, ctx_q14):
+        # the n = r cells are built once, by the r <= n branch at d = 0: they
+        # must equal the reference's, and at omega = 0, where the Hahn form
+        # holds too, the oracle's diagonal
+        ctx0 = ctx_q14.with_omega(0)
+
+        def diagonal(m):
+            return [m[n][n] for n in range(len(m))]
+
         for fam in FAMILIES:
             for mu in HALVES:
                 for nu in HALVES:
-                    # raises on mismatch
-                    matel_closed(ctx_q14, fam, mu, nu, 3)
+                    args = (fam, mu, nu, 3)
+                    assert (diagonal(matel_closed(ctx_q14, *args))
+                            == diagonal(reference_closed(ctx_q14, *args)))
+                    assert (diagonal(matel_closed(ctx0, *args))
+                            == diagonal(matel_oracle(ctx0, *args)))
+
+
+class TestIntegerCells:
+    """The cells built as integer numerators over one denominator are, in
+    their normal form, the cells of the Fraction reference builders."""
+
+    @given(s=roots, omega=small, mu=st.sampled_from(SIGNED_HALVES),
+           nu=st.sampled_from(SIGNED_HALVES), nmax=st.integers(0, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_cells_equal_reference(self, s, omega, mu, nu, nmax):
+        ctx = QContext(s, omega)
+        # the Hahn closed form is rejected at omega0 = 1
+        assume(ctx.omega0 != 1)
+        for family in FAMILIES:
+            for build, reference in ((matel_closed, reference_closed),
+                                     (matel_oracle, reference_oracle)):
+                assert (normal_forms(build(ctx, family, mu, nu, nmax))
+                        == normal_forms(reference(ctx, family, mu, nu, nmax)))
+
+    def test_sigma_zero_oracle_equals_reference(self):
+        # omega0 = 1: the Hahn weights past k = 0 are zero and trimmed
+        ctx = QContext(F(1, 2), F(3, 4))
+        for mu in SIGNED_HALVES:
+            assert (normal_forms(matel_oracle(ctx, HAHN, mu, HALF_HALF, 4))
+                    == normal_forms(reference_oracle(ctx, HAHN, mu, HALF_HALF,
+                                                     4)))
 
 
 class TestSpecialForms:
@@ -319,8 +427,8 @@ class TestSpecialForms:
         # U and matel_closed share the row (q^-n; q)_j: built from q^(1-n)
         # it must fail every record past n = 0 and the suite's verify run
         def faulty(ctx, n):
-            return [q_pochhammer(ctx, ctx.q_pow(1 - n), j)
-                    for j in range(n + 1)]
+            return Poly(q_pochhammer(ctx, ctx.q_pow(1 - n), j)
+                        for j in range(n + 1))
 
         monkeypatch.setattr("qoscpoly.matel._u_row", faulty)
         checks = _special_forms(ctx_q14, 3)

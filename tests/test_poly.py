@@ -227,6 +227,34 @@ class TestAgainstReference:
         assert Poly.zero(var).nums == () and Poly.zero(var).den == 1
 
 
+class TestOver:
+    """Poly.over, the one normaliser, gives the normal form of the
+    polynomial built from the same Fractions."""
+
+    @pytest.mark.parametrize("nums,den", [
+        ([2, -4, 6], -4),     # negative den and a common factor
+        ([4, 6], -2),         # the content equals |den|
+        ([0, 0, 0], -7),      # all zero
+        ([], 3),              # no numerators
+        ([3, 0, 5, 0, 0], 7),  # trailing zeros
+        ([6, 12, 18], 9),     # a common factor of 3
+        ([0, 10, 0], 15),     # a common factor around zeros
+    ])
+    @pytest.mark.parametrize("var", [VAR_X, VAR_U, VAR_T])
+    def test_normal_form_cases(self, nums, den, var):
+        p = Poly.over(list(nums), den, var)
+        built = Poly([F(n, den) for n in nums], var)
+        assert_normal(p)
+        assert (p.nums, p.den, p.var) == (built.nums, built.den, built.var)
+
+    @given(nums=st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=9),
+           den=st.integers(-10 ** 4, 10 ** 4).filter(bool), var=VARS)
+    @settings(max_examples=60, deadline=None)
+    def test_normal_form(self, nums, den, var):
+        p = Poly.over(list(nums), den, var)
+        assert_matches(p, RefPoly([F(n, den) for n in nums], var))
+
+
 @pytest.mark.parametrize("s,omega", [(F(3, 4), F(1, 3)), (F(1, 2), F(0))])
 @pytest.mark.parametrize("basis", [Basis.MONOMIAL, Basis.SHIFTED_MONOMIAL,
                                    Basis.QGAUSSIAN, Basis.QFACTORIAL,
