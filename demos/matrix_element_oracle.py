@@ -8,8 +8,9 @@ coefficients.  Both give each element as a monomial times a polynomial in
 alpha*beta, and ``matel_at`` reads the matrix at one (alpha, beta).
 
 For the Hahn family the published closed form provably disagrees with the
-oracle whenever alpha*beta != 0 and omega != 0 -- the library keeps the
-formula as printed and reports the mismatch instead of patching it.
+oracle wherever alpha*beta != 0, omega != 0 and min(n, r) >= 1 -- the
+library keeps the formula as printed and reports the mismatch instead of
+patching it.
 
 Run:  python3 demos/matrix_element_oracle.py
 """

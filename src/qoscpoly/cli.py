@@ -15,16 +15,15 @@ from fractions import Fraction
 from itertools import product
 
 from .context import HALF_HALF, QContext, frac
-from .families import Basis, position_coefficients
+from .families import position_coefficients
 from .hahn import hahn_antiderivative, hahn_derivative_poly, hahn_integral_closed
 from .matel import matel_at, matel_closed, matel_oracle
 from .operators import FAMILIES
 from .poly import Poly
-from .qarith import q_factorial
-from .report import fmt_exact, json_text
-from .series import gaussian_genfun_lhs, hahn_genfun_lhs
+from .report import context_dict, fmt_exact, json_text
+from .series import genfun_terms
 from .verify import (CHECK_LIMITS, SUITE_LIMITS, SUITE_NAMES, RunConfig,
-                     context_dict, run_suites)
+                     run_suites)
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -122,33 +121,25 @@ def _poly_rows(ctx: QContext, nmax: int, order: int) -> list[dict]:
 def _matel_rows(ctx: QContext, nmax: int, order: int) -> list[dict]:
     rows = []
     mu = HALF_HALF
+    mu_v = str(mu.value)
     for family in FAMILIES:
         closed, oracle = (matel_at(build(ctx, family, mu, mu, nmax), 1, 1)
                           for build in (matel_closed, matel_oracle))
         for n, r in product(range(nmax + 1), repeat=2):
             c, o = closed[n][r], oracle[n][r]
-            rows.append({"family": family.name, "mu": str(mu.value),
-                         "nu": str(mu.value), "alpha": "1", "beta": "1",
-                         "n": n, "r": r, "closed": fmt_exact(c),
-                         "oracle": fmt_exact(o), "agree": c == o})
+            rows.append({"family": family.name, "mu": mu_v, "nu": mu_v,
+                         "alpha": "1", "beta": "1", "n": n, "r": r,
+                         "closed": fmt_exact(c), "oracle": fmt_exact(o),
+                         "agree": c == o})
     return rows
 
 
 def _genfun_rows(ctx: QContext, nmax: int, order: int) -> list[dict]:
-    rows = []
-    phis = Basis.QGAUSSIAN.elements(ctx, order + 1)
-    phidots = Basis.HAHN_FACTORIAL.elements(ctx, order + 1)
-    for x in (Fraction(1, 3), Fraction(2)):
-        g = gaussian_genfun_lhs(ctx, x, order)
-        h = hahn_genfun_lhs(ctx, x, order)
-        for n in range(order + 1):
-            fact = q_factorial(ctx, n)
-            for family, series, row in (("qgaussian", g, phis),
-                                        ("hahn", h, phidots)):
-                rows.append({"family": family, "x": str(x), "n": n,
-                             "series_coeff": fmt_exact(series.coeff(n)),
-                             "poly_over_factorial": fmt_exact(row[n](x) / fact)})
-    return rows
+    return [{"family": family, "x": str(x), "n": n,
+             "series_coeff": fmt_exact(coeff),
+             "poly_over_factorial": fmt_exact(value)}
+            for family, x, n, coeff, value
+            in genfun_terms(ctx, (Fraction(1, 3), Fraction(2)), order)]
 
 
 def _position_rows(ctx: QContext, nmax: int, order: int) -> list[dict]:

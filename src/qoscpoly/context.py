@@ -64,13 +64,6 @@ class HalfInt:
         if not isinstance(self.twice, int):
             raise TypeError("HalfInt stores the doubled value as an int")
 
-    @classmethod
-    def of(cls, value) -> "HalfInt":
-        doubled = frac(value) * 2
-        if doubled.denominator != 1:
-            raise ValueError(f"{value!r} is not a half-integer")
-        return cls(int(doubled))
-
     @property
     def value(self) -> Fraction:
         return Fraction(self.twice, 2)

@@ -76,7 +76,7 @@ def _u_column(ctx: QContext, mu: HalfInt, nu: HalfInt, q1theta, x,
     the coefficients of one Poly: the part of U's coefficient j free of the
     degree n, walked by ``qhyp_terms``."""
     musum = HalfInt(mu.twice + nu.twice)
-    return Poly(qhyp_terms(ctx, [], [q1theta], x, count,
+    return Poly(qhyp_terms(ctx, [q1theta], x, count,
                            lambda j: ctx.pow_half(musum, j * j)))
 
 

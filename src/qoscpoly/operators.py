@@ -92,17 +92,13 @@ FAMILIES = (QGAUSSIAN, QFACTORIAL, HAHN)
 
 
 def lowering_coeff(ctx: QContext, family: Family, n: int) -> Fraction:
-    """c with  a . basis_n = c * basis_{n-1} (0 on the ground element)."""
-    if n == 0:
-        return Fraction(0)
-    c = q_int(ctx, n)
-    # q^(-e n) [n]_q with e in {0, 1}; e = 0 skips a multiply by q^0
-    return ctx.q_pow(-n) * c if family.e else c
+    """c = q^(-e n) [n]_q with  a . basis_n = c * basis_{n-1}; [0]_q = 0."""
+    return ctx.q_pow(-family.e * n) * q_int(ctx, n)
 
 
 def raising_coeff(ctx: QContext, family: Family, n: int) -> Fraction:
-    """c with  a^dag . basis_n = c * basis_{n+1}."""
-    return Fraction(1) if family.e else ctx.q_pow(-n)
+    """c = q^((e - 1) n) with  a^dag . basis_n = c * basis_{n+1}."""
+    return ctx.q_pow((family.e - 1) * n)
 
 
 def ladder_apply(ctx: QContext, family: Family, direction: str, coeffs) -> list:

@@ -71,32 +71,29 @@ def q_pochhammer(ctx: QContext, z, n: int) -> Fraction:
     return out
 
 
-def qhyp_terms(ctx: QContext, upper: list, lower: list, z, count: int,
+def qhyp_terms(ctx: QContext, lower: list, z, count: int,
                weight=None) -> list[Fraction]:
     """The first count terms of a basic hypergeometric series.
 
-    Term k is weight(k) (upper; q)_k z^k / ((lower; q)_k (q; q)_k), where a
-    list of parameters stands for the product of their Pochhammer symbols
-    and no weight means weight 1.  Each term is the previous one times one
-    ratio, so no Pochhammer prefix is ever rebuilt.  Raises ValueError for
+    Term k is weight(k) z^k / ((lower; q)_k (q; q)_k), where the list of
+    parameters stands for the product of their Pochhammer symbols and no
+    weight means weight 1.  Each term is the previous one times one ratio,
+    so no Pochhammer prefix is ever rebuilt.  Raises ValueError for
     count < 0 and when a term needs a vanishing lower Pochhammer.
     """
     if count < 0:
         raise ValueError(f"series terms need count >= 0, got {count}")
-    # a zero parameter contributes (0; q)_k = 1
-    upper = [a for a in map(frac, upper) if a]
-    lower = [b for b in map(frac, lower) if b]
+    lower = [frac(b) for b in lower]
     z = frac(z)
     terms, term = [], Fraction(1)
     for k in range(count):
         if k:
             qk = ctx.q_pow(k - 1)
-            num = prod((1 - a * qk for a in upper), start=z)
             den = prod((1 - b * qk for b in lower), start=1 - ctx.q_pow(k))
             if den == 0:
                 raise ValueError(
                     f"lower-parameter Pochhammer vanishes at k = {k}")
-            term = term * num / den
+            term = term * z / den
         terms.append(term if weight is None else weight(k) * term)
     return terms
 

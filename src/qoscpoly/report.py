@@ -82,6 +82,12 @@ def _json(value, newline: str, end: str = "") -> str:
     return "".join((opening, inner, body, newline, closing, end))
 
 
+def context_dict(ctx) -> dict:
+    """The context block of reports and tables, as exact strings."""
+    return {"s": str(ctx.s), "q": str(ctx.q), "omega": str(ctx.omega),
+            "omega0": str(ctx.omega0)}
+
+
 @dataclass(frozen=True)
 class CheckRecord:
     check_id: str

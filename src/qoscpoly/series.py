@@ -4,9 +4,9 @@ A series is a Poly in the formal variable t that holds the exact
 coefficients of powers 0..order, and ``Poly.mul_trunc`` forms the product of
 two series only up to that order.  Poly trims trailing zero coefficients, so
 a term is read with ``coeff(n)``, which is 0 past the last stored one.
-The generating-function left-hand sides are built from the two Euler-type
-expansions of (z;q)_infty and 1/(z;q)_infty, so every coefficient is an
-exact rational: no infinite product is ever truncated numerically here.
+The generating-function left-hand sides are ``euler_ratio`` products of
+the two Euler-type expansions of (z;q)_infty and 1/(z;q)_infty, so every
+coefficient is exact: no infinite product is ever truncated numerically.
 Those expansions and the omega-exponential are basic hypergeometric series
 with no parameters, walked by ``qarith.qhyp_terms``.  ``emu_series`` keeps
 its own [n]_q! loop: through the walker it would be the very call that
@@ -19,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .context import HALF_HALF, HALF_ZERO, HalfInt, QContext, frac
+from .families import Basis
 from .poly import VAR_T, Poly
 from .qarith import q_factorial, qhyp_terms
 
@@ -45,7 +46,7 @@ def eqw_eval(ctx: QContext, mu: HalfInt, x, order: int) -> Fraction:
     if order < 0:
         raise ValueError("order must be >= 0")
     arg = (1 - ctx.q) * frac(x) - ctx.omega
-    return sum(qhyp_terms(ctx, [], [], arg, order + 1,
+    return sum(qhyp_terms(ctx, [], arg, order + 1,
                           lambda n: ctx.pow_half(mu, n * n)), Fraction(0))
 
 
@@ -53,7 +54,7 @@ def e_type_series(ctx: QContext, c, order: int) -> Poly:
     """Series of (c*t; q)_infty: sum of (-1)^n q^(n(n-1)/2) (c t)^n/(q;q)_n."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    return Poly(qhyp_terms(ctx, [], [], c, order + 1,
+    return Poly(qhyp_terms(ctx, [], c, order + 1,
                            lambda n: (-1 if n % 2 else 1)
                            * ctx.q_pow(n * (n - 1) // 2)), VAR_T)
 
@@ -62,7 +63,13 @@ def recip_poch_series(ctx: QContext, c, order: int) -> Poly:
     """Series of 1/(c*t; q)_infty: sum of (c t)^n/(q;q)_n."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    return Poly(qhyp_terms(ctx, [], [], c, order + 1), VAR_T)
+    return Poly(qhyp_terms(ctx, [], c, order + 1), VAR_T)
+
+
+def euler_ratio(ctx: QContext, a, b, order: int) -> Poly:
+    """Series in t of (a t; q)_infty / (b t; q)_infty, exact to order."""
+    return e_type_series(ctx, a, order).mul_trunc(
+        recip_poch_series(ctx, b, order), order)
 
 
 def gaussian_genfun_lhs(ctx: QContext, x, order: int) -> Poly:
@@ -70,10 +77,7 @@ def gaussian_genfun_lhs(ctx: QContext, x, order: int) -> Poly:
 
     Its t^n coefficient equals phi_n(x)/[n]_q! for the q-Gaussian family.
     """
-    x = frac(x)
-    num = e_type_series(ctx, 1 - ctx.q, order)
-    den = recip_poch_series(ctx, x * (1 - ctx.q), order)
-    return num.mul_trunc(den, order)
+    return euler_ratio(ctx, 1 - ctx.q, frac(x) * (1 - ctx.q), order)
 
 
 def hahn_genfun_lhs(ctx: QContext, x, order: int) -> Poly:
@@ -82,10 +86,24 @@ def hahn_genfun_lhs(ctx: QContext, x, order: int) -> Poly:
     Its t^n coefficient equals the Hahn factorial polynomial value over
     [n]_q! at the point x.
     """
-    x = frac(x)
-    num = e_type_series(ctx, -ctx.omega, order)
-    den = recip_poch_series(ctx, (1 - ctx.q) * x - ctx.omega, order)
-    return num.mul_trunc(den, order)
+    return euler_ratio(ctx, -ctx.omega, (1 - ctx.q) * frac(x) - ctx.omega,
+                       order)
+
+
+def genfun_terms(ctx: QContext, xs, order: int) -> list[tuple]:
+    """(family, x, n, t^n coefficient of the generating function at x, the
+    family polynomial at x over [n]_q!) for x in xs and n <= order."""
+    out = []
+    phis = Basis.QGAUSSIAN.elements(ctx, order + 1)
+    phidots = Basis.HAHN_FACTORIAL.elements(ctx, order + 1)
+    for x in xs:
+        g = gaussian_genfun_lhs(ctx, x, order)
+        h = hahn_genfun_lhs(ctx, x, order)
+        for n in range(order + 1):
+            fact = q_factorial(ctx, n)
+            out.append(("qgaussian", x, n, g.coeff(n), phis[n](x) / fact))
+            out.append(("hahn", x, n, h.coeff(n), phidots[n](x) / fact))
+    return out
 
 
 def exp_pair_residual(ctx: QContext, c, order: int) -> Poly:

@@ -15,8 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qoscpoly import QContext, cli
-from qoscpoly.report import fmt_exact, json_text
-from qoscpoly.verify import RunConfig, context_dict, run_suites
+from qoscpoly.report import context_dict, fmt_exact, json_text
+from qoscpoly.verify import RunConfig, run_suites
 
 
 def reference(value) -> str:

@@ -26,7 +26,7 @@ small = st.fractions(-2, 2, max_denominator=7)
 
 def _reference_column(ctx, mu, nu, q1theta, x, count):
     musum = HalfInt(mu.twice + nu.twice)
-    return qhyp_terms(ctx, [], [q1theta], x, count,
+    return qhyp_terms(ctx, [q1theta], x, count,
                       lambda j: ctx.pow_half(musum, j * j))
 
 
@@ -414,9 +414,8 @@ class TestSpecialForms:
     def test_faulty_walker_fails(self, ctx_q14, monkeypatch):
         # U walks its terms with qhyp_terms, the reference side does not: a
         # walker with a wrong (q; q)_k must fail every record past n = 0
-        def faulty(ctx, upper, lower, z, count, weight=None):
-            return qhyp_terms(ctx, upper, list(lower) + [ctx.q], z, count,
-                              weight)
+        def faulty(ctx, lower, z, count, weight=None):
+            return qhyp_terms(ctx, list(lower) + [ctx.q], z, count, weight)
 
         monkeypatch.setattr("qoscpoly.matel.qhyp_terms", faulty)
         checks = _special_forms(ctx_q14, 3)

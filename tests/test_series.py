@@ -10,7 +10,8 @@ from qoscpoly import (VAR_T, Poly, QContext, emu_series, eqw_eval,
                       exp_pair_residual)
 from qoscpoly.context import HALF_HALF, HALF_ZERO
 from qoscpoly.report import fmt_exact
-from qoscpoly.series import e_type_series, recip_poch_series
+from qoscpoly.series import (e_type_series, euler_ratio, genfun_terms,
+                             recip_poch_series)
 from qoscpoly.verify import RunConfig, run_suites
 
 
@@ -52,6 +53,19 @@ class TestArithmetic:
         n = 10
         e = e_type_series(ctx_q12, 1, n)
         assert e.mul_trunc(recip_poch_series(ctx_q12, 1, n), n) == 1
+
+    @given(s=st.fractions(0, 1, max_denominator=7).filter(lambda s: 0 < s < 1),
+           a=st.fractions(-2, 2, max_denominator=5),
+           b=st.fractions(-2, 2, max_denominator=5).filter(lambda b: b != 0),
+           order=st.integers(0, 6))
+    @settings(max_examples=30, deadline=None)
+    def test_euler_ratio_is_q_binomial_series(self, s, a, b, order):
+        # the q-binomial theorem: (a t; q)_inf / (b t; q)_inf has t^n
+        # coefficient (a/b; q)_n b^n / (q; q)_n
+        ctx = QContext(s)
+        assert euler_ratio(ctx, a, b, order) == in_t(*(
+            q_pochhammer(ctx, a / b, n) * b ** n / q_pochhammer(ctx, ctx.q, n)
+            for n in range(order + 1)))
 
     @pytest.mark.parametrize("build", [e_type_series, recip_poch_series,
                                        gaussian_genfun_lhs, hahn_genfun_lhs])
@@ -133,6 +147,16 @@ class TestHahnGenfun:
             for n in range(11):
                 assert h.coeff(n) == (hahn_factorial(ctx_q916, n)(x)
                                       / q_factorial(ctx_q916, n))
+
+
+class TestGenfunTerms:
+    def test_both_sides_agree(self, ctx_q14):
+        xs = (F(1, 3), F(2))
+        terms = genfun_terms(ctx_q14, xs, 4)
+        assert [t[:3] for t in terms] == [(family, x, n) for x in xs
+                                          for n in range(5)
+                                          for family in ("qgaussian", "hahn")]
+        assert all(coeff == value for *_, coeff, value in terms)
 
 
 class TestExpPair:

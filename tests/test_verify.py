@@ -1,12 +1,15 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qoscpoly import Poly, QContext, cli
+from qoscpoly import operators as opsmod
+from qoscpoly import series as seriesmod
 from qoscpoly.report import (DISCREPANCY, FAIL, PASS, VerificationReport,
                              fmt_exact)
 from qoscpoly.verify import (CHECK_LIMITS, SUITE_LIMITS, SUITE_NAMES, SUITES,
@@ -27,6 +30,88 @@ class TestRandomContexts:
             report.extend(SUITES[name](ctx, 3, 4, random.Random(0)))
         assert [r.check_id for r in report.records if r.status == FAIL] == []
         assert report.to_json()
+
+    @given(s=st.fractions(0, 1, max_denominator=9).filter(lambda s: 0 < s < 1),
+           omega=st.fractions(-2, 2, max_denominator=7))
+    @example(s=F(1, 2), omega=F(-3, 4))  # omega0 = -1: kappa = 0
+    @settings(max_examples=5, deadline=None)
+    def test_matrix_elements_hold(self, s, omega):
+        # no cell fails: every Hahn mismatch is predicted and is the printed
+        # factor; the published Hahn closed form is degenerate at omega0 = 1
+        ctx = QContext(s, omega)
+        assume(ctx.omega0 != 1)
+        records = SUITES["matrixelements"](ctx, 3, 4, random.Random(0))
+        assert [r.check_id for r in records if r.status == FAIL] == []
+
+
+class TestDocumentedDiscrepancies:
+    @pytest.mark.parametrize("kappa", [lambda ctx: (1 + ctx.omega0) ** 3,
+                                       lambda ctx: (1 - ctx.omega0) ** 2],
+                             ids=["cubed", "vanishing"])
+    def test_other_hahn_kappa_fails(self, capsys, monkeypatch, kappa):
+        # a Hahn closed form that differs from the oracle other than by the
+        # printed factor, or not at all, fails on every predicted cell:
+        # alpha*beta != 0 and min(n, r) >= 1, at the default omega = 1/8
+        hahn = dataclasses.replace(opsmod.HAHN, kappa=kappa)
+        monkeypatch.setattr(opsmod, "HAHN", hahn)
+        monkeypatch.setattr(opsmod, "FAMILIES",
+                            (opsmod.QGAUSSIAN, opsmod.QFACTORIAL, hahn))
+        code = cli.main(["verify", "--suite", "matrixelements",
+                         "--format", "json"])
+        assert code == cli.EXIT_VERIFICATION_FAILED
+        records = json.loads(capsys.readouterr().out)["records"]
+        predicted = {
+            r["check_id"] for r in records
+            if r["check_id"].startswith("matrixelements/closed-vs-oracle/hahn/")
+            and F(r["params"]["alpha"]) * F(r["params"]["beta"]) != 0
+            and min(int(r["params"]["n"]), int(r["params"]["r"])) >= 1}
+        assert len(predicted) == 4 * 9 * 36
+        assert {r["check_id"] for r in records
+                if r["status"] == FAIL} == predicted
+        assert not any(r["status"] == DISCREPANCY for r in records)
+
+    def test_equal_constant_hahn_cells_fail(self, monkeypatch):
+        # a predicted cell whose closed form equals the oracle fails even
+        # where the oracle has no alpha*beta term, so that the printed
+        # factor cannot tell the two apart
+        import qoscpoly.matel as matelmod
+
+        def constant(build):
+            def built(ctx, family, *args):
+                m = build(ctx, family, *args)
+                if family is not opsmod.HAHN:
+                    return m
+                return [[Poly([p.coeff(0)]) for p in row] for row in m]
+            return built
+
+        for name in ("matel_closed", "matel_oracle"):
+            monkeypatch.setattr(matelmod, name,
+                                constant(getattr(matelmod, name)))
+        records = SUITES["matrixelements"](
+            QContext(F(1, 2), F(1, 8)), 2, 4, random.Random(0))
+        # hahn-reduces fails too: the constant omega = 0 Hahn matrix is no
+        # longer the q-Gaussian one
+        cells = [r for r in records
+                 if r.check_id.startswith("matrixelements/closed-vs-oracle/")]
+        failed = [r for r in cells if r.status == FAIL]
+        assert len(failed) == 4 * 9 * 4
+        assert all(r.params["family"] == "hahn" and r.params["n"] >= 1
+                   and r.params["r"] >= 1 for r in failed)
+        assert not any(r.status == DISCREPANCY for r in cells)
+
+    def test_vanishing_alternate_pairing_fails(self, monkeypatch):
+        # the alternate pairing is predicted not to vanish: a residual that
+        # does vanish (here the identity pairing's) fails
+        residual = seriesmod.exp_pair_residual
+        monkeypatch.setattr(seriesmod, "exp_pair_residual", lambda ctx, c, order:
+                            residual(ctx, -1 / ctx.s, order))
+        records = {r.check_id: r for r in SUITES["qseries"](
+            QContext(F(1, 2), F(1, 8)), 3, 4, random.Random(0))}
+        assert records["qseries/exp-pair-identity"].status == PASS
+        alternate = records["qseries/exp-pair-alternate"]
+        assert alternate.status == FAIL
+        assert alternate.note == "predicted nonzero residual vanished"
+        assert [r for r in records.values() if r.status != PASS] == [alternate]
 
 
 class TestCheckLimits:
