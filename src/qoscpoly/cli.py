@@ -22,8 +22,7 @@ from .operators import FAMILIES
 from .poly import Poly
 from .report import context_dict, fmt_exact, json_text
 from .series import genfun_terms
-from .verify import (CHECK_LIMITS, SUITE_LIMITS, SUITE_NAMES, RunConfig,
-                     run_suites)
+from .verify import LIMITS, SUITE_NAMES, RunConfig, run_suites
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -52,8 +51,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--nmax", type=_non_negative, default=RunConfig.nmax,
                         help="largest family index to check or tabulate; "
                              "verify caps it per suite and check: " + ", ".join(
-                                 f"{k} {v}" for k, v in
-                                 {**SUITE_LIMITS, **CHECK_LIMITS}.items()))
+                                 f"{k} {v}" for k, v in LIMITS.items()))
     parser.add_argument("--format", dest="fmt", default="text",
                         choices=("json", "csv", "text"))
     parser.add_argument("--out", default=None, help="output path (default stdout)")
@@ -99,12 +97,8 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.fmt == "json":
-        text = report.to_json()
-    elif args.fmt == "csv":
-        text = report.to_csv()
-    else:
-        text = report.to_text()
+    text = {"json": report.to_json, "csv": report.to_csv,
+            "text": report.to_text}[args.fmt]()
     status = _write(text, args.out)
     if status != EXIT_OK:
         return status
@@ -198,8 +192,16 @@ def cmd_table(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse takes a negative rational such as -1/3 after a space for an
+    # option, so it is joined to its --s or --omega as --omega=-1/3
+    words = []
+    for word in sys.argv[1:] if argv is None else argv:
+        negative = word[:1] == "-" and word[1:2].isdigit()
+        if negative and words[-1:] in (["--s"], ["--omega"]):
+            words[-1] += "=" + word
+        else:
+            words.append(word)
+    args = build_parser().parse_args(words)
     if args.command == "verify":
         return cmd_verify(args)
     return cmd_table(args)

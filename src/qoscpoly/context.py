@@ -29,7 +29,7 @@ def frac(value) -> Fraction:
         return value
     if isinstance(value, Rational):
         return Fraction(value)
-    if isinstance(value, (str, int)):
+    if isinstance(value, str):
         try:
             return Fraction(value)
         except ZeroDivisionError:

@@ -43,9 +43,8 @@ def qgaussian(ctx: QContext, n: int, method: str = "product") -> Poly:
     if method == "explicit_sum":
         coeffs = [Fraction(0)] * (n + 1)
         for k in range(n + 1):
-            sign = -1 if k % 2 else 1
-            coeffs[n - k] = (q_binomial(ctx, n, k)
-                             * ctx.q_pow(k * (k - 1) // 2) * sign)
+            coeffs[n - k] = ((-1) ** k * q_binomial(ctx, n, k)
+                             * ctx.q_pow(k * (k - 1) // 2))
         return Poly(coeffs)
     raise ValueError(f"unknown construction method {method!r}")
 
@@ -58,8 +57,7 @@ def qfactorial_pochhammer_value(ctx: QContext, n: int, x: int) -> Fraction:
     """
     _check_n(n)
     q = ctx.q
-    sign = -1 if n % 2 else 1
-    return (sign * q ** (n * x - n * (n - 1) // 2)
+    return ((-1) ** n * q ** (n * x - n * (n - 1) // 2)
             * q_pochhammer(ctx, q ** (-x), n) / (1 - q) ** n)
 
 
@@ -130,11 +128,13 @@ Basis.HAHN_FACTORIAL = Basis(
 
 
 def vector_to_poly(ctx: QContext, basis: Basis, coeffs) -> Poly:
-    """The polynomial with the given coefficients in the basis."""
+    """The polynomial with the given coefficients in the basis.
+
+    The expansion read backwards: c_0 + f_0 (c_1 + f_1 (...)) from the
+    inside out, one factor at a time."""
     p = Poly.zero(basis.var)
-    for c, element in zip(coeffs, basis.elements(ctx, len(coeffs))):
-        if c != 0:
-            p = p + c * element
+    for k in reversed(range(len(coeffs))):
+        p = p * Poly(basis.factor(ctx, k), basis.var) + coeffs[k]
     return p
 
 
@@ -142,7 +142,8 @@ def expand_in_basis(ctx: QContext, p: Poly, basis: Basis) -> list:
     """The exact coefficients c_0..c_deg of p in the basis.
 
     With f_k the k-th factor, p = c_0 + f_0 (c_1 + f_1 (c_2 + ...)), so each
-    division by the next factor leaves the next coefficient as remainder.
+    division by the next factor leaves the next coefficient as remainder;
+    ``vector_to_poly`` reads the same formula backwards.
     """
     if p.var != basis.var:
         raise ValueError(f"cannot expand a polynomial in {p.var} in basis "
@@ -163,10 +164,7 @@ def connect_hahn_gaussian(ctx: QContext, n: int) -> Poly:
     omega0 = ctx.omega0
     if omega0 == 0:
         raise ValueError("connection formula is degenerate at omega0 = 0")
-    phi = qgaussian(ctx, n)
-    mapped = phi.compose_affine(-1 / omega0, 1)
-    sign = -1 if n % 2 else 1
-    return (sign * omega0 ** n) * mapped
+    return (-omega0) ** n * qgaussian(ctx, n).compose_affine(-1 / omega0, 1)
 
 
 def qgaussian_via_qexp_operator(ctx: QContext, n: int) -> Poly:
@@ -182,10 +180,8 @@ def qgaussian_via_qexp_operator(ctx: QContext, n: int) -> Poly:
         falling = Fraction(1)
         for j in range(k):
             falling *= q_int(ctx, n - j)
-        sign = -1 if k % 2 else 1
-        coeff = (sign * ctx.q_pow(k * (k - 1) // 2) / q_factorial(ctx, k)
-                 * falling)
-        out[n - k] += coeff
+        out[n - k] += ((-1) ** k * ctx.q_pow(k * (k - 1) // 2)
+                       / q_factorial(ctx, k) * falling)
     return Poly(out)
 
 

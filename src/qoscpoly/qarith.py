@@ -52,7 +52,7 @@ def q_factorial(ctx: QContext, n: int) -> Fraction:
 
 def q_binomial(ctx: QContext, n: int, k: int) -> Fraction:
     """Gaussian binomial [n choose k]_q; exactly 0 outside 0 <= k <= n."""
-    if k < 0 or k > n or n < 0:
+    if k < 0 or k > n:
         return Fraction(0)
     fact = _factorials(ctx, n)
     return fact[n] / (fact[n - k] * fact[k])

@@ -31,23 +31,22 @@ from .qarith import (q_binomial, q_double_factorial_even, q_factorial, q_int,
                      q_pochhammer, q_pochhammer_inf)
 from .report import CheckRecord, VerificationReport, context_dict, record
 
-# each suite checks indices up to min(nmax, limit); hahncalc's limit is the
-# degree of its random polynomials
-SUITE_LIMITS = {"qkernel": 20, "polyfamilies": 15, "operators": 12,
-                "matrixelements": 6, "hahncalc": 10}
-# three checks stop below their suite's limit, at min(nmax, limit)
-CHECK_LIMITS = {"polyfamilies/qfactorial-identity": 10,
-                "polyfamilies/inversion": 12, "matrixelements/special-form": 5}
+# the caps on nmax: each suite checks indices up to min(nmax, cap), and the
+# three checks named suite/check stop below their suite's cap; hahncalc's
+# cap is the degree of its random polynomials
+LIMITS = {"qkernel": 20, "polyfamilies": 15, "operators": 12,
+          "matrixelements": 6, "hahncalc": 10,
+          "polyfamilies/qfactorial-identity": 10,
+          "polyfamilies/inversion": 12, "matrixelements/special-form": 5}
 # the tolerance of every truncation-bounded check
 TOL = Fraction(1, 10**9)
 
 
-def _exact(check_id: str, params: dict, lhs, rhs, note: str = "",
-           discrepancy: bool = False) -> CheckRecord:
+def _exact(check_id: str, params: dict, lhs, rhs, note: str = "") -> CheckRecord:
     """A check that passes iff lhs == rhs; it shows the two values compared,
     a Poly by its coefficient list."""
     shown = [list(v.coeffs) if isinstance(v, Poly) else v for v in (lhs, rhs)]
-    return record(check_id, params, lhs == rhs, *shown, note, discrepancy)
+    return record(check_id, params, lhs == rhs, *shown, note)
 
 
 def _near(check_id: str, params: dict, lhs, rhs, note: str = "") -> CheckRecord:
@@ -70,7 +69,7 @@ def suite_qkernel(ctx: QContext, nmax: int, order: int,
                   rng: random.Random) -> list[CheckRecord]:
     out = []
     q = ctx.q
-    nmax = min(nmax, SUITE_LIMITS["qkernel"])
+    nmax = min(nmax, LIMITS["qkernel"])
     for n in range(nmax + 1):
         for k in range(n + 1):
             lhs = q_binomial(ctx, n + 1, k)
@@ -145,13 +144,14 @@ def suite_qseries(ctx: QContext, nmax: int, order: int,
     alt = seriesmod.exp_pair_residual(ctx, -s, order)
     first = next((c for c in alt.coeffs if c != 0), Fraction(0))
     # record, not _exact: it shows the first nonzero coefficient, and a
-    # residual that vanishes fails, since the README predicts it does not
-    out.append(record("qseries/exp-pair-alternate", {"order": order}, False,
-                      first, 0,
-                      "alternate pairing E^(0)(t) E^(1/2)(-q^(1/2) t) does "
-                      "not vanish; the -q^(-1/2) pairing is the identity"
-                      if first else "predicted nonzero residual vanished",
-                      discrepancy=first != 0))
+    # residual that vanishes fails, since the README predicts it does not;
+    # the prediction starts at t^1, so at order 0 the record passes
+    note = ("alternate pairing E^(0)(t) E^(1/2)(-q^(1/2) t) does not "
+            "vanish; the -q^(-1/2) pairing is the identity" if first
+            else "predicted nonzero residual vanished" if order
+            else "every pairing's t^0 residual is 1*1 - 1 = 0")
+    out.append(record("qseries/exp-pair-alternate", {"order": order},
+                      order == 0, first, 0, note, discrepancy=first != 0))
     # factorization of the raising-series applied to 1:
     # sum s^n phi_n(x) t^n/[n]! = (s (1-q) t; q)_inf / (s x (1-q) t; q)_inf
     for x in (Fraction(1, 3), Fraction(2)):
@@ -170,24 +170,23 @@ def suite_qseries(ctx: QContext, nmax: int, order: int,
 def suite_polyfamilies(ctx: QContext, nmax: int, order: int,
                        rng: random.Random) -> list[CheckRecord]:
     out = []
-    nmax = min(nmax, SUITE_LIMITS["polyfamilies"])
+    nmax = min(nmax, LIMITS["polyfamilies"])
     phis = Basis.QGAUSSIAN.elements(ctx, nmax + 1)
     phidots = Basis.HAHN_FACTORIAL.elements(ctx, nmax + 1)
     for n in range(nmax + 1):
         # record, not _exact: the three-way records compare three values
-        ok = (phis[n] == qgaussian(ctx, n, "recursion")
-              == qgaussian(ctx, n, "explicit_sum"))
-        out.append(record(f"polyfamilies/gaussian-three-way/n={n:02d}", {"n": n},
-                          ok, list(phis[n].coeffs), "all three constructions"))
-        ok = (phidots[n] == hahn_factorial(ctx, n, "recursion")
-              == hahn_factorial(ctx, n, "explicit_sum"))
-        out.append(record(f"polyfamilies/hahn-three-way/n={n:02d}", {"n": n},
-                          ok, list(phidots[n].coeffs), "all three constructions"))
+        for name, row, build in (("gaussian", phis, qgaussian),
+                                 ("hahn", phidots, hahn_factorial)):
+            ok = (row[n] == build(ctx, n, "recursion")
+                  == build(ctx, n, "explicit_sum"))
+            out.append(record(f"polyfamilies/{name}-three-way/n={n:02d}",
+                              {"n": n}, ok, list(row[n].coeffs),
+                              "all three constructions"))
         out.append(_exact(f"polyfamilies/gaussian-operator-form/n={n:02d}",
                           {"n": n}, qgaussian_via_qexp_operator(ctx, n),
                           phis[n],
                           "terminating exponential-of-derivative series"))
-    cap = min(nmax, CHECK_LIMITS["polyfamilies/qfactorial-identity"])
+    cap = min(nmax, LIMITS["polyfamilies/qfactorial-identity"])
     for n, pu in enumerate(Basis.QFACTORIAL.elements(ctx, cap + 1)):
         for x in range(11):
             out.append(_exact(
@@ -204,7 +203,7 @@ def suite_polyfamilies(ctx: QContext, nmax: int, order: int,
                 {"basis": basis.name, "degree": p.degree},
                 vector_to_poly(ctx, basis, expand_in_basis(ctx, p, basis)), p))
     # monomial inversion, pointwise
-    for n in range(min(nmax, CHECK_LIMITS["polyfamilies/inversion"]) + 1):
+    for n in range(min(nmax, LIMITS["polyfamilies/inversion"]) + 1):
         for x in (Fraction(-1), Fraction(1, 3), Fraction(2), Fraction(5, 7),
                   Fraction(0)):
             lhs = sum((q_binomial(ctx, n, k) * phis[k](x)
@@ -241,10 +240,9 @@ def _position_checks(ctx: QContext) -> list[CheckRecord]:
         out.append(_exact(f"polyfamilies/position-c{n}", {"n": n}, cs[n],
                           expect, "printed coefficient polynomial"))
     for n in range(7):
-        sign = -1 if n % 2 else 1
         out.append(_exact(
             f"polyfamilies/position-even-origin/n={n}", {"n": n}, cs[2 * n](0),
-            sign * ctx.q_pow(n * (1 - n)) / q_double_factorial_even(ctx, n),
+            (-1) ** n * ctx.q_pow(n * (1 - n)) / q_double_factorial_even(ctx, n),
             "c_2n(0) = (-1)^n q^(n(1-n))/[2n]_q!!"))
         if 2 * n + 1 < len(cs):
             out.append(_exact(f"polyfamilies/position-odd-origin/n={n}",
@@ -255,7 +253,7 @@ def _position_checks(ctx: QContext) -> list[CheckRecord]:
 def suite_operators(ctx: QContext, nmax: int, order: int,
                     rng: random.Random) -> list[CheckRecord]:
     out = []
-    nmax = min(nmax, SUITE_LIMITS["operators"])
+    nmax = min(nmax, LIMITS["operators"])
     for family in opsmod.FAMILIES:
         for n, pn in enumerate(family.basis.elements(ctx, nmax + 1)):
             for direction in ("lower", "raise"):
@@ -351,7 +349,7 @@ MATEL_AB_GRID = (Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(1, 3))
 def suite_matrixelements(ctx: QContext, nmax: int, order: int,
                          rng: random.Random) -> list[CheckRecord]:
     out = []
-    nmax = min(nmax, SUITE_LIMITS["matrixelements"])
+    nmax = min(nmax, LIMITS["matrixelements"])
     halves = (HALF_ZERO, HALF_HALF)
     cells = list(product(range(nmax + 1), repeat=2))
     ctx0 = ctx.with_omega(0)
@@ -414,9 +412,9 @@ def suite_matrixelements(ctx: QContext, nmax: int, order: int,
                 x ** n, "2phi0(q^-n, 1/x; q; x q^n) = x^n"))
             acc = Fraction(0)
             for j in range(n + 1):
-                sign = -1 if j % 2 else 1
-                acc += (q_binomial(ctx, n, j) * ctx.q_pow(j * (j - 1) // 2)
-                        * sign * matelmod.basic_hyp_terminating(
+                acc += ((-1) ** j * q_binomial(ctx, n, j)
+                        * ctx.q_pow(j * (j - 1) // 2)
+                        * matelmod.basic_hyp_terminating(
                             ctx, [ctx.q_pow(-(n - j)), 0], [],
                             x * ctx.q_pow(n - j)))
             out.append(_exact(
@@ -424,7 +422,7 @@ def suite_matrixelements(ctx: QContext, nmax: int, order: int,
                 acc, x ** n,
                 "alternating sum of 2phi0(q^(j-n), 0; q; x q^(n-j)) = x^n"))
     out.extend(_special_forms(
-        ctx, min(nmax, CHECK_LIMITS["matrixelements/special-form"])))
+        ctx, min(nmax, LIMITS["matrixelements/special-form"])))
     return out
 
 
@@ -458,7 +456,7 @@ def _special_forms(ctx: QContext, nmax: int) -> list[CheckRecord]:
 def suite_hahncalc(ctx: QContext, nmax: int, order: int,
                    rng: random.Random) -> list[CheckRecord]:
     out = []
-    degree = min(nmax, SUITE_LIMITS["hahncalc"])
+    degree = min(nmax, LIMITS["hahncalc"])
     for trial in range(8):
         p = _rand_poly(rng, degree)
         anti = hahnmod.hahn_antiderivative(ctx, p)

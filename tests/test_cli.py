@@ -150,6 +150,29 @@ class TestVerifyCommand:
         assert code == cli.EXIT_USAGE
         assert "error" in err
 
+    def test_order_zero_passes(self, capsys):
+        # every pairing's residual is 1*1 - 1 = 0 at order 0: the alternate
+        # pairing's nonzero residual is predicted from t^1 on
+        code, out, _ = run_cli(capsys, ["verify", "--nmax", "0", "--order", "0"])
+        assert code == cli.EXIT_OK
+        assert "[pass] qseries/exp-pair-alternate\n" in out
+
+    @pytest.mark.parametrize("argv", [
+        "verify --suite qkernel --nmax 1 --omega -1/3 --format json",
+        "table hahn --nmax 2 --omega -1/3 --format json"])
+    def test_negative_omega_after_space(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv.split())
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert json.loads(out)["context"]["omega"] == "-1/3"
+        joined = argv.replace("--omega ", "--omega=").split()
+        assert run_cli(capsys, joined) == (code, out, err)
+
+    @pytest.mark.parametrize("argv", ["verify --s -1/2", "table poly --s -1/2"])
+    def test_negative_s_reaches_range_check(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv.split())
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert "error: base root s must satisfy 0 < s < 1, got -1/2" in err
+
     @pytest.mark.parametrize("argv", [
         "verify --s 1/0", "verify --omega 1/0", "table poly --s 1/0"])
     def test_zero_denominator_is_usage_error(self, capsys, argv):

@@ -29,6 +29,9 @@ def test_oracle_demo_discrepancies_only_in_hahn(capsys):
     tagged = {title for title, lines in blocks.items()
               if any("documented discrepancy" in line for line in lines)}
     assert tagged == {"hahn:"}
+    # a mismatch off the predicted cells would be tagged MISMATCH
+    assert not any("MISMATCH" in line for line in out.splitlines()
+                   if "closed =" in line)
     omega_zero = [t for t in blocks if t and t.startswith("at omega = 0")]
     assert len(omega_zero) == 1
     section = blocks[omega_zero[0]]

@@ -2,7 +2,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qoscpoly import (Basis, Poly, QContext, connect_hahn_gaussian,
@@ -16,6 +16,15 @@ METHODS = ("product", "recursion", "explicit_sum")
 BASES = (Basis.MONOMIAL, Basis.SHIFTED_MONOMIAL, Basis.QGAUSSIAN,
          Basis.QFACTORIAL, Basis.HAHN_FACTORIAL)
 PHIHAT = Basis.QFACTORIAL.element
+
+
+def row_sum(ctx, basis, coeffs):
+    """The reference rebuild: the sum of c_k times element k of one row."""
+    p = Poly.zero(basis.var)
+    for c, element in zip(coeffs, basis.elements(ctx, len(coeffs))):
+        if c != 0:
+            p = p + c * element
+    return p
 
 
 class TestQGaussian:
@@ -239,6 +248,30 @@ class TestBasisConversion:
             zero = Poly.zero(basis.var)
             assert expand_in_basis(ctx_q14, zero, basis) == []
             assert vector_to_poly(ctx_q14, basis, []) == zero
+
+
+class TestRebuild:
+    """vector_to_poly forms the nested product c_0 + f_0 (c_1 + ...); it
+    must equal the row sum, and expanding it must give the vector back."""
+
+    @pytest.mark.parametrize("basis", BASES)
+    @given(s=st.fractions(0, 1, max_denominator=9).filter(lambda s: 0 < s < 1),
+           omega=st.fractions(-2, 2, max_denominator=7),
+           coeffs=st.lists(st.just(F(0))
+                           | st.fractions(-3, 3, max_denominator=7),
+                           max_size=8))
+    @example(s=F(1, 2), omega=F(1, 8), coeffs=[])
+    @example(s=F(1, 2), omega=F(1, 8), coeffs=[F(0), F(0)])
+    @example(s=F(2, 3), omega=F(0), coeffs=[F(0), F(1, 3), F(0), F(-2)])
+    @settings(max_examples=25, deadline=None)
+    def test_nested_product_is_the_row_sum(self, basis, s, omega, coeffs):
+        ctx = QContext(s, omega)
+        p = vector_to_poly(ctx, basis, coeffs)
+        assert p == row_sum(ctx, basis, coeffs)
+        assert p.var == basis.var
+        while coeffs and coeffs[-1] == 0:
+            coeffs = coeffs[:-1]
+        assert expand_in_basis(ctx, p, basis) == coeffs
 
 
 class TestBasisRows:

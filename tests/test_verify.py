@@ -12,8 +12,8 @@ from qoscpoly import operators as opsmod
 from qoscpoly import series as seriesmod
 from qoscpoly.report import (DISCREPANCY, FAIL, PASS, VerificationReport,
                              fmt_exact)
-from qoscpoly.verify import (CHECK_LIMITS, SUITE_LIMITS, SUITE_NAMES, SUITES,
-                             TOL, RunConfig, _exact, _near, run_suites)
+from qoscpoly.verify import (LIMITS, SUITE_NAMES, SUITES, TOL, RunConfig,
+                             _exact, _near, run_suites)
 
 
 class TestRandomContexts:
@@ -116,22 +116,24 @@ class TestDocumentedDiscrepancies:
 
 class TestCheckLimits:
     def test_checks_read_their_caps(self, monkeypatch):
-        for name in CHECK_LIMITS:
-            monkeypatch.setitem(CHECK_LIMITS, name, 1)
+        # the check caps are the entries named suite/check
+        checks = [name for name in LIMITS if "/" in name]
+        for name in checks:
+            monkeypatch.setitem(LIMITS, name, 1)
         ctx = QContext(F(1, 2), F(1, 8))
-        seen = {name: set() for name in CHECK_LIMITS}
+        seen = {name: set() for name in checks}
         for suite in ("polyfamilies", "matrixelements"):
             for r in SUITES[suite](ctx, 2, 4, random.Random(0)):
                 name = "/".join(r.check_id.split("/")[:2])
                 if name in seen:
                     seen[name].add(r.params["n"])
-        assert seen == {name: {0, 1} for name in CHECK_LIMITS}
+        assert seen == {name: {0, 1} for name in checks}
 
     def test_help_names_every_cap(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["verify", "--help"])
         out = "".join(capsys.readouterr().out.split())
-        for name, cap in {**SUITE_LIMITS, **CHECK_LIMITS}.items():
+        for name, cap in LIMITS.items():
             assert f"{name}{cap}" in out
 
 
@@ -166,10 +168,6 @@ class TestPassRules:
                                       fmt_exact(list(r.coeffs)))
         assert (rec.params, rec.note) == ({"n": 1}, "note")
         assert _exact("a", {}, Poly([1, 1]), 0).rhs == "0"
-
-    def test_exact_discrepancy(self):
-        assert _exact("a", {}, 1, 2, discrepancy=True).status == DISCREPANCY
-        assert _exact("a", {}, 1, 1, discrepancy=True).status == PASS
 
     def test_near_is_strict(self):
         assert _near("a", {}, TOL, 0).status == FAIL
