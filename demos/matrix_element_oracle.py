@@ -10,8 +10,9 @@ alpha*beta, and ``matel_at`` reads the matrix at one (alpha, beta).
 For the Hahn family the published closed form provably disagrees with the
 oracle wherever alpha*beta != 0, omega != 0 and min(n, r) >= 1 -- the
 library keeps the formula as printed and reports the mismatch instead of
-patching it.  Only those cells are tagged a documented discrepancy; a
-mismatch anywhere else prints MISMATCH.
+patching it.  Only the cells that ``predicted_discrepancy`` names, the one
+place where ``verify`` reads the prediction too, are tagged a documented
+discrepancy; a mismatch anywhere else prints MISMATCH.
 
 Run:  python3 demos/matrix_element_oracle.py
 """
@@ -19,7 +20,8 @@ Run:  python3 demos/matrix_element_oracle.py
 from fractions import Fraction
 
 from qoscpoly import (FAMILIES, HAHN, HALF_HALF, HALF_ZERO, QGAUSSIAN,
-                      QContext, matel_at, matel_closed, matel_oracle)
+                      QContext, matel_at, matel_closed, matel_oracle,
+                      predicted_discrepancy)
 
 
 def main():
@@ -36,8 +38,8 @@ def main():
         for n in range(3):
             for r in range(3):
                 c, o = closed[n][r], oracle[n][r]
-                predicted = (family is HAHN and ctx.omega != 0
-                             and alpha * beta != 0 and min(n, r) >= 1)
+                predicted = predicted_discrepancy(ctx, family, n, r,
+                                                  alpha * beta)
                 tag = ("ok" if c == o else "documented discrepancy"
                        if predicted else "MISMATCH")
                 print(f"  L[{n},{r}] closed = {c}  oracle = {o}  [{tag}]")

@@ -15,7 +15,7 @@ from .hahn import (hahn_antiderivative, hahn_derivative_poly,
                    hahn_exp_normalized, hahn_integral_closed,
                    hahn_integral_numeric, leibniz_residuals)
 from .matel import (basic_hyp_terminating, matel_at, matel_closed,
-                    matel_oracle, u_polynomial)
+                    matel_oracle, predicted_discrepancy, u_polynomial)
 from .operators import (FAMILIES, HAHN, QFACTORIAL, QGAUSSIAN, Family,
                         difference_equation_residual, jackson_derivative,
                         ladder_apply, ladder_apply_analytic)

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from itertools import product
 
-from .context import HALF_HALF, QContext, frac
+from .context import HALF_HALF, QContext
 from .families import position_coefficients
 from .hahn import hahn_antiderivative, hahn_derivative_poly, hahn_integral_closed
 from .matel import matel_at, matel_closed, matel_oracle
@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--suite", action="append", choices=SUITE_NAMES,
                     help="suite to run (repeatable; default: all)")
     pt = sub.add_parser("table", help="emit exact value tables")
-    pt.add_argument("kind", choices=TABLE_KINDS)
+    pt.add_argument("kind", choices=TABLE_ROWS)
     _add_common(pt)
     return parser
 
@@ -157,7 +157,6 @@ def _hahn_rows(ctx: QContext, nmax: int, order: int) -> list[dict]:
 # one row builder per table kind, each called as build(ctx, nmax, order)
 TABLE_ROWS = {"poly": _poly_rows, "matel": _matel_rows, "genfun": _genfun_rows,
               "position": _position_rows, "hahn": _hahn_rows}
-TABLE_KINDS = tuple(TABLE_ROWS)
 
 
 def _table_rows(ctx: QContext, kind: str, nmax: int, order: int) -> list[dict]:
@@ -166,7 +165,7 @@ def _table_rows(ctx: QContext, kind: str, nmax: int, order: int) -> list[dict]:
 
 def cmd_table(args) -> int:
     try:
-        ctx = QContext(frac(args.s), frac(args.omega))
+        ctx = QContext(args.s, args.omega)
         rows = _table_rows(ctx, args.kind, args.nmax, args.order)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -193,11 +192,12 @@ def cmd_table(args) -> int:
 
 def main(argv=None) -> int:
     # argparse takes a negative rational such as -1/3 after a space for an
-    # option, so it is joined to its --s or --omega as --omega=-1/3
+    # option, so a word that starts with - and a digit is joined to a long
+    # option before it that has no value yet: --om -1/3 as --om=-1/3
     words = []
     for word in sys.argv[1:] if argv is None else argv:
         negative = word[:1] == "-" and word[1:2].isdigit()
-        if negative and words[-1:] in (["--s"], ["--omega"]):
+        if negative and words and words[-1][:2] == "--" and "=" not in words[-1]:
             words[-1] += "=" + word
         else:
             words.append(word)

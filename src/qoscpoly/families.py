@@ -160,7 +160,6 @@ def connect_hahn_gaussian(ctx: QContext, n: int) -> Poly:
 
     Computes (-1)^n omega0^n phi_n(1 - x/omega0); requires omega0 != 0.
     """
-    _check_n(n)
     omega0 = ctx.omega0
     if omega0 == 0:
         raise ValueError("connection formula is degenerate at omega0 = 0")

@@ -65,8 +65,6 @@ def hahn_antiderivative(ctx: QContext, p: Poly) -> Poly:
     Built through the Hahn factorial basis, where the derivative lowers the
     index: the antiderivative of phidot_n is phidot_{n+1}/[n+1]_q.
     """
-    if p.var != VAR_X:
-        raise ValueError("antiderivative acts on polynomials in x")
     coeffs = expand_in_basis(ctx, p, Basis.HAHN_FACTORIAL)
     out = vector_to_poly(ctx, Basis.HAHN_FACTORIAL, [0] + [
         c / q_int(ctx, n + 1) for n, c in enumerate(coeffs)])
@@ -80,8 +78,6 @@ def hahn_integral_closed(ctx: QContext, p: Poly, x) -> Fraction:
     expanding p around omega0 each power contributes a geometric series:
     sum_k q^(k(j+1)) = 1/(1 - q^(j+1)).
     """
-    if p.var != VAR_X:
-        raise ValueError("integral acts on polynomials in x")
     x = frac(x)
     q = ctx.q
     y = x - ctx.omega0

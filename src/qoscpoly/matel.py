@@ -24,8 +24,8 @@ coefficient the integer product of two path numerators, and each cell is
 normalised once, by ``Poly.over``; no Fraction is built per coefficient.
 
 ``matel_at`` evaluates either matrix at one (alpha, beta).  The oracle is
-the ground truth; any exact mismatch with a closed form is reported as a
-documented discrepancy, never patched.  The q-powers and q-factorials of
+the ground truth; a mismatch is never patched, and ``predicted_discrepancy``
+names the cells where it is documented.  The q-powers and q-factorials of
 both sides come from the context's kernel tables.
 
 One closed form serves all three families.  With d = |n - r| and
@@ -49,6 +49,7 @@ from itertools import accumulate
 from math import lcm, prod
 from operator import mul
 
+from . import operators as opsmod
 from .context import HALF_HALF, HalfInt, QContext, frac
 from .operators import Family, lowering_coeff, raising_coeff
 from .poly import Poly
@@ -134,6 +135,16 @@ def basic_hyp_terminating(ctx: QContext, upper: list, lower: list, z) -> Fractio
         sign = -1 if k * power % 2 else 1
         total += sign * num * ctx.q_pow(k * (k - 1) // 2 * power) / den
     return total
+
+
+def predicted_discrepancy(ctx: QContext, family: Family, n: int, r: int,
+                          alpha_beta) -> bool:
+    """Whether the printed closed form of cell (n, r) is predicted to differ
+    from the oracle at alpha*beta (the README's documented discrepancy): the
+    Hahn family at omega != 0, min(n, r) >= 1 and alpha*beta != 0.  It reads
+    neither kappa nor sigma, and ``operators.HAHN`` at call time."""
+    return (family is opsmod.HAHN and ctx.omega != 0 and min(n, r) >= 1
+            and alpha_beta != 0)
 
 
 def matel_at(polys: list[list[Poly]], alpha, beta) -> list[list[Fraction]]:

@@ -136,8 +136,6 @@ def difference_equation_residual(ctx: QContext, n: int) -> Poly:
 
     The zero polynomial for every n.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     phi = qgaussian(ctx, n)
     lhs = Poly([-1, 1]) * jackson_derivative(ctx, phi).scale_arg(1 / ctx.q)
     # the eigenvalue [n]_(1/q) is 0 at n = 0, so no branch is needed

@@ -116,9 +116,6 @@ class VerificationReport:
     seed: int
     records: list = field(default_factory=list)
 
-    def extend(self, records):
-        self.records.extend(records)
-
     def sorted_records(self) -> list:
         return sorted(self.records, key=lambda r: r.check_id)
 

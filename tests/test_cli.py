@@ -26,22 +26,22 @@ class TestReport:
 
     def test_ok_ignores_discrepancies(self):
         rep = VerificationReport({}, 0)
-        rep.extend([record("a", {}, True, 1, 1),
-                    record("b", {}, False, 1, 2, discrepancy=True)])
+        rep.records.extend([record("a", {}, True, 1, 1),
+                            record("b", {}, False, 1, 2, discrepancy=True)])
         assert rep.ok
-        rep.extend([record("c", {}, False, 1, 2)])
+        rep.records.extend([record("c", {}, False, 1, 2)])
         assert not rep.ok
 
     def test_text_summary_line(self):
         rep = VerificationReport({}, 7)
-        rep.extend([record("a", {}, True, 1, 1)])
+        rep.records.extend([record("a", {}, True, 1, 1)])
         text = rep.to_text()
         assert "summary: 1 pass, 0 fail, 0 documented-discrepancy (seed=7)" in text
 
     def test_json_roundtrip(self):
         rep = VerificationReport({"q": "1/4"}, 0)
-        rep.extend([record("zz", {"n": 3}, True, "1", "1"),
-                    record("aa", {}, False, "1", "2")])
+        rep.records.extend([record("zz", {"n": 3}, True, "1", "1"),
+                            record("aa", {}, False, "1", "2")])
         data = json.loads(rep.to_json())
         assert data["summary"][FAIL] == 1
         assert [r["check_id"] for r in data["records"]] == ["aa", "zz"]
@@ -166,6 +166,39 @@ class TestVerifyCommand:
         assert json.loads(out)["context"]["omega"] == "-1/3"
         joined = argv.replace("--omega ", "--omega=").split()
         assert run_cli(capsys, joined) == (code, out, err)
+
+    @pytest.mark.parametrize("argv, option", [
+        ("verify --suite qkernel --nmax 1 --om -1/3 --format json", "--om"),
+        ("table hahn --nmax 2 --ome -1/3 --format json", "--ome")])
+    def test_negative_value_after_abbreviation(self, capsys, argv, option):
+        # argparse takes --om and --ome for --omega, and so does the rule
+        # that joins a negative value to its option
+        code, out, err = run_cli(capsys, argv.split())
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert json.loads(out)["context"]["omega"] == "-1/3"
+        joined = argv.replace(option + " ", "--omega=").split()
+        assert run_cli(capsys, joined) == (code, out, err)
+
+    def test_negative_rational_size_is_invalid_int(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--nmax", "-1/3"])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert ("argument --nmax: invalid int value: '-1/3'"
+                in capsys.readouterr().err)
+
+    def test_negative_word_after_a_value_is_not_joined(self, capsys):
+        # --omega=1/3 has its value, so -1/3 stays a word of its own
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "qkernel", "--omega=1/3", "-1/3"])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "unrecognized arguments: -1/3" in capsys.readouterr().err
+
+    def test_negative_seed_after_space(self, capsys):
+        argv = ["verify", "--suite", "hahncalc", "--format", "json"] + FAST
+        code, out, err = run_cli(capsys, argv + ["--seed", "-3"])
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert json.loads(out)["seed"] == -3
+        assert run_cli(capsys, argv + ["--seed=-3"]) == (code, out, err)
 
     @pytest.mark.parametrize("argv", ["verify --s -1/2", "table poly --s -1/2"])
     def test_negative_s_reaches_range_check(self, capsys, argv):

@@ -136,6 +136,11 @@ class TestHahnFactorial:
         with pytest.raises(ValueError):
             connect_hahn_gaussian(ctx_q916.with_omega(0), 3)
 
+    def test_connection_negative_index(self, ctx_q14):
+        # qgaussian rejects the index
+        with pytest.raises(ValueError, match="family index must be >= 0"):
+            connect_hahn_gaussian(ctx_q14, -1)
+
 
 def _inversion_references(ctx, n):
     """x^n and (x - w0)^n with their coefficients in the q-Gaussian and Hahn

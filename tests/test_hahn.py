@@ -91,6 +91,11 @@ class TestAntiderivative:
             got = hahn_integral_closed(ctx_q916, dp, x)
             assert got == p(x) - p(ctx_q916.omega0)
 
+    def test_var_guard(self, ctx_q14):
+        # expand_in_basis rejects a polynomial in u
+        with pytest.raises(ValueError, match="polynomial in u"):
+            hahn_antiderivative(ctx_q14, Basis.QFACTORIAL.element(ctx_q14, 2))
+
     def test_zero_polynomial(self, ctx_q14):
         assert hahn_antiderivative(ctx_q14, Poly.zero()).is_zero()
 
@@ -105,6 +110,11 @@ class TestIntegral:
     def test_vanishes_at_fixed_point(self, ctx_q14):
         p = Poly([1, 2, 3])
         assert hahn_integral_closed(ctx_q14, p, ctx_q14.omega0) == 0
+
+    def test_closed_var_guard(self, ctx_q14):
+        with pytest.raises(ValueError, match="polynomial in u"):
+            hahn_integral_closed(ctx_q14, Basis.QFACTORIAL.element(ctx_q14, 2),
+                                 1)
 
     def test_numeric_agrees_on_polynomials(self, ctx_q14):
         p = Poly([1, F(2, 3), -1, 0, F(1, 7)])

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from qoscpoly import (FAMILIES, HAHN, HALF_HALF, HALF_ZERO, QFACTORIAL,
                       QGAUSSIAN, HalfInt, Poly, QContext,
                       basic_hyp_terminating, cli, emu_series, matel_at,
-                      matel_closed, matel_oracle, q_binomial, q_factorial,
-                      q_int_at, q_pochhammer, qhyp_terms, u_polynomial)
+                      matel_closed, matel_oracle, predicted_discrepancy,
+                      q_binomial, q_factorial, q_int_at, q_pochhammer,
+                      qhyp_terms, u_polynomial)
 from qoscpoly.operators import lowering_coeff, raising_coeff
 from qoscpoly.report import PASS
 from qoscpoly.verify import _special_forms
@@ -333,6 +334,61 @@ class TestClosedVsOracle:
         # single-raise element picks up exactly (1 - omega0) * alpha
         m = matel_oracle(ctx_q14, HAHN, HALF_ZERO, HALF_ZERO, 1)
         assert matel_at(m, 1, 0)[0][1] == 1 - ctx_q14.omega0
+
+
+class TestPredictedDiscrepancy:
+    # a predicted cell: Hahn, omega = 1/8, min(n, r) = 1, alpha*beta = -1/6
+    CELL = (1, 2, F(-1, 6))
+
+    def test_predicted_where_all_conditions_hold(self, ctx_q14):
+        assert predicted_discrepancy(ctx_q14, HAHN, *self.CELL)
+        assert predicted_discrepancy(ctx_q14.with_omega(F(-1, 3)), HAHN, 3, 1,
+                                     F(5))
+
+    @pytest.mark.parametrize("family", [QGAUSSIAN, QFACTORIAL])
+    def test_other_family_not_predicted(self, ctx_q14, family):
+        assert not predicted_discrepancy(ctx_q14, family, *self.CELL)
+
+    def test_omega_zero_not_predicted(self, ctx_q14):
+        assert not predicted_discrepancy(ctx_q14.with_omega(0), HAHN,
+                                         *self.CELL)
+
+    @pytest.mark.parametrize("n, r", [(0, 0), (0, 2), (2, 0)])
+    def test_index_zero_not_predicted(self, ctx_q14, n, r):
+        assert not predicted_discrepancy(ctx_q14, HAHN, n, r, F(-1, 6))
+
+    def test_alpha_beta_zero_not_predicted(self, ctx_q14):
+        assert not predicted_discrepancy(ctx_q14, HAHN, 1, 2, F(0))
+
+    def test_follows_a_rebound_hahn_record(self, ctx_q14, monkeypatch):
+        # the Hahn record is read from operators at call time, as when
+        # verify's tests rebind it, and its kappa and sigma are never read
+        import qoscpoly.operators as opsmod
+
+        def unread(ctx):
+            raise AssertionError("the prediction read kappa or sigma")
+
+        hahn = dataclasses.replace(HAHN, kappa=unread, sigma=unread)
+        monkeypatch.setattr(opsmod, "HAHN", hahn)
+        assert predicted_discrepancy(ctx_q14, hahn, *self.CELL)
+        assert not predicted_discrepancy(ctx_q14, HAHN, *self.CELL)
+
+    @pytest.mark.parametrize("s, omega", [(F(1, 2), F(1, 8)), (F(3, 4), F(0)),
+                                          (F(2, 3), F(-1, 5))])
+    def test_names_exactly_the_mismatches(self, s, omega):
+        # at a generic point the closed form and the oracle differ on the
+        # predicted cells and nowhere else
+        ctx = QContext(s, omega)
+        alpha, beta = F(1, 3), F(-1, 2)
+        for family in FAMILIES:
+            for mu in HALVES:
+                closed, oracle = (matel_at(build(ctx, family, mu, HALF_HALF, 4),
+                                           alpha, beta)
+                                  for build in (matel_closed, matel_oracle))
+                assert {(n, r) for n in range(5) for r in range(5)
+                        if closed[n][r] != oracle[n][r]} == {
+                    (n, r) for n in range(5) for r in range(5)
+                    if predicted_discrepancy(ctx, family, n, r, alpha * beta)}
 
 
 class TestDegenerateHahn:

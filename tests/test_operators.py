@@ -187,6 +187,11 @@ class TestDifferenceEquation:
         for n in range(10):
             assert difference_equation_residual(ctx_q12, n).is_zero()
 
+    def test_negative_index_rejected(self, ctx_q14):
+        # qgaussian rejects the index
+        with pytest.raises(ValueError, match="family index must be >= 0"):
+            difference_equation_residual(ctx_q14, -1)
+
     def test_wrong_eigenvalue_does_not_vanish(self, ctx_q14):
         # sanity: the residual detects a perturbed eigenvalue
         phi = qgaussian(ctx_q14, 3)

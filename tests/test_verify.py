@@ -27,7 +27,7 @@ class TestRandomContexts:
         ctx = QContext(s, omega)
         report = VerificationReport({}, 0)
         for name in ("qkernel", "qseries", "polyfamilies", "operators"):
-            report.extend(SUITES[name](ctx, 3, 4, random.Random(0)))
+            report.records.extend(SUITES[name](ctx, 3, 4, random.Random(0)))
         assert [r.check_id for r in report.records if r.status == FAIL] == []
         assert report.to_json()
 
