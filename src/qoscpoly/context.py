@@ -9,10 +9,11 @@ perfect rational square the base root is recovered, otherwise operations
 needing a genuine ``q**(1/2)`` are unavailable and raise.
 
 A context is one frozen value.  Its kernel tables (``q^(t/2)`` for every
-integer t, odd t included, ``[k]_q`` and ``[k]_q!``) are made with it and
-grow as they are read, so each value is computed once per ``q``.  They
-depend on ``q`` alone, so the :meth:`QContext.with_omega` copies of a
-context share them, and they take no part in equality, hashing or repr.
+integer t, odd t included, ``[k]_q``, ``[k]_q!`` and the rows of
+``[n choose k]_q``) are made with it and grow as they are read, so each
+value is computed once per ``q``.  They depend on ``q`` alone, so the
+:meth:`QContext.with_omega` copies of a context share them, and they take
+no part in equality, hashing or repr.
 """
 
 from __future__ import annotations
@@ -82,9 +83,11 @@ class QContext:
     ``omega0 = omega/(1-q)`` is the fixed point of the Hahn step
     ``x -> qx + omega``.  ``root`` is the base root ``s`` (with ``q = s**2``),
     which makes half-integer powers of ``q`` exact, or None when ``q`` is not
-    a rational square.  ``tables`` is ``(powers, ints, factorials)``: q^(t/2)
-    by the exponent t of s, [k]_q by k, and the list of [0]_q! .. [n]_q!.
-    They depend on ``q`` alone and are not part of the context's value.
+    a rational square.  ``tables`` is ``(powers, ints, factorials,
+    binomials)``: q^(t/2) by the exponent t of s, [k]_q by k, the list of
+    [0]_q! .. [n]_q!, and the list of rows [m choose 0]_q ..
+    [m choose m/2]_q for m = 0..n (the other half by symmetry).  They
+    depend on ``q`` alone and are not part of the context's value.
     """
 
     q: Fraction
@@ -101,7 +104,7 @@ class QContext:
     def _fill(self, q, omega, root, tables=None) -> "QContext":
         """Set the fields of this frozen value; returns self."""
         if tables is None:
-            tables = ({}, {}, [Fraction(1)])
+            tables = ({}, {}, [Fraction(1)], [])
         for name, value in (("q", q), ("omega", frac(omega)), ("root", root),
                             ("tables", tables)):
             object.__setattr__(self, name, value)

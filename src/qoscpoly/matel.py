@@ -45,7 +45,7 @@ and each printed formula is read off from its family's (e, sigma, kappa):
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import lcm, prod
 from operator import mul
 
@@ -148,17 +148,23 @@ def predicted_discrepancy(ctx: QContext, family: Family, n: int, r: int,
 
 
 def matel_at(polys: list[list[Poly]], alpha, beta) -> list[list[Fraction]]:
-    """The elements alpha^(r-n)+ beta^(n-r)+ P_{n,r}(alpha beta) of a matrix."""
+    """The elements alpha^(r-n)+ beta^(n-r)+ P_{n,r}(alpha beta) of a square
+    matrix, as the builders return it.
+
+    The powers of alpha and beta are tabulated once per call, by d = |n - r|;
+    None stands for a factor of 1 (d = 0, or a base of 1), which is not
+    multiplied in.
+    """
     alpha, beta = frac(alpha), frac(beta)
-    x = alpha * beta
-    return [[_times_power(p(x), alpha, r - n) if r > n
-             else _times_power(p(x), beta, n - r)
-             for r, p in enumerate(row)] for n, row in enumerate(polys)]
-
-
-def _times_power(value: Fraction, base: Fraction, d: int) -> Fraction:
-    """value * base^d; the factor is not built when it is 1."""
-    return value if d == 0 or base == 1 else value * base ** d
+    x, size = alpha * beta, len(polys)
+    up, down = ([None] * size if base == 1
+                else [None, *accumulate(repeat(base, size - 1), mul)]
+                for base in (alpha, beta))
+    # row n reads beta^n .. beta^1 left of the diagonal, then alpha^0 ..
+    # alpha^(size-1-n) from it on
+    return [[p(x) if f is None else p(x) * f
+             for p, f in zip(row, down[n:0:-1] + up[:size - n])]
+            for n, row in enumerate(polys)]
 
 
 def _weighted_paths(weights: Poly, steps: list) -> tuple[list[int], int]:

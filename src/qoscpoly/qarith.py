@@ -2,12 +2,13 @@
 
 Everything returns Fractions and depends only on its inputs.  ``q_int_at``
 computes from a raw q.  ``q_int``, ``q_factorial`` and ``q_binomial`` read
-the context's tables (see :class:`QContext`): [k]_q and [k]_q! are each
-computed once per q, on first use, and the tables grow only as far as they
-are read.  The ``with_omega`` copies of a context share its tables, since
-none of these values depends on omega.  ``qhyp_terms`` walks the terms of
-the package's basic hypergeometric sums; ``q_pochhammer`` builds its
-product directly and is the reference the walker is tested against.
+the context's tables (see :class:`QContext`): [k]_q, [k]_q! and the rows of
+[n choose k]_q are each computed once per q, on first use, and the tables
+grow only as far as they are read.  The ``with_omega`` copies of a context
+share its tables, since none of these values depends on omega.
+``qhyp_terms`` walks the terms of the package's basic hypergeometric sums;
+``q_pochhammer`` builds its product directly, as integer products made one
+Fraction at the end, and is the reference the walker is tested against.
 """
 
 from __future__ import annotations
@@ -51,24 +52,44 @@ def q_factorial(ctx: QContext, n: int) -> Fraction:
 
 
 def q_binomial(ctx: QContext, n: int, k: int) -> Fraction:
-    """Gaussian binomial [n choose k]_q; exactly 0 outside 0 <= k <= n."""
+    """Gaussian binomial [n choose k]_q; exactly 0 outside 0 <= k <= n.
+
+    Row m of the context's table holds [m]_q! / ([m-k]_q! [k]_q!) for
+    k = 0..m/2, read off the factorial table, never by the Pascal rule it is
+    checked against; k and m - k share an entry.
+    """
     if k < 0 or k > n:
         return Fraction(0)
-    fact = _factorials(ctx, n)
-    return fact[n] / (fact[n - k] * fact[k])
+    rows = ctx.tables[3]
+    while len(rows) <= n:
+        m = len(rows)
+        fact = _factorials(ctx, m)
+        top = fact[m]
+        rows.append([Fraction(top.numerator * a.denominator * b.denominator,
+                              top.denominator * a.numerator * b.numerator)
+                     for a, b in zip(fact[m::-1], fact[:m // 2 + 1])])
+    return rows[n][min(k, n - k)]
 
 
 def q_pochhammer(ctx: QContext, z, n: int) -> Fraction:
-    """(z; q)_n = product of (1 - z*q^k) for k = 0..n-1, empty product 1."""
+    """(z; q)_n = product of (1 - z*q^k) for k = 0..n-1, empty product 1.
+
+    With z = zn/zd and q = qn/qd, factor k is (a - b)/a for a = zd qd^k and
+    b = zn qn^k: the numerators and denominators are multiplied as integers
+    and normalised once.
+    """
     if n < 0:
         raise ValueError(f"q-Pochhammer needs n >= 0, got {n}")
     z = frac(z)
-    out = Fraction(1)
-    power = Fraction(1)
+    qn, qd = ctx.q.numerator, ctx.q.denominator
+    a, b = z.denominator, z.numerator
+    num = den = 1
     for _ in range(n):
-        out *= 1 - z * power
-        power *= ctx.q
-    return out
+        num *= a - b
+        den *= a
+        a *= qd
+        b *= qn
+    return Fraction(num, den)
 
 
 def qhyp_terms(ctx: QContext, lower: list, z, count: int,

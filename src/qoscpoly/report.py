@@ -38,9 +38,11 @@ def json_text(value) -> str:
     per line at two spaces a level.
 
     Reports and tables hold only dicts with str keys, lists, tuples, str,
-    int, bool and None; any other value (a float, a Fraction, a non-str key)
-    raises TypeError, since an exact report has none.  A list may also come
-    as an iterator, read one item at a time: a report's records arrive so.
+    int, bool, None and CheckRecords; any other value (a float, a Fraction,
+    a non-str key) raises TypeError, since an exact report has none.  A
+    CheckRecord is written as its dict, each params value through
+    ``fmt_exact``, straight from its fields.  A list may also come as an
+    iterator, read one item at a time.
     """
     return _json(value, "\n", "\n")
 
@@ -62,7 +64,22 @@ def _json(value, newline: str, end: str = "") -> str:
     if isinstance(value, int):
         return int.__repr__(value) + end
     inner = newline + "  "
-    if isinstance(value, dict):
+    if isinstance(value, CheckRecord):
+        # the dict's keys in sorted order, written without building it
+        deeper = inner + "  "
+        params = ("," + deeper).join(
+            f"{encode_basestring_ascii(k)}: "
+            f"{encode_basestring_ascii(fmt_exact(v))}"
+            for k, v in sorted(value.params.items()))
+        items = (f'"check_id": {encode_basestring_ascii(value.check_id)}',
+                 f'"lhs": {encode_basestring_ascii(value.lhs)}',
+                 f'"note": {encode_basestring_ascii(value.note)}',
+                 f'"params": {{{deeper}{params}{inner}}}' if params
+                 else '"params": {}',
+                 f'"rhs": {encode_basestring_ascii(value.rhs)}',
+                 f'"status": {encode_basestring_ascii(value.status)}')
+        opening, closing = "{", "}"
+    elif isinstance(value, dict):
         for key in value:
             if not isinstance(key, str):
                 raise TypeError(f"key {key!r} of type {type(key).__name__} "
@@ -131,14 +148,9 @@ class VerificationReport:
         return self.counts[FAIL] == 0
 
     def to_json(self) -> str:
-        # the records go in one at a time: only their written text is held
-        records = ({"check_id": r.check_id,
-                    "params": {k: fmt_exact(v) for k, v in r.params.items()},
-                    "status": r.status, "lhs": r.lhs, "rhs": r.rhs,
-                    "note": r.note}
-                   for r in self.sorted_records())
         return json_text({"context": self.context, "seed": self.seed,
-                          "summary": self.counts, "records": records})
+                          "summary": self.counts,
+                          "records": self.sorted_records()})
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -15,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qoscpoly import QContext, cli
-from qoscpoly.report import context_dict, fmt_exact, json_text
+from qoscpoly.report import (CheckRecord, VerificationReport, context_dict,
+                              fmt_exact, json_text)
 from qoscpoly.verify import RunConfig, run_suites
 
 
@@ -55,6 +56,49 @@ values = st.recursive(
 @example([True, False, None, 0, -1, 10 ** 100])
 def test_matches_json_dumps(value):
     assert json_text(value) == reference(value)
+
+
+def record_dict(r):
+    """A record in the dict form a report's json writes it as."""
+    return {"check_id": r.check_id,
+            "params": {k: fmt_exact(v) for k, v in r.params.items()},
+            "status": r.status, "lhs": r.lhs, "rhs": r.rhs, "note": r.note}
+
+
+param_values = st.one_of(
+    strings, st.integers(), st.fractions(), st.none(),
+    st.lists(st.one_of(st.integers(), st.fractions(), strings), max_size=3))
+records = st.builds(CheckRecord, strings,
+                    st.dictionaries(strings, param_values, max_size=4),
+                    strings, strings, strings, strings)
+
+
+@given(st.lists(records, max_size=3), strings)
+@settings(max_examples=100, deadline=None)
+@example([CheckRecord("", {}, "", "", "")], "")
+@example([CheckRecord('"\\', {"\ud800": [Fraction(-1, 3), None]},
+                      "\x7f", "\u2028", "\U0001f600", "\x00")], "\udfff")
+def test_records_match_json_dumps(recs, key):
+    # a record is written from its fields at the depth it is given: in a
+    # list, inside a dict inside a list, and in a list inside a dict
+    dicts = [record_dict(r) for r in recs]
+    for value, form in ((recs, dicts),
+                        ([{key: r} for r in recs], [{key: d} for d in dicts]),
+                        ({key: recs}, {key: dicts})):
+        assert json_text(value) == reference(form)
+    # a Fraction outside a record is still not report data
+    with pytest.raises(TypeError):
+        json_text(recs + [Fraction(1, 2)])
+    with pytest.raises(TypeError):
+        json_text([{key: recs, "": Fraction(1, 2)}])
+
+
+def test_empty_report_matches_json_dumps():
+    ctx = QContext(Fraction(1, 2), Fraction(1, 8))
+    rep = VerificationReport(context=context_dict(ctx), seed=3)
+    assert rep.to_json() == reference(
+        {"context": rep.context, "seed": 3, "summary": rep.counts,
+         "records": []})
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ from math import prod
 from operator import mul
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qoscpoly import (FAMILIES, HAHN, HALF_HALF, HALF_ZERO, QFACTORIAL,
@@ -259,6 +259,13 @@ class TestOracleMatrix:
            mu=st.sampled_from(HALVES), nu=st.sampled_from(HALVES),
            nmax=st.integers(0, 6))
     @settings(max_examples=25, deadline=None)
+    # a base of 1 or 0: matel_at skips every factor of 1 and multiplies by 0
+    @example(s=F(1, 2), omega=F(1, 8), alpha=F(1), beta=F(-1, 2),
+             mu=HALF_HALF, nu=HALF_ZERO, nmax=4)
+    @example(s=F(2, 3), omega=F(-1, 3), alpha=F(2, 3), beta=F(1),
+             mu=HALF_ZERO, nu=HALF_HALF, nmax=4)
+    @example(s=F(1, 3), omega=F(1, 2), alpha=F(0), beta=F(-3, 2),
+             mu=HALF_HALF, nu=HALF_HALF, nmax=4)
     def test_matches_per_cell_path_sum(self, s, omega, alpha, beta, mu, nu,
                                        nmax):
         ctx = QContext(s, omega)

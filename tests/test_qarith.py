@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qoscpoly import (HalfInt, QContext, q_binomial, q_double_factorial_even,
@@ -22,6 +22,16 @@ def pascal_table(q, nmax):
         row.append(F(1))
         table.append(row)
     return table
+
+
+def fraction_pochhammer(q, z, n):
+    """The reference (z; q)_n: a running product of reduced Fractions,
+    which the integer products of ``q_pochhammer`` must equal."""
+    out, power = F(1), F(1)
+    for _ in range(n):
+        out *= 1 - z * power
+        power *= q
+    return out
 
 
 small_q = st.sampled_from([F(1, 4), F(1, 2), F(2, 3), F(9, 16)])
@@ -111,6 +121,39 @@ class TestPochhammer:
         z = F(zn, zd)
         assert q_pochhammer(ctx, z, m + n) == (
             q_pochhammer(ctx, z, m) * q_pochhammer(ctx, z * q ** m, n))
+
+
+# contexts from a base root and from q itself, q a rational square or not
+contexts = st.one_of(
+    roots.map(QContext),
+    st.fractions(0, 1, max_denominator=40).filter(lambda q: 0 < q < 1)
+    .map(QContext.from_q))
+# z of height up to 10^6, zero and negative values included
+tall = st.builds(F, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
+
+
+class TestPochhammerIntegerProducts:
+    """The integer products against the Fraction product they replace."""
+
+    @given(ctx=contexts, z=tall, n=st.integers(0, 40))
+    @settings(max_examples=80, deadline=None)
+    @example(ctx=QContext(F(1, 2)), z=F(0), n=40)
+    @example(ctx=QContext.from_q(F(1, 2)), z=F(-10 ** 6, 7), n=40)
+    def test_matches_fraction_product(self, ctx, z, n):
+        assert q_pochhammer(ctx, z, n) == fraction_pochhammer(ctx.q, z, n)
+
+    @given(ctx=contexts, m=st.integers(0, 40), n=st.integers(0, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_vanishes_from_q_to_minus_m(self, ctx, m, n):
+        # factor m of (q^-m; q)_n is 1 - q^0 = 0
+        z = ctx.q ** -m
+        value = q_pochhammer(ctx, z, n)
+        assert value == fraction_pochhammer(ctx.q, z, n)
+        assert (value == 0) == (n > m)
+
+    def test_negative_rejected(self, ctx_q12):
+        with pytest.raises(ValueError, match="n >= 0, got -1"):
+            q_pochhammer(ctx_q12, F(1, 3), -1)
 
 
 small_fracs = st.fractions(-3, 3, max_denominator=6)
