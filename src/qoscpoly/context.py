@@ -8,16 +8,15 @@ directly from ``q`` via :meth:`QContext.from_q`; if ``q`` happens to be a
 perfect rational square the base root is recovered, otherwise operations
 needing a genuine ``q**(1/2)`` are unavailable and raise.
 
-A context is one frozen value.  Its kernel tables (``q^(t/2)`` for every
-integer t, odd t included, ``[k]_q``, ``[k]_q!`` and the rows of
-``[n choose k]_q``) are made with it and grow as they are read, so each
-value is computed once per ``q``.  They depend on ``q`` alone, so the
-:meth:`QContext.with_omega` copies of a context share them, and they take
-no part in equality, hashing or repr.
+A context is one frozen value, with four kernel tables that its
+:meth:`QContext.with_omega` copies share.  ``nonnegative`` is the one rule
+for sizes (degrees, indices, counts, orders), called with the size's name,
+and ``tolerance`` the one rule for the tolerance of a truncated sum.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -36,6 +35,21 @@ def frac(value) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot coerce {value!r} to an exact rational")
+
+
+def nonnegative(name: str, value: int) -> int:
+    """value, or ValueError("<name> must be >= 0, got <value>")."""
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
+def tolerance(value) -> Fraction:
+    """value as a Fraction, or ValueError unless it is positive."""
+    value = frac(value)
+    if value <= 0:
+        raise ValueError(f"tolerance must be positive, got {value}")
+    return value
 
 
 def rational_sqrt(value: Fraction) -> Fraction | None:
@@ -74,8 +88,9 @@ HALF_ZERO = HalfInt(0)
 HALF_HALF = HalfInt(1)
 
 
-# no slots: with them, assigning a name that is not a field (s, omega0)
-# raises TypeError instead of FrozenInstanceError on Python 3.10-3.13
+# no slots: the fields are set through vars(); with slots, assigning a
+# name that is not a field (s, omega0) raises TypeError instead of
+# FrozenInstanceError on Python 3.10-3.13
 @dataclass(frozen=True, init=False)
 class QContext:
     """Deformation parameters: base q in (0, 1) and the Hahn shift omega.
@@ -83,17 +98,30 @@ class QContext:
     ``omega0 = omega/(1-q)`` is the fixed point of the Hahn step
     ``x -> qx + omega``.  ``root`` is the base root ``s`` (with ``q = s**2``),
     which makes half-integer powers of ``q`` exact, or None when ``q`` is not
-    a rational square.  ``tables`` is ``(powers, ints, factorials,
-    binomials)``: q^(t/2) by the exponent t of s, [k]_q by k, the list of
-    [0]_q! .. [n]_q!, and the list of rows [m choose 0]_q ..
-    [m choose m/2]_q for m = 0..n (the other half by symmetry).  They
-    depend on ``q`` alone and are not part of the context's value.
+    a rational square.
+
+    The kernel tables depend on ``q`` alone, take no part in equality,
+    hashing or repr, and grow only as far as they are read.  Each holds
+    values read again and again, built once per ``q``:
+
+    * ``powers``: q^(t/2) by the exponent t of s, for ``q_pow`` and
+      ``pow_half``;
+    * ``ints``: [k]_q by k, for ``qarith.q_int``;
+    * ``factorials``: [0]_q! .. [n]_q!, each the one before times [n]_q,
+      for ``qarith.q_factorial``;
+    * ``binomials``: the rows [m choose 0]_q .. [m choose m/2]_q for
+      m = 0..n (the other half by symmetry), each entry one integer
+      quotient of ``factorials``, for ``qarith.q_binomial``; without them
+      ``table matel --nmax 24`` builds 806 more Fractions.
     """
 
     q: Fraction
     omega: Fraction
     root: Fraction | None
-    tables: tuple = field(compare=False, repr=False)
+    powers: dict = field(compare=False, repr=False)
+    ints: dict = field(compare=False, repr=False)
+    factorials: list = field(compare=False, repr=False)
+    binomials: list = field(compare=False, repr=False)
 
     def __init__(self, s, omega=0):
         s = frac(s)
@@ -101,13 +129,11 @@ class QContext:
             raise ValueError(f"base root s must satisfy 0 < s < 1, got {s}")
         self._fill(s * s, omega, s)
 
-    def _fill(self, q, omega, root, tables=None) -> "QContext":
-        """Set the fields of this frozen value; returns self."""
-        if tables is None:
-            tables = ({}, {}, [Fraction(1)], [])
-        for name, value in (("q", q), ("omega", frac(omega)), ("root", root),
-                            ("tables", tables)):
-            object.__setattr__(self, name, value)
+    def _fill(self, q, omega, root) -> "QContext":
+        """Set the fields of this frozen value, with new kernel tables;
+        returns self."""
+        vars(self).update(q=q, omega=frac(omega), root=root, powers={},
+                          ints={}, factorials=[Fraction(1)], binomials=[])
         return self
 
     @classmethod
@@ -132,7 +158,7 @@ class QContext:
 
     def _power(self, t: int) -> Fraction:
         """q**(t/2) = s**t, computed once per t; odd t needs the base root."""
-        powers = self.tables[0]
+        powers = self.powers
         value = powers.get(t)
         if value is None:
             value = powers[t] = self.q ** (t // 2) if t % 2 == 0 else self.s ** t
@@ -148,5 +174,6 @@ class QContext:
 
     def with_omega(self, omega) -> "QContext":
         """The same q with another omega; shares this context's tables."""
-        return object.__new__(QContext)._fill(self.q, omega, self.root,
-                                              self.tables)
+        other = copy(self)
+        vars(other)["omega"] = frac(omega)
+        return other

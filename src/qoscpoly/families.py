@@ -18,20 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .context import QContext
+from .context import QContext, nonnegative
 from .poly import VAR_U, VAR_X, Poly
 from .qarith import q_binomial, q_factorial, q_int, q_pochhammer
 
 
-def _check_n(n: int) -> int:
-    if n < 0:
-        raise ValueError(f"family index must be >= 0, got {n}")
-    return n
-
-
 def qgaussian(ctx: QContext, n: int, method: str = "product") -> Poly:
     """phi_n(x), by 'product', 'recursion', or 'explicit_sum'."""
-    _check_n(n)
+    nonnegative("family index", n)
     if method == "product":
         return Basis.QGAUSSIAN.elements(ctx, n + 1)[n]
     if method == "recursion":
@@ -55,7 +49,7 @@ def qfactorial_pochhammer_value(ctx: QContext, n: int, x: int) -> Fraction:
     Independent of Basis.QFACTORIAL: evaluates
     (-1)^n q^(n x - n(n-1)/2) (q^-x; q)_n / (1-q)^n directly.
     """
-    _check_n(n)
+    nonnegative("family index", n)
     q = ctx.q
     return ((-1) ** n * q ** (n * x - n * (n - 1) // 2)
             * q_pochhammer(ctx, q ** (-x), n) / (1 - q) ** n)
@@ -63,7 +57,7 @@ def qfactorial_pochhammer_value(ctx: QContext, n: int, x: int) -> Fraction:
 
 def hahn_factorial(ctx: QContext, n: int, method: str = "product") -> Poly:
     """phidot_n(x), by 'product', 'recursion', or 'explicit_sum'."""
-    _check_n(n)
+    nonnegative("family index", n)
     if method == "product":
         return Basis.HAHN_FACTORIAL.elements(ctx, n + 1)[n]
     if method == "recursion":
@@ -101,16 +95,14 @@ class Basis:
 
     def elements(self, ctx: QContext, count: int) -> list[Poly]:
         """Elements 0..count-1, each the previous one times one factor."""
-        if count < 0:
-            raise ValueError(f"element count must be >= 0, got {count}")
-        out = [Poly.one(self.var)][:count]
+        out = [Poly.one(self.var)][:nonnegative("element count", count)]
         for k in range(count - 1):
             out.append(out[-1] * Poly(self.factor(ctx, k), self.var))
         return out
 
     def element(self, ctx: QContext, n: int) -> Poly:
         """Element n alone; a caller walking n reads one row of elements."""
-        return self.elements(ctx, _check_n(n) + 1)[n]
+        return self.elements(ctx, nonnegative("family index", n) + 1)[n]
 
 
 # The factors look up q_int and ctx.q_pow at call time, so a rebinding of
@@ -173,8 +165,7 @@ def qgaussian_via_qexp_operator(ctx: QContext, n: int) -> Poly:
     Jackson derivative of x^n; the q-exponents combine to the integer power
     q^(k(k-1)/2), and the series stops at k = n.
     """
-    _check_n(n)
-    out = [Fraction(0)] * (n + 1)
+    out = [Fraction(0)] * (nonnegative("family index", n) + 1)
     for k in range(n + 1):
         falling = Fraction(1)
         for j in range(k):
@@ -189,11 +180,9 @@ def position_coefficients(ctx: QContext, nmax: int) -> list[Poly]:
 
     Three-term recursion: x c_n = [n+1]_q c_{n+1} + q^(1-n) c_{n-1}, c_0 = 1.
     """
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
     cs = [Poly.one()]
     prev = Poly.zero()
-    for n in range(nmax):
+    for n in range(nonnegative("nmax", nmax)):
         nxt = (Poly([0, 1]) * cs[-1] - ctx.q_pow(1 - n) * prev) / q_int(ctx, n + 1)
         prev = cs[-1]
         cs.append(nxt)

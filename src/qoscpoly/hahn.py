@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .context import QContext, frac
+from .context import QContext, frac, tolerance
 from .families import Basis, expand_in_basis, vector_to_poly
 from .poly import VAR_X, Poly
 from .qarith import q_int, q_pochhammer
@@ -100,9 +100,7 @@ def hahn_integral_numeric(ctx: QContext, f: Callable, x, tol) -> tuple[Fraction,
     continuous integrands).  Returns (value, number of terms K).
     """
     x = frac(x)
-    tol = frac(tol)
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    tol = tolerance(tol)
     q = ctx.q
     omega0 = ctx.omega0
     prefactor = (1 - q) * x - ctx.omega
@@ -134,10 +132,9 @@ def hahn_exp_normalized(ctx: QContext, x, terms: int) -> Fraction:
     Computes 1/((1-q)x - w; q)_terms by ``q_pochhammer``, that is
     1 / prod_{k<terms} (1 + q^k ((q-1)x + w)) (Gasper & Rahman 2004, 1.3);
     the infinite product satisfies D_{q,w} e = e, and the truncation error
-    is geometric in q.  Raises ValueError when the product vanishes.
+    is geometric in q.  Raises ValueError when the product vanishes, and
+    ``q_pochhammer`` raises it for terms < 0.
     """
-    if terms < 0:
-        raise ValueError(f"terms must be >= 0, got {terms}")
     prod = q_pochhammer(ctx, (1 - ctx.q) * frac(x) - ctx.omega, terms)
     if prod == 0:
         raise ValueError(f"((1-q)x - w; q)_{terms} vanishes at x = {x}")

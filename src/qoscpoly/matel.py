@@ -50,7 +50,7 @@ from math import lcm, prod
 from operator import mul
 
 from . import operators as opsmod
-from .context import HALF_HALF, HalfInt, QContext, frac
+from .context import HALF_HALF, HalfInt, QContext, frac, nonnegative
 from .operators import Family, lowering_coeff, raising_coeff
 from .poly import Poly
 from .qarith import q_binomial, q_factorial, q_pochhammer, qhyp_terms
@@ -66,8 +66,7 @@ def u_polynomial(ctx: QContext, mu: HalfInt, nu: HalfInt, n: int,
     ``matel_closed``; at y the polynomial is U_n(x y).  The second argument
     is passed as the rational value q^(1+theta) itself.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    nonnegative("U-polynomial degree", n)
     return _cell(1, _u_column(ctx, mu, nu, q1theta, x, n + 1), _u_row(ctx, n))
 
 
@@ -197,9 +196,7 @@ def matel_oracle(ctx: QContext, family: Family, mu: HalfInt, nu: HalfInt,
     and all of ``up`` over one shared denominator, so a cell is integer
     products over one denominator, normalised once.
     """
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    sigma, size = family.sigma(ctx), nmax + 1
+    sigma, size = family.sigma(ctx), nonnegative("nmax", nmax) + 1
     lower = [lowering_coeff(ctx, family, m) for m in range(1, size)]
     raise_ = [raising_coeff(ctx, family, m) for m in range(size - 1)]
     w_down = emu_series(ctx, nu, sigma, nmax)
@@ -224,9 +221,7 @@ def matel_closed(ctx: QContext, family: Family, mu: HalfInt, nu: HalfInt,
     n = r diagonal has one side.  A family with sigma = 0 (Hahn at
     omega0 = 1) is rejected: its published form degenerates there.
     """
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    e, sigma, size = family.e, family.sigma(ctx), nmax + 1
+    e, sigma, size = family.e, family.sigma(ctx), nonnegative("nmax", nmax) + 1
     if sigma == 0:
         raise ValueError(f"the {family.name} closed form is degenerate at "
                          f"omega0 = 1 (sigma = 1 - omega0 = 0)")

@@ -25,7 +25,7 @@ from itertools import zip_longest
 from math import gcd, lcm
 from numbers import Rational
 
-from .context import frac
+from .context import frac, nonnegative
 
 VAR_X = "x"
 VAR_U = "u"
@@ -91,9 +91,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, n: int, c=1, var: str = VAR_X) -> "Poly":
-        if n < 0:
-            raise ValueError(f"monomial degree must be >= 0, got {n}")
-        return cls([0] * n + [c], var)
+        return cls([0] * nonnegative("monomial degree", n) + [c], var)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -161,10 +159,8 @@ class Poly:
         return Poly.over(out, self.den * other.den, self.var)
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative polynomial powers are undefined")
         out = Poly.one(self.var)
-        for _ in range(n):
+        for _ in range(nonnegative("polynomial power", n)):
             out = out * self
         return out
 

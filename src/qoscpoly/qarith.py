@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
-from .context import QContext, frac
+from .context import QContext, frac, nonnegative, tolerance
 
 
 def q_int_at(q: Fraction, n: int) -> Fraction:
@@ -29,7 +29,7 @@ def q_int_at(q: Fraction, n: int) -> Fraction:
 
 def q_int(ctx: QContext, n: int) -> Fraction:
     """The q-integer [n]_q; defined for negative n as well."""
-    ints = ctx.tables[1]
+    ints = ctx.ints
     value = ints.get(n)
     if value is None:
         value = ints[n] = (1 - ctx.q_pow(n)) / (1 - ctx.q)
@@ -38,7 +38,7 @@ def q_int(ctx: QContext, n: int) -> Fraction:
 
 def _factorials(ctx: QContext, n: int) -> list[Fraction]:
     """The context's table of [0]_q! .. [m]_q!, grown to m >= n."""
-    facts = ctx.tables[2]
+    facts = ctx.factorials
     while len(facts) <= n:
         facts.append(facts[-1] * q_int(ctx, len(facts)))
     return facts
@@ -46,9 +46,7 @@ def _factorials(ctx: QContext, n: int) -> list[Fraction]:
 
 def q_factorial(ctx: QContext, n: int) -> Fraction:
     """[n]_q! = product of [k]_q for k = 1..n, with [0]_q! = 1."""
-    if n < 0:
-        raise ValueError(f"q-factorial needs n >= 0, got {n}")
-    return _factorials(ctx, n)[n]
+    return _factorials(ctx, nonnegative("q-factorial index", n))[n]
 
 
 def q_binomial(ctx: QContext, n: int, k: int) -> Fraction:
@@ -60,7 +58,7 @@ def q_binomial(ctx: QContext, n: int, k: int) -> Fraction:
     """
     if k < 0 or k > n:
         return Fraction(0)
-    rows = ctx.tables[3]
+    rows = ctx.binomials
     while len(rows) <= n:
         m = len(rows)
         fact = _factorials(ctx, m)
@@ -78,8 +76,7 @@ def q_pochhammer(ctx: QContext, z, n: int) -> Fraction:
     b = zn qn^k: the numerators and denominators are multiplied as integers
     and normalised once.
     """
-    if n < 0:
-        raise ValueError(f"q-Pochhammer needs n >= 0, got {n}")
+    nonnegative("q-Pochhammer length", n)
     z = frac(z)
     qn, qd = ctx.q.numerator, ctx.q.denominator
     a, b = z.denominator, z.numerator
@@ -102,8 +99,7 @@ def qhyp_terms(ctx: QContext, lower: list, z, count: int,
     so no Pochhammer prefix is ever rebuilt.  Raises ValueError for
     count < 0 and when a term needs a vanishing lower Pochhammer.
     """
-    if count < 0:
-        raise ValueError(f"series terms need count >= 0, got {count}")
+    nonnegative("term count", count)
     lower = [frac(b) for b in lower]
     z = frac(z)
     terms, term = [], Fraction(1)
@@ -126,9 +122,7 @@ def q_pochhammer_inf(ctx: QContext, z, tol) -> tuple[Fraction, int]:
     multiplier deviates from 1 by less than tol.  Returns (value, K).
     """
     z = frac(z)
-    tol = frac(tol)
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    tol = tolerance(tol)
     q = ctx.q
     value = Fraction(1)
     power = Fraction(1)  # q^k
@@ -145,9 +139,7 @@ def q_pochhammer_inf(ctx: QContext, z, tol) -> tuple[Fraction, int]:
 
 def q_double_factorial_even(ctx: QContext, n: int) -> Fraction:
     """[2n]_q!! = [2n]_q [2n-2]_q ... [2]_q, empty product 1."""
-    if n < 0:
-        raise ValueError(f"double factorial needs n >= 0, got {n}")
     out = Fraction(1)
-    for k in range(1, n + 1):
+    for k in range(1, nonnegative("double factorial index", n) + 1):
         out *= q_int(ctx, 2 * k)
     return out

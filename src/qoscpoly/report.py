@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from decimal import Decimal
 from json.encoder import encode_basestring_ascii
@@ -41,8 +40,7 @@ def json_text(value) -> str:
     int, bool, None and CheckRecords; any other value (a float, a Fraction,
     a non-str key) raises TypeError, since an exact report has none.  A
     CheckRecord is written as its dict, each params value through
-    ``fmt_exact``, straight from its fields.  A list may also come as an
-    iterator, read one item at a time.
+    ``fmt_exact``, straight from its fields.
     """
     return _json(value, "\n", "\n")
 
@@ -87,7 +85,7 @@ def _json(value, newline: str, end: str = "") -> str:
         items = (f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
                  for k, v in sorted(value.items()))
         opening, closing = "{", "}"
-    elif isinstance(value, (list, tuple, Iterator)):
+    elif isinstance(value, (list, tuple)):
         items = (_json(v, inner) for v in value)
         opening, closing = "[", "]"
     else:

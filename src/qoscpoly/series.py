@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .context import HALF_HALF, HALF_ZERO, HalfInt, QContext, frac
+from .context import HALF_HALF, HALF_ZERO, HalfInt, QContext, frac, nonnegative
 from .families import Basis
 from .poly import VAR_T, Poly
 from .qarith import q_factorial, qhyp_terms
@@ -26,12 +26,10 @@ from .qarith import q_factorial, qhyp_terms
 
 def emu_series(ctx: QContext, mu: HalfInt, c, order: int) -> Poly:
     """(q,mu)-exponential of c*t: sum of q^(mu n^2) (c t)^n / [n]_q!."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
     c = frac(c)
     coeffs = []
     cpow = Fraction(1)
-    for n in range(order + 1):
+    for n in range(nonnegative("order", order) + 1):
         coeffs.append(ctx.pow_half(mu, n * n) * cpow / q_factorial(ctx, n))
         cpow *= c
     return Poly(coeffs, VAR_T)
@@ -43,27 +41,22 @@ def eqw_eval(ctx: QContext, mu: HalfInt, x, order: int) -> Fraction:
     Sums q^(mu n^2) ((1-q)x - omega)^n / (q;q)_n for n = 0..order, walked
     by ``qhyp_terms``.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
     arg = (1 - ctx.q) * frac(x) - ctx.omega
-    return sum(qhyp_terms(ctx, [], arg, order + 1,
+    return sum(qhyp_terms(ctx, [], arg, nonnegative("order", order) + 1,
                           lambda n: ctx.pow_half(mu, n * n)), Fraction(0))
 
 
 def e_type_series(ctx: QContext, c, order: int) -> Poly:
     """Series of (c*t; q)_infty: sum of (-1)^n q^(n(n-1)/2) (c t)^n/(q;q)_n."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return Poly(qhyp_terms(ctx, [], c, order + 1,
+    return Poly(qhyp_terms(ctx, [], c, nonnegative("order", order) + 1,
                            lambda n: (-1 if n % 2 else 1)
                            * ctx.q_pow(n * (n - 1) // 2)), VAR_T)
 
 
 def recip_poch_series(ctx: QContext, c, order: int) -> Poly:
     """Series of 1/(c*t; q)_infty: sum of (c t)^n/(q;q)_n."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return Poly(qhyp_terms(ctx, [], c, order + 1), VAR_T)
+    return Poly(qhyp_terms(ctx, [], c, nonnegative("order", order) + 1),
+                VAR_T)
 
 
 def euler_ratio(ctx: QContext, a, b, order: int) -> Poly:

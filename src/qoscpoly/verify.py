@@ -358,8 +358,8 @@ def suite_matrixelements(ctx: QContext, nmax: int, order: int,
                   for family in opsmod.FAMILIES}
         oracle = {family: matelmod.matel_oracle(ctx, family, mu, nu, nmax)
                   for family in opsmod.FAMILIES}
-        # hahn-reduces reads the q-Gaussian matrix above: its closed form
-        # does not depend on omega
+        # hahn-reduces checks it against the q-Gaussian oracle: at
+        # omega = 0 the q-Gaussian closed form is the same computation
         hahn0 = matelmod.matel_closed(ctx0, opsmod.HAHN, mu, nu, nmax)
         # the README's documented discrepancy: at omega != 0 the printed
         # Hahn closed form is the oracle at alpha*beta ((1 + w0)/(1 - w0))^2;
@@ -373,12 +373,11 @@ def suite_matrixelements(ctx: QContext, nmax: int, order: int,
             tag = f"mu={mu_v},nu={nu_v},a={alpha},b={beta}"
             ab = alpha * beta
             point = {"mu": mu_v, "nu": nu_v, "alpha": alpha, "beta": beta}
-            cm = {family: matelmod.matel_at(closed[family], alpha, beta)
-                  for family in opsmod.FAMILIES}
+            cm, om = ({family: matelmod.matel_at(m[family], alpha, beta)
+                       for family in opsmod.FAMILIES} for m in (closed, oracle))
             for family in opsmod.FAMILIES:
-                om = matelmod.matel_at(oracle[family], alpha, beta)
                 for n, r in cells:
-                    c, o = cm[family][n][r], om[n][r]
+                    c, o = cm[family][n][r], om[family][n][r]
                     # record, not _exact: a predicted cell can fail on its
                     # polynomials, whatever its values at this point
                     predicted = matelmod.predicted_discrepancy(
@@ -394,7 +393,7 @@ def suite_matrixelements(ctx: QContext, nmax: int, order: int,
                         else "closed form vs exact ladder-series oracle",
                         predicted and not broken))
             hm = matelmod.matel_at(hahn0, alpha, beta)
-            gm = cm[opsmod.QGAUSSIAN]
+            gm = om[opsmod.QGAUSSIAN]
             for n, r in cells:
                 out.append(_exact(
                     f"matrixelements/hahn-reduces/{tag},n={n},r={r}",

@@ -156,7 +156,8 @@ class TestExponential:
 
     def test_negative_terms_rejected(self, ctx_q14):
         assert hahn_exp_normalized(ctx_q14, F(1, 3), 0) == 1
-        with pytest.raises(ValueError, match="terms must be >= 0"):
+        with pytest.raises(ValueError,
+                           match="q-Pochhammer length must be >= 0, got -3"):
             hahn_exp_normalized(ctx_q14, F(1, 3), -3)
 
     def test_functional_equation_residual_small(self, ctx_q14):

@@ -202,3 +202,37 @@ class TestFaultContainment:
         suites = {r["check_id"].split("/")[0] for r in records}
         assert {"qkernel", "qseries", "polyfamilies",
                 "matrixelements"} <= suites
+
+
+class TestHahnReduces:
+    def test_closed_form_fault_fails(self, monkeypatch):
+        # a cell with twice its prefactor's numerator is wrong for every
+        # family alike, so the Hahn closed form at omega = 0 still equals
+        # the q-Gaussian closed form; against the q-Gaussian oracle every
+        # cell with a nonzero value fails
+        import qoscpoly.matel as matelmod
+        cell = matelmod._cell
+        monkeypatch.setattr(matelmod, "_cell", lambda pref, col, row:
+                            cell(2 * pref, col, row))
+        records = [r for r in SUITES["matrixelements"](
+            QContext(F(1, 2), F(1, 8)), 4, 4, random.Random(0))
+            if r.check_id.startswith("matrixelements/hahn-reduces/")]
+        failed = [r for r in records if r.status == FAIL]
+        assert len(records) == 4 * 16 * 25
+        assert failed == [r for r in records if r.rhs != "0"] != []
+
+
+class TestNearQOne:
+    # correct code fails the Hahn exponential's functional equation at
+    # x = -1/3, 1/4 and 2/5 in these contexts
+    @pytest.mark.xfail(strict=True,
+                       reason="ROADMAP item 5: fixed 40-factor truncation")
+    @pytest.mark.parametrize("context", [["--s", "9/10"],
+                                         ["--s", "8/9", "--omega", "1/5"]],
+                             ids=["s=9/10", "s=8/9,omega=1/5"])
+    def test_hahncalc_passes(self, capsys, context):
+        code = cli.main(["verify", "--suite", "hahncalc", *context,
+                         "--format", "json"])
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert [r["check_id"] for r in records if r["status"] == FAIL] == []
+        assert code == cli.EXIT_OK
