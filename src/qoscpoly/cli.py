@@ -17,8 +17,8 @@ from itertools import product
 from .context import HALF_HALF, QContext
 from .families import position_coefficients
 from .hahn import hahn_antiderivative, hahn_derivative_poly, hahn_integral_closed
-from .matel import matel_at, matel_closed, matel_oracle
-from .operators import FAMILIES
+from .matel import closed_form_sigma, matel_at, matel_closed, matel_oracle
+from .operators import FAMILIES, HAHN
 from .poly import Poly
 from .report import context_dict, fmt_exact, json_text
 from .series import genfun_terms
@@ -164,12 +164,15 @@ def _table_rows(ctx: QContext, kind: str, nmax: int, order: int) -> list[dict]:
 
 
 def cmd_table(args) -> int:
+    # only usage exits 2; a fault in a row builder raises with its traceback
     try:
         ctx = QContext(args.s, args.omega)
-        rows = _table_rows(ctx, args.kind, args.nmax, args.order)
+        if args.kind == "matel":
+            closed_form_sigma(ctx, HAHN)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    rows = _table_rows(ctx, args.kind, args.nmax, args.order)
     payload = {"context": context_dict(ctx), "kind": args.kind, "rows": rows}
     if args.fmt == "json":
         text = json_text(payload)
@@ -178,9 +181,8 @@ def cmd_table(args) -> int:
         fieldnames = sorted({k for row in rows for k in row})
         writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: fmt_exact(v) if isinstance(v, (list, tuple))
-                             else v for k, v in row.items()})
+        writer.writerows({k: fmt_exact(v) for k, v in row.items()}
+                         for row in rows)
         text = buf.getvalue()
     else:
         lines = [f"# kind={args.kind} q={ctx.q} omega={ctx.omega}"]

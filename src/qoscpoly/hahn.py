@@ -95,9 +95,9 @@ def hahn_integral_numeric(ctx: QContext, f: Callable, x, tol) -> tuple[Fraction,
 
     Sums prefactor * q^k f(node_k) until the geometric tail bound
     |prefactor| * M * q^K/(1-q) drops below tol, where M is the largest
-    |f| seen over recent nodes plus a short look-ahead (the nodes converge
-    monotonically to omega0, so bounded f makes this a valid bound for
-    continuous integrands).  Returns (value, number of terms K).
+    |f| at omega0 and at the next 8 nodes (the nodes converge monotonically
+    to omega0, so bounded f makes this a valid bound for continuous
+    integrands).  f is called K + 9 times.  Returns (value, number of terms K).
     """
     x = frac(x)
     tol = tolerance(tol)
@@ -106,24 +106,19 @@ def hahn_integral_numeric(ctx: QContext, f: Callable, x, tol) -> tuple[Fraction,
     prefactor = (1 - q) * x - ctx.omega
     if prefactor == 0:
         return Fraction(0), 0
-    lookahead = 8
-    total = Fraction(0)
-    qpow = Fraction(1)
-    k = 0
+    y = x - omega0
+    # f at the nodes omega0 + y q^j, j = k..k+8, each computed once
+    window = [frac(f(omega0 + y * q ** j)) for j in range(9)]
+    at_omega0 = abs(frac(f(omega0)))
+    total, qpow, k = Fraction(0), Fraction(1), 0
     while True:
-        node = omega0 + (x - omega0) * qpow
-        total += qpow * frac(f(node))
+        total += qpow * window.pop(0)
         qpow *= q
         k += 1
-        # bound |f| near omega0 by probing the next few nodes
-        probe = qpow
-        m = Fraction(0)
-        for _ in range(lookahead):
-            m = max(m, abs(frac(f(omega0 + (x - omega0) * probe))))
-            probe *= q
-        m = max(m, abs(frac(f(omega0))))
+        m = max(at_omega0, *map(abs, window))
         if abs(prefactor) * m * qpow / (1 - q) < tol:
             return prefactor * total, k
+        window.append(frac(f(omega0 + y * qpow * q ** 8)))
 
 
 def hahn_exp_normalized(ctx: QContext, x, terms: int) -> Fraction:

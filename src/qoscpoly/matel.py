@@ -99,13 +99,9 @@ def _cell(pref, col: Poly, row: Poly) -> Poly:
 
 def _termination_index(ctx: QContext, a: Fraction) -> int | None:
     """m >= 0 with a = q^-m, or None."""
-    if a < 1:
-        return None
-    q = ctx.q
-    v = a
-    m = 0
+    v, m = a, 0
     while v > 1:
-        v *= q
+        v *= ctx.q
         m += 1
     return m if v == 1 else None
 
@@ -210,6 +206,15 @@ def matel_oracle(ctx: QContext, family: Family, mu: HalfInt, nu: HalfInt,
              for r in range(size)] for n, (dn, dd) in enumerate(down)]
 
 
+def closed_form_sigma(ctx: QContext, family: Family) -> Fraction:
+    """The family's sigma; ValueError where it is 0 (Hahn at omega0 = 1),
+    as the published closed form degenerates there."""
+    if (sigma := family.sigma(ctx)) == 0:
+        raise ValueError(f"the {family.name} closed form is degenerate at "
+                         f"omega0 = 1 (sigma = 1 - omega0 = 0)")
+    return sigma
+
+
 def matel_closed(ctx: QContext, family: Family, mu: HalfInt, nu: HalfInt,
                  nmax: int) -> list[list[Poly]]:
     """All closed-form P_{n,r}, n, r <= nmax, as published.
@@ -218,13 +223,10 @@ def matel_closed(ctx: QContext, family: Family, mu: HalfInt, nu: HalfInt,
     sigma^d and the U column at its argument and q^(1+d); every cell reads
     the row (q^-k; q)_j of its U degree k = min(n, r).  The coefficient of
     (alpha beta)^j is the cell's prefactor times column_j * row_j.  The
-    n = r diagonal has one side.  A family with sigma = 0 (Hahn at
-    omega0 = 1) is rejected: its published form degenerates there.
+    n = r diagonal has one side.
     """
-    e, sigma, size = family.e, family.sigma(ctx), nonnegative("nmax", nmax) + 1
-    if sigma == 0:
-        raise ValueError(f"the {family.name} closed form is degenerate at "
-                         f"omega0 = 1 (sigma = 1 - omega0 = 0)")
+    size = nonnegative("nmax", nmax) + 1
+    e, sigma = family.e, closed_form_sigma(ctx, family)
     z = (ctx.q - 1) * family.kappa(ctx)
     rows = [_u_row(ctx, k) for k in range(size)]
     out = [[None] * size for _ in range(size)]

@@ -87,7 +87,7 @@ def genfun_terms(ctx: QContext, xs, order: int) -> list[tuple]:
     """(family, x, n, t^n coefficient of the generating function at x, the
     family polynomial at x over [n]_q!) for x in xs and n <= order."""
     out = []
-    phis = Basis.QGAUSSIAN.elements(ctx, order + 1)
+    phis = Basis.QGAUSSIAN.elements(ctx, nonnegative("order", order) + 1)
     phidots = Basis.HAHN_FACTORIAL.elements(ctx, order + 1)
     for x in xs:
         g = gaussian_genfun_lhs(ctx, x, order)

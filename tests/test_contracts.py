@@ -49,6 +49,7 @@ SIZED = [
     ("order", lambda n: series.exp_pair_residual(CTX, -2, n)),
     ("q-Pochhammer length",
      lambda n: hahn.hahn_exp_normalized(CTX, F(1, 3), n)),
+    ("order", lambda n: series.genfun_terms(CTX, (), n)),
 ]
 
 

@@ -125,6 +125,21 @@ class TestIntegral:
             assert abs(approx - exact) < tol
             assert terms > 0
 
+    def test_numeric_calls_f_once_per_node(self, ctx_q14):
+        # K terms read K nodes, the look-ahead 8 more, and omega0 one
+        p = Poly([1, F(2, 3), -1, F(1, 7)])
+        x, tol, calls = F(1, 3), F(1, 10 ** 9), []
+
+        def f(t):
+            calls.append(t)
+            return p(t)
+        value, terms = hahn_integral_numeric(ctx_q14, f, x, tol)
+        assert terms == 14
+        assert len(calls) == len(set(calls)) <= terms + 9
+        q, w0 = ctx_q14.q, ctx_q14.omega0
+        assert value == ((1 - q) * x - ctx_q14.omega) * sum(
+            q ** k * p(w0 + (x - w0) * q ** k) for k in range(terms))
+
     def test_numeric_zero_width(self, ctx_q14):
         value, terms = hahn_integral_numeric(ctx_q14, lambda t: 1, ctx_q14.omega0,
                                              F(1, 100))

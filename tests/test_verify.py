@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qoscpoly import Poly, QContext, cli
 from qoscpoly import operators as opsmod
 from qoscpoly import series as seriesmod
+from qoscpoly.poly import VAR_U
 from qoscpoly.report import (DISCREPANCY, FAIL, PASS, VerificationReport,
                              fmt_exact)
 from qoscpoly.verify import (LIMITS, SUITE_NAMES, SUITES, TOL, RunConfig,
@@ -202,6 +203,43 @@ class TestFaultContainment:
         suites = {r["check_id"].split("/")[0] for r in records}
         assert {"qkernel", "qseries", "polyfamilies",
                 "matrixelements"} <= suites
+
+    @pytest.fixture
+    def hahn_step_in_u(self, monkeypatch):
+        # a Hahn step that returns a polynomial in u meets one in x in every
+        # Hahn difference, so Poly raises ValueError: a fault, not usage
+        import qoscpoly.hahn as hahn
+        monkeypatch.setattr(hahn, "_hahn_step", lambda ctx, p:
+                            Poly(p.compose_affine(ctx.q, ctx.omega).coeffs,
+                                 VAR_U))
+
+    def test_value_error_fault_becomes_raised_records(self, capsys,
+                                                      hahn_step_in_u):
+        code = cli.main(["verify", "--format", "json"])
+        assert code == cli.EXIT_VERIFICATION_FAILED
+        records = json.loads(capsys.readouterr().out)["records"]
+        failed = {r["check_id"]: r["lhs"] for r in records
+                  if r["status"] == FAIL}
+        assert set(failed) == {"hahncalc/raised", "operators/raised"}
+        assert all(lhs.startswith("ValueError: variable mismatch")
+                   for lhs in failed.values())
+
+    def test_value_error_fault_in_table_raises(self, hahn_step_in_u):
+        with pytest.raises(ValueError, match="variable mismatch"):
+            cli.main(["table", "hahn", "--nmax", "2"])
+
+    def test_singular_hahn_exponential_is_one_record(self, capsys):
+        # one of the 40 factors of the hahncalc exponential vanishes at
+        # x = 1/4; the other suites still report
+        code = cli.main(["verify", "--omega=-13/16", "--format", "json"])
+        assert code == cli.EXIT_VERIFICATION_FAILED
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert [(r["check_id"], r["lhs"]) for r in records
+                if r["status"] == FAIL] == [
+            ("hahncalc/raised",
+             "ValueError: ((1-q)x - w; q)_40 vanishes at x = 1/4")]
+        assert {r["check_id"].split("/")[0] for r in records} == set(
+            SUITE_NAMES)
 
 
 class TestHahnReduces:
