@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from itertools import product
 
-from .context import HALF_HALF, QContext
+from .context import HALF_HALF, QContext, nonnegative
 from .families import position_coefficients
 from .hahn import hahn_antiderivative, hahn_derivative_poly, hahn_integral_closed
 from .matel import closed_form_sigma, matel_at, matel_closed, matel_oracle
@@ -30,25 +30,14 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _non_negative(text: str) -> int:
-    """argparse type of --order and --nmax: an int >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--s", default=RunConfig.s,
                         help="base root s as a rational string; q = s^2")
     parser.add_argument("--omega", default=RunConfig.omega,
                         help="Hahn shift omega as a rational string")
-    parser.add_argument("--order", type=_non_negative, default=RunConfig.order,
+    parser.add_argument("--order", type=int, default=RunConfig.order,
                         help="series truncation order")
-    parser.add_argument("--nmax", type=_non_negative, default=RunConfig.nmax,
+    parser.add_argument("--nmax", type=int, default=RunConfig.nmax,
                         help="largest family index to check or tabulate; "
                              "verify caps it per suite and check: " + ", ".join(
                                  f"{k} {v}" for k, v in LIMITS.items()))
@@ -166,6 +155,8 @@ def _table_rows(ctx: QContext, kind: str, nmax: int, order: int) -> list[dict]:
 def cmd_table(args) -> int:
     # only usage exits 2; a fault in a row builder raises with its traceback
     try:
+        nonnegative("nmax", args.nmax)
+        nonnegative("order", args.order)
         ctx = QContext(args.s, args.omega)
         if args.kind == "matel":
             closed_form_sigma(ctx, HAHN)

@@ -128,7 +128,7 @@ def ladder_apply_analytic(ctx: QContext, family: Family, direction: str,
         return family.lower(ctx, p)
     if direction == "raise":
         return family.raise_(ctx, p)
-    raise ValueError(f"bad direction {direction!r}")
+    raise ValueError(f"direction must be 'lower' or 'raise', got {direction!r}")
 
 
 def difference_equation_residual(ctx: QContext, n: int) -> Poly:

@@ -8,7 +8,9 @@ grow only as far as they are read.  The ``with_omega`` copies of a context
 share its tables, since none of these values depends on omega.
 ``qhyp_terms`` walks the terms of the package's basic hypergeometric sums;
 ``q_pochhammer`` builds its product directly, as integer products made one
-Fraction at the end, and is the reference the walker is tested against.
+Fraction at the end, and is the reference the walker is tested against.  It
+is the one (z; q)_n product: ``q_pochhammer_inf`` only picks n by its tail
+bound.
 """
 
 from __future__ import annotations
@@ -116,25 +118,18 @@ def qhyp_terms(ctx: QContext, lower: list, z, count: int,
 
 
 def q_pochhammer_inf(ctx: QContext, z, tol) -> tuple[Fraction, int]:
-    """Truncation of (z; q)_infty with a geometric tail bound.
+    """(z; q)_K, the truncation of (z; q)_infty, and K.
 
-    Stops after K factors once |z| q^K / (1-q) < tol, so the omitted tail
-    multiplier deviates from 1 by less than tol.  Returns (value, K).
+    K is the least k with |z| q^k / (1-q) < tol.  The omitted factors are
+    1 + a_k, k >= K, with sum |a_k| = e = |z| q^K / (1-q), so their product
+    lies within prod(1 + |a_k|) - 1 <= exp(e) - 1 of 1.  Returns (value, K).
     """
-    z = frac(z)
-    tol = tolerance(tol)
-    q = ctx.q
-    value = Fraction(1)
-    power = Fraction(1)  # q^k
+    ratio = abs(frac(z)) / ((1 - ctx.q) * tolerance(tol))  # e / tol at k
     k = 0
-    while abs(z) * power / (1 - q) >= tol:
-        factor = 1 - z * power
-        value *= factor
-        power *= q
+    while ratio >= 1:
+        ratio *= ctx.q
         k += 1
-        if factor == 0:
-            return Fraction(0), k
-    return value, k
+    return q_pochhammer(ctx, z, k), k
 
 
 def q_double_factorial_even(ctx: QContext, n: int) -> Fraction:

@@ -22,7 +22,7 @@ from . import hahn as hahnmod
 from . import matel as matelmod
 from . import operators as opsmod
 from . import series as seriesmod
-from .context import HALF_HALF, HALF_ZERO, QContext
+from .context import HALF_HALF, HALF_ZERO, QContext, nonnegative
 from .families import (Basis, connect_hahn_gaussian, expand_in_basis,
                        hahn_factorial, position_coefficients,
                        qfactorial_pochhammer_value, qgaussian,
@@ -534,9 +534,8 @@ class RunConfig:
 
 
 def run_suites(config: RunConfig) -> VerificationReport:
-    if config.nmax < 0 or config.order < 0:
-        raise ValueError(f"nmax and order must be >= 0, got nmax={config.nmax}"
-                         f", order={config.order}")
+    nonnegative("nmax", config.nmax)
+    nonnegative("order", config.order)
     ctx = QContext(config.s, config.omega)
     report = VerificationReport(context=context_dict(ctx), seed=config.seed)
     for i, name in enumerate(config.suites):

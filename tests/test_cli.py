@@ -245,15 +245,26 @@ class TestVerifyCommand:
         assert exc.value.code == cli.EXIT_USAGE
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
+    # argparse only parses the int; context.nonnegative rejects it, through
+    # run_suites or cmd_table; no table rejects a negative --nmax of hahn or
+    # --order of poly further down, so cmd_table's check alone catches them
     @pytest.mark.parametrize("argv", [
         "table matel --nmax -1", "table poly --nmax -3", "verify --order -1",
-        "verify --nmax -1", "table genfun --order -2"])
+        "verify --nmax -1", "table genfun --order -2", "table hahn --nmax -1",
+        "table poly --order -1"])
     def test_negative_size_rejected(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv.split())
-        flag = argv.split()[-2]
-        assert exc.value.code == cli.EXIT_USAGE
-        assert f"argument {flag}: must be >= 0" in capsys.readouterr().err
+        code, out, err = run_cli(capsys, argv.split())
+        flag, value = argv.split()[-2:]
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {flag[2:]} must be >= 0, got {value}\n"
+
+    @pytest.mark.parametrize("argv", ["verify --nmax -1", "table hahn --order -1"])
+    def test_negative_size_writes_no_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "out"
+        code, _, _ = run_cli(capsys, argv.split() + ["--out", str(path)])
+        assert code == cli.EXIT_USAGE
+        assert not path.exists()
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         # force a failing record through a stubbed suite

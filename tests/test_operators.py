@@ -67,8 +67,11 @@ class TestLadderCoefficients:
         assert ladder_apply(ctx_q14, QGAUSSIAN, "lower", [5]) == []
 
     def test_bad_direction(self, ctx_q14):
-        with pytest.raises(ValueError):
+        message = "direction must be 'lower' or 'raise', got 'sideways'"
+        with pytest.raises(ValueError, match=message):
             ladder_apply(ctx_q14, HAHN, "sideways", [1])
+        with pytest.raises(ValueError, match=message):
+            ladder_apply_analytic(ctx_q14, HAHN, "sideways", Poly([1]))
 
 
 class TestAnalyticVsBanded:

@@ -216,9 +216,24 @@ class TestPochhammerInf:
         assert abs(value - oracle) < tol
         assert 15 <= terms <= 30
 
+    @pytest.mark.parametrize("tol", [F(1, 10 ** 6), F(1, 10 ** 12)])
+    @pytest.mark.parametrize("z", [F(1, 2), F(-1, 3), F(5),
+                                   pytest.param(F(1, 2) ** -2, id="q^-2"), F(1)])
+    def test_least_k_meeting_the_bound(self, ctx_q12, z, tol):
+        q = ctx_q12.q
+        value, k = q_pochhammer_inf(ctx_q12, z, tol)
+
+        def bound(n):
+            return abs(z) * q ** n / (1 - q)
+
+        assert bound(k) < tol <= bound(k - 1)
+        assert value == fraction_pochhammer(q, z, k)
+
     def test_unit_argument_collapses(self, ctx_q12):
+        # the vanishing factor 1 - q^0 is among the K = 21 factors that the
+        # bound 2^-K/(1 - 1/2) < 1e-6 asks for
         value, terms = q_pochhammer_inf(ctx_q12, 1, F(1, 10 ** 6))
-        assert value == 0 and terms == 1
+        assert value == 0 and terms == 21
 
     def test_bad_tolerance(self, ctx_q12):
         with pytest.raises(ValueError):

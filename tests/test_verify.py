@@ -142,7 +142,7 @@ class TestRunSuites:
     @pytest.mark.parametrize("size", ["nmax", "order"])
     @pytest.mark.parametrize("suite", SUITE_NAMES)
     def test_negative_size_rejected(self, suite, size):
-        with pytest.raises(ValueError, match=f"{size}=-1"):
+        with pytest.raises(ValueError, match=f"{size} must be >= 0, got -1"):
             run_suites(RunConfig(suites=(suite,), **{size: -1}))
 
     @pytest.mark.parametrize("suite", ["qkernel", "qseries", "matrixelements"])
