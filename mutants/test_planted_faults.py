@@ -1,0 +1,70 @@
+"""Faults planted in a copy of the source must be reported by verify.
+
+Each row plants one fault: a file of the package, a fragment that must
+occur there exactly once, its replacement, the record-id prefix that must
+fail, the verify arguments and why the fault shows there.  verify run on
+the copy must exit 1 and write a json report that parses, with a fail
+record under the prefix.  A fragment that no longer occurs fails its row,
+so a refactor carries its faults along.  Run: python -m pytest -q mutants
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MATEL = ["--suite", "matrixelements", "--nmax", "4"]
+
+# name: (file, fragment, replacement, failing prefix, verify arguments, why)
+FAULTS = {
+    "poly-compose-affine": (
+        "poly.py", "for _ in self.nums:", "for _ in self.nums[:-1]:",
+        "hahncalc/raised", [],
+        "a compose_affine that drops its last remainder leaves a remainder "
+        "in every Hahn difference"),
+    "matel-prefactor-denominator": (
+        "matel.py", "pref.denominator * col.den * row.den)",
+        "col.den * row.den)", "matrixelements/closed-vs-oracle/", MATEL,
+        "a cell that drops its prefactor's denominator is off by it "
+        "wherever the prefactor is not an integer"),
+    "matel-prefactor-numerator": (
+        "matel.py", "p = pref.numerator", "p = 2 * pref.numerator",
+        "matrixelements/hahn-reduces/", MATEL,
+        "a cell with twice its prefactor's numerator is wrong for every "
+        "family alike, so hahn-reduces sees it only because its rhs is the "
+        "q-Gaussian oracle"),
+    "qarith-pochhammer-step": (
+        "qarith.py", "b *= qn", "b *= qd",
+        "qkernel/factorial-pochhammer/", ["--suite", "qkernel"],
+        "a q_pochhammer whose q-power steps by qd, not qn, makes (q; q)_n "
+        "the wrong product from n = 2 on"),
+    "operators-hahn-raising-variable": (
+        "operators.py", "return Poly([0, 1]) * p.compose_affine",
+        "return Poly([0, 1], VAR_U) * p.compose_affine", "operators/raised", [],
+        "a Hahn raising operator that returns a polynomial in u raises "
+        "ValueError (variable mismatch), a fault like any other"),
+}
+
+
+@pytest.mark.parametrize("name", FAULTS)
+def test_planted_fault_is_reported(tmp_path, name):
+    file, fragment, replacement, prefix, args, why = FAULTS[name]
+    shutil.copytree(SRC / "qoscpoly", tmp_path / "qoscpoly",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "qoscpoly" / file
+    source = path.read_text()
+    assert source.count(fragment) == 1, f"{file} must hold {fragment!r} once"
+    path.write_text(source.replace(fragment, replacement))
+    run = subprocess.run(
+        [sys.executable, "-m", "qoscpoly.cli", "verify", *args,
+         "--format", "json"], capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(tmp_path)})
+    assert run.returncode == 1, f"{why}; exit {run.returncode}: {run.stderr}"
+    records = json.loads(run.stdout)["records"]
+    assert any(r["check_id"].startswith(prefix) and r["status"] == "fail"
+               for r in records), f"{why}; no fail under {prefix}"

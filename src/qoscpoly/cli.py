@@ -36,10 +36,12 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--omega", default=RunConfig.omega,
                         help="Hahn shift omega as a rational string")
     parser.add_argument("--order", type=int, default=RunConfig.order,
-                        help="series truncation order")
+                        help="series truncation order; of the tables, "
+                             "only genfun reads it")
     parser.add_argument("--nmax", type=int, default=RunConfig.nmax,
-                        help="largest family index to check or tabulate; "
-                             "verify caps it per suite and check: " + ", ".join(
+                        help="largest family index to check or tabulate "
+                             "(every table but genfun reads it); verify caps "
+                             "it per suite and check: " + ", ".join(
                                  f"{k} {v}" for k, v in LIMITS.items()))
     parser.add_argument("--format", dest="fmt", default="text",
                         choices=("json", "csv", "text"))

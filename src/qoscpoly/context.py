@@ -96,9 +96,9 @@ class QContext:
     """Deformation parameters: base q in (0, 1) and the Hahn shift omega.
 
     ``omega0 = omega/(1-q)`` is the fixed point of the Hahn step
-    ``x -> qx + omega``.  ``root`` is the base root ``s`` (with ``q = s**2``),
-    which makes half-integer powers of ``q`` exact, or None when ``q`` is not
-    a rational square.
+    ``x -> qx + omega``.  The base root ``s`` (with ``q = s**2``), which
+    makes half-integer powers of ``q`` exact, is read off ``q``; reading it
+    raises ValueError when ``q`` is not a rational square.
 
     The kernel tables depend on ``q`` alone, take no part in equality,
     hashing or repr, and grow only as far as they are read.  Each holds
@@ -117,7 +117,6 @@ class QContext:
 
     q: Fraction
     omega: Fraction
-    root: Fraction | None
     powers: dict = field(compare=False, repr=False)
     ints: dict = field(compare=False, repr=False)
     factorials: list = field(compare=False, repr=False)
@@ -127,22 +126,22 @@ class QContext:
         s = frac(s)
         if not (0 < s < 1):
             raise ValueError(f"base root s must satisfy 0 < s < 1, got {s}")
-        self._fill(s * s, omega, s)
+        self._fill(s * s, omega)
 
-    def _fill(self, q, omega, root) -> "QContext":
+    def _fill(self, q, omega) -> "QContext":
         """Set the fields of this frozen value, with new kernel tables;
         returns self."""
-        vars(self).update(q=q, omega=frac(omega), root=root, powers={},
-                          ints={}, factorials=[Fraction(1)], binomials=[])
+        vars(self).update(q=q, omega=frac(omega), powers={}, ints={},
+                          factorials=[Fraction(1)], binomials=[])
         return self
 
     @classmethod
     def from_q(cls, q, omega=0) -> "QContext":
-        """Build a context from q itself; recovers s when q is a square."""
+        """Build a context from q itself; it has s when q is a square."""
         q = frac(q)
         if not (0 < q < 1):
             raise ValueError(f"q must satisfy 0 < q < 1, got {q}")
-        return object.__new__(cls)._fill(q, omega, rational_sqrt(q))
+        return object.__new__(cls)._fill(q, omega)
 
     @property
     def omega0(self) -> Fraction:
@@ -150,18 +149,19 @@ class QContext:
 
     @property
     def s(self) -> Fraction:
-        if self.root is None:
-            raise ValueError(
-                f"q = {self.q} is not a rational square; exact q**(1/2) "
-                "needs a context built from its base root s")
-        return self.root
+        return self._power(1)
 
     def _power(self, t: int) -> Fraction:
         """q**(t/2) = s**t, computed once per t; odd t needs the base root."""
         powers = self.powers
         value = powers.get(t)
         if value is None:
-            value = powers[t] = self.q ** (t // 2) if t % 2 == 0 else self.s ** t
+            base = rational_sqrt(self.q) if t % 2 else self.q
+            if base is None:
+                raise ValueError(
+                    f"q = {self.q} is not a rational square; exact q**(1/2) "
+                    "needs a context built from its base root s")
+            value = powers[t] = base ** (t if t % 2 else t // 2)
         return value
 
     def q_pow(self, e: int) -> Fraction:

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -166,6 +167,16 @@ class TestVerifyCommand:
         assert json.loads(out)["context"]["omega"] == "-1/3"
         joined = argv.replace("--omega ", "--omega=").split()
         assert run_cli(capsys, joined) == (code, out, err)
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        # the installed script calls main() with no argv, so the words,
+        # a negative value after a space among them, come from sys.argv
+        argv = "table hahn --nmax 2 --omega -1/3 --format json".split()
+        monkeypatch.setattr(sys, "argv", ["qoscpoly", *argv])
+        code, out, err = run_cli(capsys, None)
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert json.loads(out)["context"]["omega"] == "-1/3"
+        assert run_cli(capsys, argv) == (code, out, err)
 
     @pytest.mark.parametrize("argv, option", [
         ("verify --suite qkernel --nmax 1 --om -1/3 --format json", "--om"),
@@ -335,13 +346,31 @@ class TestTableCommand:
         assert families == {"qgaussian", "qfactorial", "hahn"}
 
     def test_matel_rows_agree_for_exact_families(self, capsys):
-        code, out, _ = run_cli(
-            capsys, ["table", "matel", "--format", "json", "--nmax", "3"])
-        assert code == cli.EXIT_OK
-        rows = json.loads(out)["rows"]
-        for row in rows:
-            if row["family"] != "hahn":
-                assert row["agree"]
+        # at omega = 0 the Hahn rows agree too; to nmax 12 the shared
+        # Pochhammer row (q^-n; q)_j reaches n = 12, in 3 x 13 x 13 rows
+        for argv, exact in (("--nmax 3", {"qgaussian", "qfactorial"}),
+                            ("--nmax 12 --omega 0",
+                             {"qgaussian", "qfactorial", "hahn"})):
+            code, out, _ = run_cli(
+                capsys, ["table", "matel", "--format", "json", *argv.split()])
+            assert code == cli.EXIT_OK
+            rows = json.loads(out)["rows"]
+            assert len(rows) == 3 * (int(argv.split()[1]) + 1) ** 2
+            assert all(row["agree"] for row in rows if row["family"] in exact)
+
+    def test_help_says_which_table_reads_which_size(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["table", "--help"])
+        assert exc.value.code == cli.EXIT_OK
+        text = " ".join(capsys.readouterr().out.split())
+        assert "series truncation order; of the tables, only genfun reads it" \
+            in text
+        assert "tabulate (every table but genfun reads it)" in text
+        # and the size a table does not read changes none of its bytes
+        for kind in cli.TABLE_ROWS:
+            unread = "--nmax" if kind == "genfun" else "--order"
+            argv = ["table", kind, "--nmax", "2", "--order", "2"]
+            assert run_cli(capsys, argv) == run_cli(capsys, argv + [unread, "3"])
 
     def test_position_table(self, capsys):
         code, out, _ = run_cli(

@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction as F
 from math import prod
 
@@ -292,6 +292,14 @@ class TestContext:
         assert ctx.s == F(3, 4)
         with pytest.raises(ValueError, match="base root"):
             QContext.from_q(F(1, 2)).s
+
+    def test_base_root_is_read_off_q(self):
+        # no field holds s, so a context built from q equals the one built
+        # from its square root, and hashes the same
+        assert [f.name for f in fields(QContext)] == ["q", "omega", *TABLES]
+        w = F(1, 8)
+        assert QContext.from_q(F(9, 16), w) == QContext(F(3, 4), w)
+        assert hash(QContext.from_q(F(9, 16), w)) == hash(QContext(F(3, 4), w))
 
     def test_rational_sqrt(self):
         assert rational_sqrt(F(4, 9)) == F(2, 3)
