@@ -28,16 +28,27 @@ FAULTS = {
         "a compose_affine that drops its last remainder leaves a remainder "
         "in every Hahn difference"),
     "matel-prefactor-denominator": (
-        "matel.py", "pref.denominator * col.den * row.den)",
-        "col.den * row.den)", "matrixelements/closed-vs-oracle/", MATEL,
+        "matel.py", "pref.denominator * den * row.den)",
+        "den * row.den)", "matrixelements/closed-vs-oracle/", MATEL,
         "a cell that drops its prefactor's denominator is off by it "
         "wherever the prefactor is not an integer"),
     "matel-prefactor-numerator": (
-        "matel.py", "p = pref.numerator", "p = 2 * pref.numerator",
+        "matel.py", "p, den = pref.numerator", "p, den = 2 * pref.numerator",
         "matrixelements/hahn-reduces/", MATEL,
         "a cell with twice its prefactor's numerator is wrong for every "
         "family alike, so hahn-reduces sees it only because its rhs is the "
         "q-Gaussian oracle"),
+    "matel-arriving-weight-index": (
+        "matel.py", "(w_up, raise_", "([0, *w_up], raise_",
+        "matrixelements/closed-vs-oracle/", MATEL,
+        "raising paths into r weighted by index j - 1, not j, shift every "
+        "raising weight, so the oracle disagrees with the closed form"),
+    "qarith-walker-qq-step": (
+        "qarith.py", "zd * (pd * qd - pn * qn)", "zd * (pd * qd + pn * qn)",
+        "matrixelements/special-form/", MATEL,
+        "a walker step with 1 + q^k for 1 - q^k walks (-q; q)_k, not "
+        "(q; q)_k, so U differs from the basic hypergeometric sum, built "
+        "from q_pochhammer, from n = 1 on"),
     "qarith-pochhammer-step": (
         "qarith.py", "b *= qn", "b *= qd",
         "qkernel/factorial-pochhammer/", ["--suite", "qkernel"],

@@ -16,11 +16,11 @@ of the polynomials P_{n,r} in alpha*beta, computed two independent ways:
     A cell's coefficients are products of two weighted ladder paths, so
     one matrix costs O(N^3) multiplications.
 
-Both keep their factors as ``Poly`` keeps its coefficients, integer
-numerators over one denominator: each column and row, each list of
-lowering paths and all raising paths together.  A closed-form coefficient
-is then the integer product prefactor_num * column_j * row_j, an oracle
-coefficient the integer product of two path numerators, and each cell is
+Both hold a cell's factors as integer numerators over the lcm of just the
+denominators the cell reads: its column's terms up to its U degree, its
+row, the lowering paths from n and the raising paths into r.  A
+closed-form coefficient is the integer product prefactor_num * column_j *
+row_j, an oracle one the product of two path numerators, and each cell is
 normalised once, by ``Poly.over``; no Fraction is built per coefficient.
 
 ``matel_at`` evaluates either matrix at one (alpha, beta).  The oracle is
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import lcm, prod
+from math import lcm
 from operator import mul
 
 from . import operators as opsmod
@@ -71,13 +71,15 @@ def u_polynomial(ctx: QContext, mu: HalfInt, nu: HalfInt, n: int,
 
 
 def _u_column(ctx: QContext, mu: HalfInt, nu: HalfInt, q1theta, x,
-              count: int) -> Poly:
-    """q^(j^2 (mu+nu)) x^j / ((q^(1+theta); q)_j (q; q)_j) for j < count as
-    the coefficients of one Poly: the part of U's coefficient j free of the
-    degree n, walked by ``qhyp_terms``."""
+              count: int) -> tuple:
+    """q^(j^2 (mu+nu)) x^j / ((q^(1+theta); q)_j (q; q)_j) for j < count,
+    the part of U's coefficient j free of the degree n, walked by
+    ``qhyp_terms``: numerators, denominators and the lcms of dens[:j+1]."""
     musum = HalfInt(mu.twice + nu.twice)
-    return Poly(qhyp_terms(ctx, [q1theta], x, count,
-                           lambda j: ctx.pow_half(musum, j * j)))
+    terms = qhyp_terms(ctx, [q1theta], x, count,
+                       lambda j: ctx.pow_half(musum, j * j))
+    dens = [t.denominator for t in terms]
+    return [t.numerator for t in terms], dens, list(accumulate(dens, lcm))
 
 
 def _u_row(ctx: QContext, n: int) -> Poly:
@@ -87,23 +89,23 @@ def _u_row(ctx: QContext, n: int) -> Poly:
                            initial=Fraction(1)))
 
 
-def _cell(pref, col: Poly, row: Poly) -> Poly:
-    """pref times col and row coefficient by coefficient: the numerators are
-    integer products over one denominator, normalised once.  A column that
-    Poly trimmed of its zero terms (x = 0) ends the products early, where
-    the coefficients are zero."""
-    p = pref.numerator
-    return Poly.over([p * c * r for c, r in zip(col.nums, row.nums)],
-                     pref.denominator * col.den * row.den)
+def _cell(pref, col: tuple, row: Poly) -> Poly:
+    """pref times col and row coefficient by coefficient.  A cell of U
+    degree k reads column terms j <= k over their own lcm: integer
+    products over the one denominator the cell reads, normalised once."""
+    nums, dens, lcms = col
+    p, den = pref.numerator, lcms[len(row.nums) - 1]
+    return Poly.over([p * c * (den // d) * r
+                      for c, d, r in zip(nums, dens, row.nums)],
+                     pref.denominator * den * row.den)
 
 
-def _termination_index(ctx: QContext, a: Fraction) -> int | None:
-    """m >= 0 with a = q^-m, or None."""
-    v, m = a, 0
-    while v > 1:
-        v *= ctx.q
-        m += 1
-    return m if v == 1 else None
+def _termination_index(ctx: QContext, a) -> int | None:
+    """m >= 0 with a = q^-m, or None; a q^m is held as two integers."""
+    (num, den), m = frac(a).as_integer_ratio(), 0
+    while num > den:
+        num, den, m = num * ctx.q.numerator, den * ctx.q.denominator, m + 1
+    return m if num == den else None
 
 
 def basic_hyp_terminating(ctx: QContext, upper: list, lower: list, z) -> Fraction:
@@ -113,23 +115,26 @@ def basic_hyp_terminating(ctx: QContext, upper: list, lower: list, z) -> Fractio
     k = n.  Each term carries the standard compensation factor
     ((-1)^k q^(k(k-1)/2))^(1+s-r).  Every term is formed from its own
     ``q_pochhammer`` products, not by ``qhyp_terms``, so this stays a
-    reference the U-polynomials are checked against.
+    reference the U-polynomials are checked against.  The factors and
+    terms are multiplied and added as integers; the sum is normalised once.
     """
-    upper = [frac(a) for a in upper]
     indices = [m for m in (_termination_index(ctx, a) for a in upper)
                if m is not None]
     if not indices:
         raise ValueError("series does not terminate: no upper parameter q^-n")
-    z, power, total = frac(z), 1 + len(lower) - len(upper), Fraction(0)
+    z, power, num, den = frac(z), 1 + len(lower) - len(upper), 0, 1
     for k in range(min(indices) + 1):
-        den = prod((q_pochhammer(ctx, b, k) for b in lower),
-                   start=q_pochhammer(ctx, ctx.q, k))
-        if den == 0:
+        below = [q_pochhammer(ctx, b, k) for b in [ctx.q, *lower]]
+        if not all(below):
             raise ValueError(f"lower-parameter Pochhammer vanishes at k = {k}")
-        num = prod((q_pochhammer(ctx, a, k) for a in upper), start=z ** k)
-        sign = -1 if k * power % 2 else 1
-        total += sign * num * ctx.q_pow(k * (k - 1) // 2 * power) / den
-    return total
+        tn, td = z.numerator ** k, z.denominator ** k
+        for f in [ctx.q_pow(k * (k - 1) // 2 * power),
+                  *(q_pochhammer(ctx, a, k) for a in upper)]:
+            tn, td = tn * f.numerator, td * f.denominator
+        for f in below:
+            tn, td = tn * f.denominator, td * f.numerator
+        num, den = num * td + (-tn if k * power % 2 else tn) * den, den * td
+    return Fraction(num, den)
 
 
 def predicted_discrepancy(ctx: QContext, family: Family, n: int, r: int,
@@ -162,18 +167,13 @@ def matel_at(polys: list[list[Poly]], alpha, beta) -> list[list[Fraction]]:
             for n, row in enumerate(polys)]
 
 
-def _weighted_paths(weights: Poly, steps: list) -> tuple[list[int], int]:
+def _path_row(weights: list, steps: list) -> tuple[list[int], int]:
     """Weight k times the product of steps[:k], k = 0..len(steps), as
-    integer numerators over one denominator.
-
-    Poly trims the zero weights that sigma = 0 gives; they come back as
-    zero numerators.
-    """
-    paths = list(accumulate(steps, mul, initial=Fraction(1)))
-    den = lcm(*(path.denominator for path in paths))
-    nums = [w * path.numerator * (den // path.denominator)
-            for w, path in zip(weights.nums, paths)]
-    return nums + [0] * (len(paths) - len(nums)), weights.den * den
+    integer numerators over the lcm of their own denominators."""
+    row = [w * path for w, path in
+           zip(weights, accumulate(steps, mul, initial=Fraction(1)))]
+    den = lcm(*(v.denominator for v in row))
+    return [v.numerator * (den // v.denominator) for v in row], den
 
 
 def matel_oracle(ctx: QContext, family: Family, mu: HalfInt, nu: HalfInt,
@@ -184,26 +184,25 @@ def matel_oracle(ctx: QContext, family: Family, mu: HalfInt, nu: HalfInt,
     the raising series (index j pinned to r - n + i); no closed form and no
     analytic operator realization is involved.  At alpha = beta = 1 the
     series weights are those of ``emu_series`` at sigma; ``down[n][i]`` is
-    the i-th lowering weight times the path n -> n - i and ``up[m][j]`` the
-    j-th raising weight times the path m -> m + j.  The i-th path of cell
-    (n, r) carries (alpha beta)^(i - (n-r)+), so its product
-    down[n][i] * up[n - i][r - n + i] is that coefficient of P_{n,r}.
-    Each ``down[n]`` is kept as integer numerators over its own denominator
-    and all of ``up`` over one shared denominator, so a cell is integer
-    products over one denominator, normalised once.
+    the i-th lowering weight times the path n -> n - i and ``up[r][j]`` the
+    j-th raising weight times the path r - j -> r, which arrives at r.  The
+    i-th path of cell (n, r) carries (alpha beta)^(i - (n-r)+), so its
+    product down[n][i] * up[r][r - n + i] is that coefficient of P_{n,r}.
+    Each ``down[n]`` and ``up[r]`` is integer numerators over the lcm of its
+    own entries, so a cell is integer products over the one denominator it
+    reads, normalised once.
     """
     sigma, size = family.sigma(ctx), nonnegative("nmax", nmax) + 1
     lower = [lowering_coeff(ctx, family, m) for m in range(1, size)]
     raise_ = [raising_coeff(ctx, family, m) for m in range(size - 1)]
-    w_down = emu_series(ctx, nu, sigma, nmax)
-    w_up = emu_series(ctx, mu, sigma, nmax)
-    down = [_weighted_paths(w_down, lower[:n][::-1]) for n in range(size)]
-    up = [_weighted_paths(w_up, raise_[m:]) for m in range(size)]
-    up_den = lcm(*(den for _, den in up))
-    up = [[u * (up_den // den) for u in nums] for nums, den in up]
-    return [[Poly.over([dn[i] * up[n - i][r - n + i]
-                        for i in range(max(n - r, 0), n + 1)], dd * up_den)
-             for r in range(size)] for n, (dn, dd) in enumerate(down)]
+    w_down, w_up = ([w.coeff(k) for k in range(size)] for w in (
+        emu_series(ctx, nu, sigma, nmax), emu_series(ctx, mu, sigma, nmax)))
+    down = [_path_row(w_down, lower[:n][::-1]) for n in range(size)]
+    up = [_path_row(w_up, raise_[:r][::-1]) for r in range(size)]
+    return [[Poly.over([dn[i] * ur[r - n + i]
+                        for i in range(max(n - r, 0), n + 1)], dd * ud)
+             for r, (ur, ud) in enumerate(up)]
+            for n, (dn, dd) in enumerate(down)]
 
 
 def closed_form_sigma(ctx: QContext, family: Family) -> Fraction:

@@ -16,7 +16,6 @@ bound.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
 
 from .context import QContext, frac, nonnegative, tolerance
 
@@ -79,9 +78,7 @@ def q_pochhammer(ctx: QContext, z, n: int) -> Fraction:
     and normalised once.
     """
     nonnegative("q-Pochhammer length", n)
-    z = frac(z)
-    qn, qd = ctx.q.numerator, ctx.q.denominator
-    a, b = z.denominator, z.numerator
+    (b, a), (qn, qd) = frac(z).as_integer_ratio(), ctx.q.as_integer_ratio()
     num = den = 1
     for _ in range(n):
         num *= a - b
@@ -98,21 +95,25 @@ def qhyp_terms(ctx: QContext, lower: list, z, count: int,
     Term k is weight(k) z^k / ((lower; q)_k (q; q)_k), where the list of
     parameters stands for the product of their Pochhammer symbols and no
     weight means weight 1.  Each term is the previous one times one ratio,
-    so no Pochhammer prefix is ever rebuilt.  Raises ValueError for
-    count < 0 and when a term needs a vanishing lower Pochhammer.
+    so no Pochhammer prefix is ever rebuilt.  The ratio z / ((1 - q^k)
+    prod (1 - b q^(k-1))) is formed from the integer parts of z, q and each
+    b and made one Fraction.  Raises ValueError for count < 0 and when a
+    term needs a vanishing lower Pochhammer.
     """
     nonnegative("term count", count)
-    lower = [frac(b) for b in lower]
-    z = frac(z)
-    terms, term = [], Fraction(1)
+    lower = [frac(b).as_integer_ratio() for b in lower]
+    (zn, zd), (qn, qd) = frac(z).as_integer_ratio(), ctx.q.as_integer_ratio()
+    terms, term, pn, pd = [], Fraction(1), 1, 1
     for k in range(count):
         if k:
-            qk = ctx.q_pow(k - 1)
-            den = prod((1 - b * qk for b in lower), start=1 - ctx.q_pow(k))
+            num, den = zn * pd * qd, zd * (pd * qd - pn * qn)
+            for bn, bd in lower:  # pn/pd is q^(k-1)
+                num, den = num * bd * pd, den * (bd * pd - bn * pn)
             if den == 0:
                 raise ValueError(
                     f"lower-parameter Pochhammer vanishes at k = {k}")
-            term = term * z / den
+            term *= Fraction(num, den)
+            pn, pd = pn * qn, pd * qd
         terms.append(term if weight is None else weight(k) * term)
     return terms
 

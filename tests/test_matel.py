@@ -15,6 +15,7 @@ from qoscpoly import (FAMILIES, HAHN, HALF_HALF, HALF_ZERO, QFACTORIAL,
                       q_binomial, q_factorial, q_int_at, q_pochhammer,
                       qhyp_terms, u_polynomial)
 from qoscpoly.operators import lowering_coeff, raising_coeff
+from qoscpoly.poly import VAR_X
 from qoscpoly.report import PASS
 from qoscpoly.verify import _special_forms
 
@@ -455,6 +456,35 @@ class TestIntegerCells:
             assert (normal_forms(matel_oracle(ctx, HAHN, mu, HALF_HALF, 4))
                     == normal_forms(reference_oracle(ctx, HAHN, mu, HALF_HALF,
                                                      4)))
+
+
+class TestRightSizedCells:
+    """A cell is handed to Poly.over over the denominators it reads alone,
+    so a larger matrix hands over its common cells unchanged."""
+
+    @staticmethod
+    def handed_over(monkeypatch, build, ctx, family, nmax):
+        """The (nums, den) each cell of the matrix was handed over with."""
+        over, seen = Poly.over.__func__, {}
+
+        def record(cls, nums, den, var=VAR_X):
+            args = (tuple(nums), den)
+            p = over(cls, nums, den, var)
+            seen[id(p)] = args
+            return p
+
+        with monkeypatch.context() as m:
+            m.setattr(Poly, "over", classmethod(record))
+            matrix = build(ctx, family, HALF_HALF, HALF_ZERO, nmax)
+        return [[seen[id(p)] for p in row] for row in matrix]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("build", [matel_closed, matel_oracle])
+    def test_cells_do_not_grow_with_nmax(self, monkeypatch, ctx_q14, family,
+                                         build):
+        small = self.handed_over(monkeypatch, build, ctx_q14, family, 6)
+        large = self.handed_over(monkeypatch, build, ctx_q14, family, 10)
+        assert [row[:7] for row in large[:7]] == small
 
 
 class TestSpecialForms:

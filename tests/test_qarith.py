@@ -158,16 +158,24 @@ class TestPochhammerIntegerProducts:
 
 
 small_fracs = st.fractions(-3, 3, max_denominator=6)
+# q in (0, 1) that is no rational square: QContext.from_q(q) has no s
+non_squares = st.fractions(0, 1, max_denominator=40).filter(
+    lambda q: 0 < q < 1 and rational_sqrt(q) is None)
 
 
 class TestQhypTerms:
     """The walker's running ratio against the term written out in full."""
 
-    @given(s=roots, lower=st.lists(small_fracs, max_size=2), z=small_fracs,
-           count=st.integers(0, 8), weighted=st.booleans())
+    @given(s=roots, q=st.none() | non_squares,
+           lower=st.lists(small_fracs, max_size=2), z=small_fracs,
+           count=st.integers(0, 40), weighted=st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_matches_definition(self, s, lower, z, count, weighted):
-        ctx = QContext(s)
+    @example(s=F(1, 2), q=F(1, 2), lower=[F(-1, 3), F(5, 2)], z=F(-3, 2),
+             count=40, weighted=True)
+    def test_matches_definition(self, s, q, lower, z, count, weighted):
+        # a context built from a q that is no rational square has no s,
+        # and the walker must not need it
+        ctx = QContext(s) if q is None else QContext.from_q(q)
         q = ctx.q
 
         def weight(k):
