@@ -38,6 +38,18 @@ FAULTS = {
         "a cell with twice its prefactor's numerator is wrong for every "
         "family alike, so hahn-reduces sees it only because its rhs is the "
         "q-Gaussian oracle"),
+    "matel-side-offset": (
+        "matel.py", "(nu, e, 1) if lower else (mu, 1 - e, -1)",
+        "(nu, e, -1) if lower else (mu, 1 - e, 1)",
+        "matrixelements/closed-vs-oracle/", MATEL,
+        "the q-power of a cell with n + r + 1 and n + r - 1 swapped between "
+        "the sides is off by s^(+-2d) wherever its f, e or 1 - e, is 1"),
+    "matel-column-by-diagonal": (
+        "matel.py", "key := (h.twice * d, d)", "key := d",
+        "matrixelements/closed-vs-oracle/", MATEL,
+        "U columns keyed by d alone let both sides of a diagonal share the "
+        "one walked first, whose argument is wrong on the other side "
+        "wherever mu != nu"),
     "matel-arriving-weight-index": (
         "matel.py", "(w_up, raise_", "([0, *w_up], raise_",
         "matrixelements/closed-vs-oracle/", MATEL,
@@ -49,6 +61,12 @@ FAULTS = {
         "a walker step with 1 + q^k for 1 - q^k walks (-q; q)_k, not "
         "(q; q)_k, so U differs from the basic hypergeometric sum, built "
         "from q_pochhammer, from n = 1 on"),
+    "qarith-walker-q-power": (
+        "qarith.py", "pd * qd - pn * qn)", "pd * qd - pn * qn * qn)",
+        "matrixelements/special-form/", MATEL + ["--s", "2/3"],
+        "a walker step with q's numerator squared walks the wrong (q; q)_k "
+        "wherever that numerator is not 1: at the default s = 1/2, q = 1/4 "
+        "hides it, so the row runs at s = 2/3"),
     "qarith-pochhammer-step": (
         "qarith.py", "b *= qn", "b *= qd",
         "qkernel/factorial-pochhammer/", ["--suite", "qkernel"],

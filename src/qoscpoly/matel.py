@@ -7,10 +7,10 @@ deg P_{n,r} <= min(n, r).  Both builders have the signature
 ``(ctx, family, mu, nu, nmax)`` and return the matrix [n][r], n, r <= nmax,
 of the polynomials P_{n,r} in alpha*beta, computed two independent ways:
 
-  * ``matel_closed``  evaluates the closed-form expressions through the
-    U-polynomials, diagonal by diagonal: coefficient j of U_n is a column
+  * ``matel_closed``  evaluates the closed form below through the
+    U-polynomials, cell by cell: coefficient j of U_n is a column
     q^(j^2(mu+nu)) x^j / ((q^(1+d); q)_j (q; q)_j), walked once per
-    diagonal and side, times a row (q^-n; q)_j, built once per matrix;
+    distinct (d, h d), times a row (q^-n; q)_j, built once per matrix;
   * ``matel_oracle``  applies the two truncating operator series directly via
     the exact ladder coefficients, with no reference to the closed forms.
     A cell's coefficients are products of two weighted ladder paths, so
@@ -45,7 +45,7 @@ and each printed formula is read off from its family's (e, sigma, kappa):
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, product, repeat
 from math import lcm
 from operator import mul
 
@@ -218,36 +218,29 @@ def matel_closed(ctx: QContext, family: Family, mu: HalfInt, nu: HalfInt,
                  nmax: int) -> list[list[Poly]]:
     """All closed-form P_{n,r}, n, r <= nmax, as published.
 
-    Walks the diagonals d = |n - r|.  Each side of a diagonal shares
-    sigma^d and the U column at its argument and q^(1+d); every cell reads
-    the row (q^-k; q)_j of its U degree k = min(n, r).  The coefficient of
-    (alpha beta)^j is the cell's prefactor times column_j * row_j.  The
-    n = r diagonal has one side.
+    One pass over the cells reads the module's formula, with d = |n - r|
+    and (h, f) = (nu, e) for r <= n, (mu, 1 - e) for n < r.  The q-power
+    is s^(2h d^2 - f d(n+r+-1)), one power of s = q^(1/2), since
+    d(n+r+-1) is even.  The scale, sigma^d [n,r]_q or sigma^d / [d]_q!,
+    comes from per-d lists.  A U column is keyed by d and h d and walked
+    once per call, so at mu = nu both sides of a diagonal share it.  Every
+    cell reads the row (q^-k; q)_j of its U degree k = min(n, r).
     """
     size = nonnegative("nmax", nmax) + 1
     e, sigma = family.e, closed_form_sigma(ctx, family)
     z = (ctx.q - 1) * family.kappa(ctx)
     rows = [_u_row(ctx, k) for k in range(size)]
-    out = [[None] * size for _ in range(size)]
-    for d in range(size):
-        q1d, lo_scale = ctx.q_pow(1 + d), sigma ** d
-        # cells (k + d, k); d(n+r+1) is even, so the q-power is one power
-        # of s = q^(1/2)
-        col = _u_column(ctx, mu, nu, q1d,
-                        z * ctx.q_pow(1 - e + nu.twice * d), size - d)
-        for k in range(size - d):
-            pref = (lo_scale * q_binomial(ctx, k + d, k)
-                    * ctx.pow_half(HALF_HALF, nu.twice * d * d
-                                   - e * d * (2 * k + d + 1)))
-            out[k + d][k] = _cell(pref, col, rows[k])
-        if d == 0:
-            continue
-        # cells (k, k + d); likewise d(n+r-1) is even
-        hi_scale = lo_scale / q_factorial(ctx, d)
-        col = _u_column(ctx, mu, nu, q1d,
-                        z * ctx.q_pow(1 - e + mu.twice * d), size - d)
-        for k in range(size - d):
-            pref = hi_scale * ctx.pow_half(HALF_HALF, mu.twice * d * d
-                                           - (1 - e) * d * (2 * k + d - 1))
-            out[k][k + d] = _cell(pref, col, rows[k])
+    lo_scales = [sigma ** d for d in range(size)]
+    hi_scales = [t / q_factorial(ctx, d) for d, t in enumerate(lo_scales)]
+    cols, out = {}, [[None] * size for _ in range(size)]
+    for n, r in product(range(size), repeat=2):
+        d, lower = abs(n - r), r <= n
+        h, f, side = (nu, e, 1) if lower else (mu, 1 - e, -1)
+        if (key := (h.twice * d, d)) not in cols:
+            cols[key] = _u_column(ctx, mu, nu, ctx.q_pow(1 + d),
+                                  z * ctx.q_pow(1 - e + h.twice * d), size - d)
+        scale = lo_scales[d] * q_binomial(ctx, n, r) if lower else hi_scales[d]
+        pref = scale * ctx.pow_half(HALF_HALF, h.twice * d * d
+                                    - f * d * (n + r + side))
+        out[n][r] = _cell(pref, cols[key], rows[min(n, r)])
     return out

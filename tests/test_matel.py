@@ -14,6 +14,7 @@ from qoscpoly import (FAMILIES, HAHN, HALF_HALF, HALF_ZERO, QFACTORIAL,
                       matel_closed, matel_oracle, predicted_discrepancy,
                       q_binomial, q_factorial, q_int_at, q_pochhammer,
                       qhyp_terms, u_polynomial)
+from qoscpoly.matel import _u_column
 from qoscpoly.operators import lowering_coeff, raising_coeff
 from qoscpoly.poly import VAR_X
 from qoscpoly.report import PASS
@@ -439,6 +440,9 @@ class TestIntegerCells:
     @given(s=roots, omega=small, mu=st.sampled_from(SIGNED_HALVES),
            nu=st.sampled_from(SIGNED_HALVES), nmax=st.integers(0, 8))
     @settings(max_examples=30, deadline=None)
+    # the two sides of each diagonal share one U column at mu = nu only
+    @example(s=F(2, 3), omega=F(1, 8), mu=HALF_HALF, nu=HALF_HALF, nmax=8)
+    @example(s=F(3, 5), omega=F(-1, 3), mu=HalfInt(-1), nu=HalfInt(2), nmax=8)
     def test_cells_equal_reference(self, s, omega, mu, nu, nmax):
         ctx = QContext(s, omega)
         # the Hahn closed form is rejected at omega0 = 1
@@ -456,6 +460,26 @@ class TestIntegerCells:
             assert (normal_forms(matel_oracle(ctx, HAHN, mu, HALF_HALF, 4))
                     == normal_forms(reference_oracle(ctx, HAHN, mu, HALF_HALF,
                                                      4)))
+
+
+class TestColumnWalks:
+    """matel_closed walks each distinct U column once per matrix: the two
+    sides of a diagonal share theirs at mu = nu."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("mu, nu", [(mu, nu) for mu in HALVES
+                                        for nu in HALVES])
+    def test_walks_per_matrix(self, monkeypatch, ctx_q14, family, mu, nu):
+        walks = []
+
+        def counted(*args):
+            walks.append(args)
+            return _u_column(*args)
+
+        monkeypatch.setattr("qoscpoly.matel._u_column", counted)
+        nmax = 6
+        matel_closed(ctx_q14, family, mu, nu, nmax)
+        assert len(walks) == (nmax + 1 if mu == nu else 2 * nmax + 1)
 
 
 class TestRightSizedCells:
