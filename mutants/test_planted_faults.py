@@ -23,10 +23,24 @@ MATEL = ["--suite", "matrixelements", "--nmax", "4"]
 # name: (file, fragment, replacement, failing prefix, verify arguments, why)
 FAULTS = {
     "poly-compose-affine": (
-        "poly.py", "for _ in self.nums:", "for _ in self.nums[:-1]:",
+        "poly.py", "for i in range(deg):", "for i in range(deg - 1):",
         "hahncalc/raised", [],
-        "a compose_affine that drops its last remainder leaves a remainder "
-        "in every Hahn difference"),
+        "a Taylor shift one pass short leaves the top coefficients of "
+        "p(qx + w) unshifted, so every Hahn difference leaves a remainder"),
+    "families-rebuild-factor-index": (
+        "families.py", "scale = basis.parts(ctx, k)",
+        "scale = basis.parts(ctx, k + 1)",
+        "operators/analytic-vs-basis/", ["--s", "2/3"],
+        "a vector_to_poly that reads factor k + 1 for factor k rebuilds "
+        "every ladder image from the wrong nested product, so it differs "
+        "from the analytic operator"),
+    "families-expand-remainder-scale": (
+        "families.py", "out.append(Fraction(rem, den))",
+        "out.append(Fraction(rem, den // gcd(den, *nums)))",
+        "polyfamilies/roundtrip/", ["--s", "2/3"],
+        "a remainder read over the quotient's reduced denominator, not over "
+        "the one the division left it on, is off by their gcd, so the "
+        "expansion no longer rebuilds p"),
     "matel-prefactor-denominator": (
         "matel.py", "pref.denominator * den * row.den)",
         "den * row.den)", "matrixelements/closed-vs-oracle/", MATEL,

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable
 
-from .context import QContext, nonnegative
-from .poly import VAR_U, VAR_X, Poly
+from .context import QContext, frac, nonnegative
+from .poly import VAR_U, VAR_X, Poly, divide_linear
 from .qarith import q_binomial, q_factorial, q_int, q_pochhammer
 
 
@@ -93,11 +94,20 @@ class Basis:
     var: str
     factor: Callable[[QContext, int], tuple]
 
+    def parts(self, ctx: QContext, k: int) -> tuple[int, int, int]:
+        """Factor k as integers (A, B, D): a + b var = (A + B var)/D."""
+        a, b = self.factor(ctx, k)
+        return (a.numerator * b.denominator, b.numerator * a.denominator,
+                a.denominator * b.denominator)
+
     def elements(self, ctx: QContext, count: int) -> list[Poly]:
         """Elements 0..count-1, each the previous one times one factor."""
         out = [Poly.one(self.var)][:nonnegative("element count", count)]
         for k in range(count - 1):
-            out.append(out[-1] * Poly(self.factor(ctx, k), self.var))
+            big_a, big_b, scale = self.parts(ctx, k)
+            p = out[-1]
+            out.append(Poly.over([big_a * x + big_b * y for x, y in zip(
+                (*p.nums, 0), (0, *p.nums))], p.den * scale, self.var))
         return out
 
     def element(self, ctx: QContext, n: int) -> Poly:
@@ -122,12 +132,21 @@ Basis.HAHN_FACTORIAL = Basis(
 def vector_to_poly(ctx: QContext, basis: Basis, coeffs) -> Poly:
     """The polynomial with the given coefficients in the basis.
 
-    The expansion read backwards: c_0 + f_0 (c_1 + f_1 (...)) from the
-    inside out, one factor at a time."""
-    p = Poly.zero(basis.var)
+    The expansion read backwards, c_0 + f_0 (c_1 + f_1 (...)) from the
+    inside out: Horner's rule on integers over one running denominator,
+    kept in lowest terms."""
+    nums, den = [], 1
     for k in reversed(range(len(coeffs))):
-        p = p * Poly(basis.factor(ctx, k), basis.var) + coeffs[k]
-    return p
+        big_a, big_b, scale = basis.parts(ctx, k)
+        c = frac(coeffs[k])
+        nums = [(big_a * x + big_b * y) * c.denominator
+                for x, y in zip((*nums, 0), (0, *nums))]
+        nums[0] += c.numerator * den * scale
+        den *= scale * c.denominator
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = [n // g for n in nums], den // g
+    return Poly.over(nums, den, basis.var)
 
 
 def expand_in_basis(ctx: QContext, p: Poly, basis: Basis) -> list:
@@ -135,15 +154,19 @@ def expand_in_basis(ctx: QContext, p: Poly, basis: Basis) -> list:
 
     With f_k the k-th factor, p = c_0 + f_0 (c_1 + f_1 (c_2 + ...)), so each
     division by the next factor leaves the next coefficient as remainder;
-    ``vector_to_poly`` reads the same formula backwards.
+    ``vector_to_poly`` reads the same formula backwards.  The quotients stay
+    integer numerators in lowest terms; only the remainders are Fractions.
     """
     if p.var != basis.var:
         raise ValueError(f"cannot expand a polynomial in {p.var} in basis "
                          f"{basis.name!r}, which is in {basis.var}")
-    out = []
+    nums, den, out = p.nums, p.den, []
     for k in range(p.degree + 1):
-        p, c = p.divmod_linear(*basis.factor(ctx, k))
-        out.append(c)
+        nums, rem, den = divide_linear(nums, den, *basis.factor(ctx, k))
+        out.append(Fraction(rem, den))
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = [n // g for n in nums], den // g
     return out
 
 

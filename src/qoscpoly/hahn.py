@@ -1,12 +1,12 @@
 """Hahn difference calculus: derivative, integral, Leibniz rules, exponential.
 
 The Hahn derivative is (f(qx+w) - f(x)) / ((q-1)x + w); its fixed point is
-omega0 = w/(1-q).  On polynomials everything here is exact and rests on
-division by a linear factor: the derivative divides by (q-1)x + w, the
-antiderivative expands in the Hahn factorial basis and the closed integral
-in powers of x - omega0.  The sampled-function integral stops on a
-look-ahead tail estimate, and the exponential is the reciprocal of a
-fixed number of factors of a q-Pochhammer product.
+omega0 = w/(1-q).  On polynomials everything here is exact: the derivative
+divides by the linear factor (q-1)x + w, the antiderivative expands in the
+Hahn factorial basis, and the closed integral reads the coefficients of p
+in powers of x - omega0 off p(x + omega0).  The sampled-function integral
+stops on a look-ahead tail estimate, and the exponential is the reciprocal
+of a fixed number of factors of a q-Pochhammer product.
 """
 
 from __future__ import annotations
@@ -74,20 +74,18 @@ def hahn_antiderivative(ctx: QContext, p: Poly) -> Poly:
 def hahn_integral_closed(ctx: QContext, p: Poly, x) -> Fraction:
     """Exact value of the Hahn integral of p from omega0 to x.
 
-    The node x q^k + w [k]_q equals omega0 + (x - omega0) q^k, so after
-    expanding p around omega0 each power contributes a geometric series:
-    sum_k q^(k(j+1)) = 1/(1 - q^(j+1)).
+    The node x q^k + w [k]_q equals omega0 + y q^k with y = x - omega0, so
+    each power y^j, read off the numerators of p(x + omega0), sums to
+    ((1-q)x - w) y^j sum_k q^(k(j+1)) = y^(j+1)/[j+1]_q.
     """
-    x = frac(x)
-    q = ctx.q
-    y = x - ctx.omega0
+    if p.var != VAR_X:
+        raise ValueError(f"Hahn integral of a polynomial in {p.var}, not x")
+    y = frac(x) - ctx.omega0
+    shifted = p.compose_affine(1, ctx.omega0)
     total = Fraction(0)
-    ypow = Fraction(1)
-    # b_j, the coefficient of (x - omega0)^j
-    for j, b in enumerate(expand_in_basis(ctx, p, Basis.SHIFTED_MONOMIAL)):
-        total += b * ypow / (1 - ctx.q_pow(j + 1))
-        ypow *= y
-    return ((1 - q) * x - ctx.omega) * total
+    for j in reversed(range(len(shifted.nums))):
+        total = (total + shifted.nums[j] / q_int(ctx, j + 1)) * y
+    return total / shifted.den
 
 
 def hahn_integral_numeric(ctx: QContext, f: Callable, x, tol) -> tuple[Fraction, int]:

@@ -93,7 +93,7 @@ FAMILIES = (QGAUSSIAN, QFACTORIAL, HAHN)
 
 def lowering_coeff(ctx: QContext, family: Family, n: int) -> Fraction:
     """c = q^(-e n) [n]_q with  a . basis_n = c * basis_{n-1}; [0]_q = 0."""
-    return ctx.q_pow(-family.e * n) * q_int(ctx, n)
+    return ctx.q_pow(-n) * q_int(ctx, n) if family.e else q_int(ctx, n)
 
 
 def raising_coeff(ctx: QContext, family: Family, n: int) -> Fraction:

@@ -14,8 +14,8 @@ polynomials in u = q^x, where the q-factorial family lives; ``t`` marks the
 truncated power series of the generating functions, whose products
 ``mul_trunc`` cuts at a given order; a full product is ``mul_trunc`` at the
 sum of the degrees.  Division by a linear factor, ``divmod_linear``, is the
-one division, and substitution of a*var + b is division too: the
-remainders by var - b are the coefficients in powers of var - b.
+one division, on the integer core ``divide_linear``, and substitution of
+a*var + b is an integer Taylor shift, ``compose_affine``.
 """
 
 from __future__ import annotations
@@ -197,64 +197,34 @@ class Poly:
         return Fraction(acc * vd, self.den * scale)
 
     def compose_affine(self, a, b) -> "Poly":
-        """p(a*var + b), expanded exactly.
+        """p(a*var + b), expanded exactly in integers.
 
-        Dividing p by var - b leaves p = c_0 + (var - b) p_1, so the
-        successive remainders c_0, c_1, ... of ``divmod_linear`` are the
-        coefficients of p in powers of var - b, and scaling var by a in
-        them gives p(a*var + b).
-        """
-        rest, shifted, b = self, [], frac(b)
-        for _ in self.nums:
-            rest, rem = rest.divmod_linear(-b, 1)
-            shifted.append(rem)
-        return Poly(shifted, self.var).scale_arg(a)
+        p(a*var + b) = r((a/b) var) with r(w) = p(b (w + 1)) for b != 0: the
+        numerators of p(b var) shifted by 1 with additions only (Pascal's
+        rule), then scaled by a/b, normalised once."""
+        a, b = frac(a), frac(b)
+        if not b:
+            return self.scale_arg(a)
+        nums, den = _scaled(self.nums, self.den, b)
+        deg = len(nums) - 1
+        for i in range(deg):
+            for k in range(deg - 1, i - 1, -1):
+                nums[k] += nums[k + 1]
+        return Poly.over(*_scaled(nums, den, a / b), self.var)
 
     def scale_arg(self, a) -> "Poly":
-        """p(a*var): nums[k] times a_num^k a_den^(deg - k) over den a_den^deg."""
-        a = frac(a)
-        out = list(self.nums)
-        power = 1
-        for k in range(1, len(out)):
-            power *= a.numerator
-            out[k] *= power
-        power = 1
-        for k in range(len(out) - 2, -1, -1):
-            power *= a.denominator
-            out[k] *= power
-        return Poly.over(out, self.den * power, self.var)
+        """p(a*var)."""
+        return Poly.over(*_scaled(self.nums, self.den, frac(a)), self.var)
 
     def divmod_linear(self, a, b) -> tuple["Poly", Fraction]:
-        """(quotient, remainder) of the division by a + b var, b nonzero.
-
-        Synthetic division from the top coefficient down, kept in integers.
-        With A = a_num b_den and B = b_num a_den, the carries
-        t_j = nums[deg - j] B^j - A t_(j-1) divide nums by A + B var: the
-        quotient's coefficient k is t_(deg-1-k) B^k / B^deg and the
-        remainder t_deg / B^deg.  Since a + b var = (A + B var)/(a_den b_den),
-        p's quotient is that quotient times a_den b_den / den, and its
-        remainder, p(-a/b), is that remainder over den.
+        """(quotient, remainder) of the division by a + b var, b nonzero,
+        from ``divide_linear`` on the numerators: both share its denominator.
         """
         a, b = frac(a), frac(b)
-        if b == 0:
+        if not b:
             raise ZeroDivisionError("division by a + b var needs b != 0")
-        big_a = a.numerator * b.denominator
-        big_b = b.numerator * a.denominator
-        carries, carry, power = [], 0, 1
-        for n in reversed(self.nums):
-            carry = n * power - big_a * carry
-            carries.append(carry)
-            power *= big_b
-        if not carries:
-            return Poly.zero(self.var), Fraction(0)
-        power //= big_b  # B^deg
-        rem = Fraction(carries.pop(), self.den * power)
-        carries.reverse()
-        scale = a.denominator * b.denominator
-        for k in range(len(carries)):
-            carries[k] *= scale
-            scale *= big_b
-        return Poly.over(carries, self.den * power, self.var), rem
+        quot, rem, den = divide_linear(self.nums, self.den, a, b)
+        return Poly.over(quot, den, self.var), Fraction(rem, den)
 
     def __repr__(self):
         if self.is_zero():
@@ -270,3 +240,29 @@ class Poly:
             else:
                 terms.append(f"{c}*{self.var}^{n}")
         return "Poly(" + " + ".join(terms) + ")"
+
+
+def _scaled(nums, den: int, a: Fraction) -> tuple[list, int]:
+    """nums/den at a*var: nums[k] a_num^k a_den^(deg-k) over den a_den^deg."""
+    deg = max(len(nums) - 1, 0)
+    return ([n * a.numerator ** k * a.denominator ** (deg - k)
+             for k, n in enumerate(nums)], den * a.denominator ** deg)
+
+
+def divide_linear(nums, den: int, a, b) -> tuple[list, int, int]:
+    """nums/den divided by a + b var, b != 0 rational, in integers:
+    (quot, rem, d), the quotient quot/d and the remainder rem/d, unreduced.
+
+    a + b var is (A + B var)/(a_den b_den) with A = a_num b_den and
+    B = b_num a_den.  The carries t_j = nums[deg - j] B^j - A t_(j-1)
+    divide from the top down: quot[k] is t_(deg-1-k) B^k a_den b_den, rem
+    is t_deg and d is den B^deg.
+    """
+    big_a, big_b = a.numerator * b.denominator, b.numerator * a.denominator
+    carries = [0]
+    for j, n in enumerate(reversed(nums)):
+        carries.append(n * big_b ** j - big_a * carries[-1])
+    rem, scale = carries.pop(), a.denominator * b.denominator
+    quot = [t * scale * big_b ** k
+            for k, t in enumerate(reversed(carries[1:]))]
+    return quot, rem, den * big_b ** len(quot)

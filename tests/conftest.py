@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from qoscpoly import Basis, Family, QContext
+from qoscpoly import Basis, Family, Poly, QContext
+from qoscpoly.poly import VAR_X
 
 
 def pytest_make_parametrize_id(config, val, argname):
@@ -32,3 +33,17 @@ def ctx_q12():
 def ctx_q916():
     """q = 9/16 (s = 3/4), omega = 1/8."""
     return QContext(Fraction(3, 4), Fraction(1, 8))
+
+
+@pytest.fixture
+def poly_overs(monkeypatch):
+    """The variables of the Poly.over calls made while the test runs; clear
+    it to count the calls of one step."""
+    over, calls = Poly.over.__func__, []
+
+    def counted(cls, nums, den, var=VAR_X):
+        calls.append(var)
+        return over(cls, nums, den, var)
+
+    monkeypatch.setattr(Poly, "over", classmethod(counted))
+    return calls

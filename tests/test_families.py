@@ -6,11 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qoscpoly import (Basis, Poly, QContext, connect_hahn_gaussian,
-                      expand_in_basis, hahn_factorial, position_coefficients,
+                      expand_in_basis, hahn_factorial,
+                      hahn_integral_closed, position_coefficients,
                       q_binomial, q_double_factorial_even, q_factorial, q_int,
                       qfactorial_pochhammer_value, qgaussian,
                       qgaussian_via_qexp_operator, vector_to_poly)
-from qoscpoly.poly import VAR_U
+from qoscpoly.context import rational_sqrt
+from qoscpoly.poly import VAR_U, VAR_X
 
 METHODS = ("product", "recursion", "explicit_sum")
 BASES = (Basis.MONOMIAL, Basis.SHIFTED_MONOMIAL, Basis.QGAUSSIAN,
@@ -253,6 +255,89 @@ class TestBasisConversion:
             zero = Poly.zero(basis.var)
             assert expand_in_basis(ctx_q14, zero, basis) == []
             assert vector_to_poly(ctx_q14, basis, []) == zero
+
+
+def per_factor_elements(ctx, basis, count):
+    """Basis.elements the per-factor way: each element the previous one
+    times the factor as a Poly."""
+    out = [Poly.one(basis.var)][:count]
+    for k in range(count - 1):
+        out.append(out[-1] * Poly(basis.factor(ctx, k), basis.var))
+    return out
+
+
+def per_factor_rebuild(ctx, basis, coeffs):
+    """vector_to_poly the per-factor way: p * f_k + c_k as Poly
+    operations."""
+    p = Poly.zero(basis.var)
+    for k in reversed(range(len(coeffs))):
+        p = p * Poly(basis.factor(ctx, k), basis.var) + coeffs[k]
+    return p
+
+
+def per_factor_expansion(ctx, p, basis):
+    """expand_in_basis the per-factor way: one divmod_linear per factor."""
+    out = []
+    for k in range(p.degree + 1):
+        p, c = p.divmod_linear(*basis.factor(ctx, k))
+        out.append(c)
+    return out
+
+
+# q not a rational square, with a numerator other than 1, so that a fault
+# confusing q's numerator with its powers shows; omega of either sign
+WALK_CONTEXTS = st.builds(
+    QContext.from_q,
+    st.fractions(0, 1, max_denominator=13).filter(
+        lambda q: 0 < q < 1 and q.numerator != 1 and rational_sqrt(q) is None),
+    st.fractions(-2, 2, max_denominator=7))
+WALK_COEFFS = st.lists(st.just(F(0)) | st.fractions(-3, 3, max_denominator=9),
+                       max_size=9)
+
+
+class TestIntegerWalks:
+    """The integer walks equal their per-factor Poly forms in every basis,
+    and normalise once per polynomial they return."""
+
+    @pytest.mark.parametrize("basis", BASES)
+    @given(ctx=WALK_CONTEXTS, coeffs=WALK_COEFFS, count=st.integers(0, 9))
+    @example(ctx=QContext.from_q(F(2, 3), F(-1, 5)), coeffs=[], count=0)
+    @example(ctx=QContext.from_q(F(3, 5), F(-4, 7)), coeffs=[F(-5, 6)],
+             count=1)
+    @example(ctx=QContext.from_q(F(5, 7), 0),
+             coeffs=[F(1, 3), 0, F(-2, 9), 0, 0, F(7, 2)], count=9)
+    @settings(max_examples=25, deadline=None)
+    def test_walks_match_per_factor_forms(self, basis, ctx, coeffs, count):
+        assert ctx.q.numerator != 1 and rational_sqrt(ctx.q) is None
+        assert basis.elements(ctx, count) == per_factor_elements(
+            ctx, basis, count)
+        assert vector_to_poly(ctx, basis, coeffs) == per_factor_rebuild(
+            ctx, basis, coeffs)
+        p = Poly(coeffs, basis.var)
+        expansion = expand_in_basis(ctx, p, basis)
+        assert expansion == per_factor_expansion(ctx, p, basis)
+        assert all(type(c) is F for c in expansion)
+
+    @pytest.mark.parametrize("basis", BASES)
+    def test_one_normalisation_per_result(self, poly_overs, basis):
+        ctx = QContext.from_q(F(2, 3), F(-1, 5))
+        p = Poly([F(1, 3), -2, 0, F(5, 7), 1, F(-2, 9)], basis.var)
+        walks = [
+            # element 0 is Poly.one, which is not normalised
+            (lambda: basis.elements(ctx, 7), [basis.var] * 6),
+            (lambda: vector_to_poly(ctx, basis, [F(2, 3), 0, F(-1, 4), 5]),
+             [basis.var]),
+            (lambda: expand_in_basis(ctx, p, basis), []),
+            (lambda: p.compose_affine(F(-3, 4), F(5, 2)), [basis.var]),
+            (lambda: p.compose_affine(F(-3, 4), 0), [basis.var]),
+        ]
+        if basis.var == VAR_X:
+            walks.append((lambda: hahn_integral_closed(ctx, p, F(7, 5)),
+                          [basis.var]))
+        for walk, overs in walks:
+            poly_overs.clear()
+            walk()
+            assert poly_overs == overs
 
 
 class TestRebuild:

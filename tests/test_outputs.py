@@ -54,6 +54,17 @@ CLI_DIGESTS = {
         "fc99843c9bbc07a1ddefd5397e510820c86d359a70b7fd35f72d7b72d23c1f85",
     "table hahn --nmax 6 --order 6 --format text":
         "5702b350ed9f1f53beb9a17b962b528e6297b8ba152616d6fb2bba6e1883c788",
+    # off the default q = 1/4, whose numerator is 1: recorded at dcc387e
+    "table hahn --nmax 12 --s 2/3 --omega=-1/5 --format json":
+        "7709a95cc1e9e7e3709c1ce9bfbad0d9f3ce95fbc174208ad0ef2a2b75ca75a7",
+    "table poly --nmax 12 --s 3/4 --omega 1/3 --format csv":
+        "d414370059384a9df45eaa90f709d87113aff04322c13734cc0ae933c44388b7",
+    "verify --suite polyfamilies --suite operators --suite hahncalc "
+    "--nmax 8 --s 2/3 --omega 1/5 --format json":
+        "729cf2424b0f4eaaec34f088b8322ba8f139c692f988d6bb654002d135202c4c",
+    "verify --suite polyfamilies --suite operators --suite hahncalc "
+    "--nmax 8 --s 3/5 --omega 0 --format text":
+        "9efc1d4429b842f047a7774f5ef094b7042ff5ac6926b30048bbe5f9df67ab4d",
 }
 
 DEMO_DIGESTS = {

@@ -176,6 +176,11 @@ class TestAgainstReference:
     @given(cs=COEFF_LISTS, a=COEFFS, b=COEFFS, var=VARS)
     @example(cs=[1, F(-2, 3), F(1, 5)], a=F(-9, 4), b=F(3, 8), var=VAR_X)
     @example(cs=[F(1, 2), 3], a=0, b=F(1, 2), var=VAR_T)
+    # the Taylor shift's scales: b with numerator and sign, a = 0, b = 0
+    @example(cs=[F(2, 3), -1, F(5, 7), 3, F(-1, 6)], a=F(7, 3), b=F(-5, 3),
+             var=VAR_U)
+    @example(cs=[F(2, 3), -1, F(5, 7)], a=0, b=F(-5, 3), var=VAR_X)
+    @example(cs=[F(2, 3), -1, F(5, 7)], a=F(-3, 2), b=0, var=VAR_X)
     @settings(max_examples=60, deadline=None)
     def test_substitution(self, cs, a, b, var):
         p, ref = Poly(cs, var), RefPoly(cs, var)
