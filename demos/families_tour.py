@@ -22,8 +22,8 @@ def main():
         show(f"phi_{n}", qgaussian(ctx, n))
 
     print("\nq-factorial polynomials phihat_n in u = q^x:")
-    for n in range(4):
-        show(f"phihat_{n}", Basis.QFACTORIAL.element(ctx, n))
+    for n, phihat in enumerate(Basis.QFACTORIAL.elements(ctx, 4)):
+        show(f"phihat_{n}", phihat)
 
     print("\nHahn factorial polynomials phidot_n(x) = prod (x - [k]_q w):")
     for n in range(4):

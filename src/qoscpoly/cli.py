@@ -14,15 +14,15 @@ import sys
 from fractions import Fraction
 from itertools import product
 
-from .context import HALF_HALF, QContext, nonnegative
+from .context import HALF_HALF, QContext
 from .families import position_coefficients
 from .hahn import hahn_antiderivative, hahn_derivative_poly, hahn_integral_closed
-from .matel import closed_form_sigma, matel_at, matel_closed, matel_oracle
-from .operators import FAMILIES, HAHN
+from .matel import matel_at, matel_closed, matel_oracle
+from .operators import FAMILIES
 from .poly import Poly
 from .report import context_dict, fmt_exact, json_text
 from .series import genfun_terms
-from .verify import LIMITS, SUITE_NAMES, RunConfig, run_suites
+from .verify import LIMITS, SUITE_NAMES, RunConfig, run_suites, usage
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -156,12 +156,9 @@ def _table_rows(ctx: QContext, kind: str, nmax: int, order: int) -> list[dict]:
 
 def cmd_table(args) -> int:
     # only usage exits 2; a fault in a row builder raises with its traceback
+    suites = ("matrixelements",) if args.kind == "matel" else ()
     try:
-        nonnegative("nmax", args.nmax)
-        nonnegative("order", args.order)
-        ctx = QContext(args.s, args.omega)
-        if args.kind == "matel":
-            closed_form_sigma(ctx, HAHN)
+        ctx = usage(RunConfig(args.s, args.omega, args.order, args.nmax, suites))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -71,10 +71,7 @@ def hahn_factorial(ctx: QContext, n: int, method: str = "product") -> Poly:
         # sum over k of [n,k]_q q^(k(k-1)/2) omega0^k (x - omega0)^(n-k)
         omega0 = ctx.omega0
         p = Poly.zero()
-        shifted = Poly([-omega0, 1])  # x - omega0
-        powers = [Poly.one()]
-        for _ in range(n):
-            powers.append(powers[-1] * shifted)
+        powers = Basis.SHIFTED_MONOMIAL.elements(ctx, n + 1)
         for k in range(n + 1):
             p = p + (q_binomial(ctx, n, k) * ctx.q_pow(k * (k - 1) // 2)
                      * omega0 ** k) * powers[n - k]
@@ -110,10 +107,6 @@ class Basis:
                 (*p.nums, 0), (0, *p.nums))], p.den * scale, self.var))
         return out
 
-    def element(self, ctx: QContext, n: int) -> Poly:
-        """Element n alone; a caller walking n reads one row of elements."""
-        return self.elements(ctx, nonnegative("family index", n) + 1)[n]
-
 
 # The factors look up q_int and ctx.q_pow at call time, so a rebinding of
 # those names (bench/tracer.py does this) also reaches these calls.
@@ -133,10 +126,11 @@ def vector_to_poly(ctx: QContext, basis: Basis, coeffs) -> Poly:
     """The polynomial with the given coefficients in the basis.
 
     The expansion read backwards, c_0 + f_0 (c_1 + f_1 (...)) from the
-    inside out: Horner's rule on integers over one running denominator,
-    kept in lowest terms."""
-    nums, den = [], 1
-    for k in reversed(range(len(coeffs))):
+    inside out: Horner's rule from the top coefficient down, on integers
+    over one running denominator, kept in lowest terms."""
+    top = frac(coeffs[-1] if coeffs else 0)
+    nums, den = [top.numerator], top.denominator
+    for k in reversed(range(len(coeffs) - 1)):
         big_a, big_b, scale = basis.parts(ctx, k)
         c = frac(coeffs[k])
         nums = [(big_a * x + big_b * y) * c.denominator

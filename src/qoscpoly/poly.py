@@ -90,8 +90,8 @@ class Poly:
         return cls((c,), var)
 
     @classmethod
-    def monomial(cls, n: int, c=1, var: str = VAR_X) -> "Poly":
-        return cls([0] * nonnegative("monomial degree", n) + [c], var)
+    def monomial(cls, n: int) -> "Poly":
+        return cls([0] * nonnegative("monomial degree", n) + [1])
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

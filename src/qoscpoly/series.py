@@ -35,15 +35,14 @@ def emu_series(ctx: QContext, mu: HalfInt, c, order: int) -> Poly:
     return Poly(coeffs, VAR_T)
 
 
-def eqw_eval(ctx: QContext, mu: HalfInt, x, order: int) -> Fraction:
-    """Partial sum of the (q,omega,mu)-exponential at the point x.
+def eqw_eval(ctx: QContext, x, order: int) -> Fraction:
+    """Partial sum of the (q,omega)-exponential at the point x.
 
-    Sums q^(mu n^2) ((1-q)x - omega)^n / (q;q)_n for n = 0..order, walked
-    by ``qhyp_terms``.
+    Sums ((1-q)x - omega)^n / (q;q)_n for n = 0..order by ``qhyp_terms``.
     """
     arg = (1 - ctx.q) * frac(x) - ctx.omega
-    return sum(qhyp_terms(ctx, [], arg, nonnegative("order", order) + 1,
-                          lambda n: ctx.pow_half(mu, n * n)), Fraction(0))
+    return sum(qhyp_terms(ctx, [], arg, nonnegative("order", order) + 1),
+               Fraction(0))
 
 
 def e_type_series(ctx: QContext, c, order: int) -> Poly:

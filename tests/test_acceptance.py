@@ -71,8 +71,7 @@ def test_criterion_01_triple_construction(capsys):
                 ok &= (hahn_factorial(ctx, n, "product")
                        == hahn_factorial(ctx, n, "recursion")
                        == hahn_factorial(ctx, n, "explicit_sum"))
-            for n in range(16):
-                p = Basis.QFACTORIAL.element(ctx, n)
+            for n, p in enumerate(Basis.QFACTORIAL.elements(ctx, 16)):
                 for x in range(11):
                     ok &= p(q ** x) == qfactorial_pochhammer_value(ctx, n, x)
     verdict(capsys, 1, ok,

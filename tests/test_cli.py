@@ -147,9 +147,10 @@ class TestVerifyCommand:
         assert reports[0].to_json() != reports[1].to_json()
 
     def test_bad_s_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, ["verify", "--s", "3/2"])
-        assert code == cli.EXIT_USAGE
-        assert "error" in err
+        for argv in ("verify --s 3/2", "table poly --s 3/2"):
+            code, _, err = run_cli(capsys, argv.split())
+            assert code == cli.EXIT_USAGE
+            assert "error" in err
 
     def test_order_zero_passes(self, capsys):
         # every pairing's residual is 1*1 - 1 = 0 at order 0: the alternate
@@ -218,7 +219,8 @@ class TestVerifyCommand:
         assert "error: base root s must satisfy 0 < s < 1, got -1/2" in err
 
     @pytest.mark.parametrize("argv", [
-        "verify --s 1/0", "verify --omega 1/0", "table poly --s 1/0"])
+        "verify --s 1/0", "verify --omega 1/0", "table poly --s 1/0",
+        "table poly --omega 1/0"])
     def test_zero_denominator_is_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, argv.split())
         assert code == cli.EXIT_USAGE
@@ -257,8 +259,8 @@ class TestVerifyCommand:
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     # argparse only parses the int; context.nonnegative rejects it, through
-    # run_suites or cmd_table; no table rejects a negative --nmax of hahn or
-    # --order of poly further down, so cmd_table's check alone catches them
+    # verify.usage for both commands; no table rejects a negative --nmax of
+    # hahn or --order of poly further down, so the usage check alone does
     @pytest.mark.parametrize("argv", [
         "table matel --nmax -1", "table poly --nmax -3", "verify --order -1",
         "verify --nmax -1", "table genfun --order -2", "table hahn --nmax -1",

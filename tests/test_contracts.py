@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qoscpoly import hahn, matel, operators, qarith, series
+from qoscpoly import hahn, matel, operators, qarith, series, verify
 from qoscpoly import families as fam
 from qoscpoly.context import HALF_ZERO, QContext, nonnegative, tolerance
 from qoscpoly.poly import Poly
@@ -30,7 +30,7 @@ SIZED = [
     ("family index", lambda n: fam.qgaussian(CTX, n)),
     ("family index", lambda n: fam.hahn_factorial(CTX, n)),
     ("family index", lambda n: fam.qfactorial_pochhammer_value(CTX, n, 2)),
-    ("family index", lambda n: fam.Basis.QFACTORIAL.element(CTX, n)),
+    ("nmax", lambda n: verify.usage(verify.RunConfig(nmax=n))),
     ("family index", lambda n: fam.qgaussian_via_qexp_operator(CTX, n)),
     ("family index", lambda n: fam.connect_hahn_gaussian(CTX, n)),
     ("family index",
@@ -42,7 +42,7 @@ SIZED = [
     ("nmax", lambda n: matel.matel_oracle(CTX, G, HALF_ZERO, HALF_ZERO, n)),
     ("nmax", lambda n: matel.matel_closed(CTX, G, HALF_ZERO, HALF_ZERO, n)),
     ("order", lambda n: series.emu_series(CTX, HALF_ZERO, 2, n)),
-    ("order", lambda n: series.eqw_eval(CTX, HALF_ZERO, F(1, 3), n)),
+    ("order", lambda n: series.eqw_eval(CTX, F(1, 3), n)),
     ("order", lambda n: series.e_type_series(CTX, 2, n)),
     ("order", lambda n: series.recip_poch_series(CTX, 2, n)),
     ("order", lambda n: series.gaussian_genfun_lhs(CTX, 2, n)),

@@ -17,7 +17,6 @@ from qoscpoly.poly import VAR_U, VAR_X
 METHODS = ("product", "recursion", "explicit_sum")
 BASES = (Basis.MONOMIAL, Basis.SHIFTED_MONOMIAL, Basis.QGAUSSIAN,
          Basis.QFACTORIAL, Basis.HAHN_FACTORIAL)
-PHIHAT = Basis.QFACTORIAL.element
 
 
 def row_sum(ctx, basis, coeffs):
@@ -69,31 +68,30 @@ class TestQGaussian:
 class TestQFactorialFamily:
     def test_low_orders(self, ctx_q12):
         q = ctx_q12.q
-        assert PHIHAT(ctx_q12, 0) == Poly.one(VAR_U)
-        assert PHIHAT(ctx_q12, 1) == Poly([1, -1], VAR_U) / (1 - q)
+        phihat = Basis.QFACTORIAL.elements(ctx_q12, 2)
+        assert phihat[0] == Poly.one(VAR_U)
+        assert phihat[1] == Poly([1, -1], VAR_U) / (1 - q)
 
     def test_lives_in_u(self, ctx_q12):
-        assert PHIHAT(ctx_q12, 3).var == VAR_U
+        assert Basis.QFACTORIAL.elements(ctx_q12, 4)[3].var == VAR_U
 
     def test_vanishes_at_small_integers(self, ctx_q916):
         # phihat_n(x) = [x]_q [x-1]_q ... [x-n+1]_q kills x = 0..n-1
         q = ctx_q916.q
-        p = PHIHAT(ctx_q916, 5)
+        p = Basis.QFACTORIAL.elements(ctx_q916, 6)[5]
         for x in range(5):
             assert p(q ** x) == 0
 
     def test_integer_values_match_q_factorials(self, ctx_q916):
         q = ctx_q916.q
-        for n in range(7):
-            p = PHIHAT(ctx_q916, n)
+        for n, p in enumerate(Basis.QFACTORIAL.elements(ctx_q916, 7)):
             for x in range(n, n + 5):
                 expect = q_factorial(ctx_q916, x) / q_factorial(ctx_q916, x - n)
                 assert p(q ** x) == expect
 
     def test_pochhammer_identity_oracle(self, ctx_q12):
         q = ctx_q12.q
-        for n in range(7):
-            p = PHIHAT(ctx_q12, n)
+        for n, p in enumerate(Basis.QFACTORIAL.elements(ctx_q12, 7)):
             for x in range(0, 9):
                 assert p(q ** x) == qfactorial_pochhammer_value(ctx_q12, n, x)
 
@@ -213,7 +211,8 @@ class TestBasisConversion:
 
     def test_u_polynomial_rejected(self, ctx_q14):
         with pytest.raises(ValueError):
-            expand_in_basis(ctx_q14, PHIHAT(ctx_q14, 2), Basis.MONOMIAL)
+            expand_in_basis(ctx_q14, Basis.QFACTORIAL.elements(ctx_q14, 3)[2],
+                            Basis.MONOMIAL)
 
     def test_x_polynomial_not_expandable_in_u(self, ctx_q14):
         with pytest.raises(ValueError, match="qfactorial"):
@@ -221,28 +220,22 @@ class TestBasisConversion:
 
     def test_basis_polys_match_families(self, ctx_q14):
         q = ctx_q14.q
-        assert (Basis.QGAUSSIAN.element(ctx_q14, 3)
+        assert (Basis.QGAUSSIAN.elements(ctx_q14, 4)[3]
                 == qgaussian(ctx_q14, 3, "recursion"))
-        assert (Basis.HAHN_FACTORIAL.element(ctx_q14, 3)
+        assert (Basis.HAHN_FACTORIAL.elements(ctx_q14, 4)[3]
                 == hahn_factorial(ctx_q14, 3, "recursion"))
-        assert Basis.QFACTORIAL.element(ctx_q14, 3) == (
+        assert Basis.QFACTORIAL.elements(ctx_q14, 4)[3] == (
             Poly([1, -1], VAR_U) * Poly([1, -1 / q], VAR_U)
             * Poly([1, -1 / q ** 2], VAR_U) / (1 - q) ** 3)
-        assert Basis.SHIFTED_MONOMIAL.element(ctx_q14, 2) == (
+        assert Basis.SHIFTED_MONOMIAL.elements(ctx_q14, 3)[2] == (
             Poly([-ctx_q14.omega0, 1]) ** 2)
-        assert Basis.MONOMIAL.element(ctx_q14, 4) == Poly.monomial(4)
+        assert Basis.MONOMIAL.elements(ctx_q14, 5)[4] == Poly.monomial(4)
 
     @pytest.mark.parametrize("basis", BASES)
     def test_element_variable_and_degree(self, ctx_q916, basis):
-        for n in range(7):
-            p = basis.element(ctx_q916, n)
+        for n, p in enumerate(basis.elements(ctx_q916, 7)):
             assert (p.var, p.degree) == (basis.var, n)
         assert (basis.var == VAR_U) == (basis is Basis.QFACTORIAL)
-
-    @pytest.mark.parametrize("basis", BASES)
-    def test_negative_index_rejected(self, ctx_q14, basis):
-        with pytest.raises(ValueError):
-            basis.element(ctx_q14, -1)
 
     @pytest.mark.parametrize("basis", BASES)
     def test_negative_count_rejected(self, ctx_q14, basis):
@@ -345,6 +338,24 @@ class TestRebuild:
     must equal the row sum, and expanding it must give the vector back."""
 
     @pytest.mark.parametrize("basis", BASES)
+    def test_reads_only_the_factors_it_multiplies(self, ctx_q14, basis):
+        # c_n, the top coefficient, is multiplied by no factor, so the
+        # rebuild reads f_(n-1) .. f_0 once each, and nothing for c_0 alone
+        reads = []
+
+        def counting(ctx, k):
+            reads.append(k)
+            return basis.factor(ctx, k)
+
+        counted = replace(basis, factor=counting)
+        for coeffs, expect in (([F(1, 3), -2, 0, F(5, 7), 1], [3, 2, 1, 0]),
+                               ([F(-2, 5)], []), ([], [])):
+            reads.clear()
+            p = vector_to_poly(ctx_q14, counted, coeffs)
+            assert reads == expect
+            assert p == vector_to_poly(ctx_q14, basis, coeffs)
+
+    @pytest.mark.parametrize("basis", BASES)
     @given(s=st.fractions(0, 1, max_denominator=9).filter(lambda s: 0 < s < 1),
            omega=st.fractions(-2, 2, max_denominator=7),
            coeffs=st.lists(st.just(F(0))
@@ -390,7 +401,6 @@ class TestBasisRows:
             row = basis.elements(ctx, count)
             assert row == products
             for n in range(count):
-                assert basis.element(ctx, n) == row[n]
                 assert basis.elements(ctx, n + 1) == row[:n + 1]
 
 

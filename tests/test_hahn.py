@@ -46,7 +46,7 @@ class TestDerivative:
 
     def test_var_guard(self, ctx_q14):
         with pytest.raises(ValueError):
-            hahn_derivative_poly(ctx_q14, Basis.QFACTORIAL.element(ctx_q14, 2))
+            hahn_derivative_poly(ctx_q14, Basis.QFACTORIAL.elements(ctx_q14, 3)[2])
 
     def test_nonzero_remainder_raises(self, ctx_q14, monkeypatch):
         # a step without w: p(qx) - p(x) is not divisible by (q-1)x + w
@@ -94,7 +94,7 @@ class TestAntiderivative:
     def test_var_guard(self, ctx_q14):
         # expand_in_basis rejects a polynomial in u
         with pytest.raises(ValueError, match="polynomial in u"):
-            hahn_antiderivative(ctx_q14, Basis.QFACTORIAL.element(ctx_q14, 2))
+            hahn_antiderivative(ctx_q14, Basis.QFACTORIAL.elements(ctx_q14, 3)[2])
 
     def test_zero_polynomial(self, ctx_q14):
         assert hahn_antiderivative(ctx_q14, Poly.zero()).is_zero()
@@ -113,8 +113,8 @@ class TestIntegral:
 
     def test_closed_var_guard(self, ctx_q14):
         with pytest.raises(ValueError, match="polynomial in u"):
-            hahn_integral_closed(ctx_q14, Basis.QFACTORIAL.element(ctx_q14, 2),
-                                 1)
+            hahn_integral_closed(
+                ctx_q14, Basis.QFACTORIAL.elements(ctx_q14, 3)[2], 1)
 
     def test_numeric_agrees_on_polynomials(self, ctx_q14):
         p = Poly([1, F(2, 3), -1, 0, F(1, 7)])

@@ -94,17 +94,17 @@ class TestEmuSeries:
 
 class TestEqwEval:
     def test_fixed_point(self, ctx_q14):
-        assert eqw_eval(ctx_q14, HALF_ZERO, ctx_q14.omega0, 7) == 1
+        assert eqw_eval(ctx_q14, ctx_q14.omega0, 7) == 1
 
     def test_two_term_sum(self):
         ctx = QContext.from_q(F(1, 2), F(1, 4))
-        assert eqw_eval(ctx, HALF_ZERO, 1, 1) == F(3, 2)
+        assert eqw_eval(ctx, 1, 1) == F(3, 2)
 
     def test_omega_zero_matches_emu(self, ctx_q916):
         ctx0 = ctx_q916.with_omega(0)
         for x in (F(1, 3), F(-2, 5)):
             series = emu_series(ctx_q916, HALF_ZERO, x, 9)
-            assert eqw_eval(ctx0, HALF_ZERO, x, 9) == sum(series.coeffs, F(0))
+            assert eqw_eval(ctx0, x, 9) == sum(series.coeffs, F(0))
 
 
 class TestGaussianGenfun:
