@@ -4,8 +4,10 @@ Each row plants one fault: a file of the package, a fragment that must
 occur there exactly once, its replacement, the record-id prefix that must
 fail, the verify arguments and why the fault shows there.  verify run on
 the copy must exit 1 and write a json report that parses, with a fail
-record under the prefix.  A fragment that no longer occurs fails its row,
-so a refactor carries its faults along.  Run: python -m pytest -q mutants
+record under the prefix, both with the row's own arguments and with the
+catalogue's second context appended after them.  A fragment that no
+longer occurs fails its row, so a refactor carries its faults along.
+Run: python -m pytest -q mutants
 """
 
 import json
@@ -19,6 +21,9 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MATEL = ["--suite", "matrixelements", "--nmax", "4"]
+# each row also runs here; omega != 0, since at omega = 0 every
+# compose_affine call only scales its argument and skips the Taylor shift
+SECOND_CONTEXT = ["--s", "2/3", "--omega", "1/5"]
 
 # name: (file, fragment, replacement, failing prefix, verify arguments, why)
 FAULTS = {
@@ -94,8 +99,10 @@ FAULTS = {
 }
 
 
+@pytest.mark.parametrize("context", [[], SECOND_CONTEXT],
+                         ids=["own-args", "s=2/3,omega=1/5"])
 @pytest.mark.parametrize("name", FAULTS)
-def test_planted_fault_is_reported(tmp_path, name):
+def test_planted_fault_is_reported(tmp_path, name, context):
     file, fragment, replacement, prefix, args, why = FAULTS[name]
     shutil.copytree(SRC / "qoscpoly", tmp_path / "qoscpoly",
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -104,7 +111,7 @@ def test_planted_fault_is_reported(tmp_path, name):
     assert source.count(fragment) == 1, f"{file} must hold {fragment!r} once"
     path.write_text(source.replace(fragment, replacement))
     run = subprocess.run(
-        [sys.executable, "-m", "qoscpoly.cli", "verify", *args,
+        [sys.executable, "-m", "qoscpoly.cli", "verify", *args, *context,
          "--format", "json"], capture_output=True, text=True, cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(tmp_path)})
     assert run.returncode == 1, f"{why}; exit {run.returncode}: {run.stderr}"

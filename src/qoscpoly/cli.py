@@ -1,8 +1,12 @@
 """Command-line front end: verification runs and exact-value tables.
 
-Exit codes: 0 all checks pass (documented discrepancies allowed), 1 at least
-one check failed, 2 usage error, 3 output I/O error.  Identical
-configurations (including the seed) produce byte-identical output.
+``main`` is the one path from argv to exit code for both commands.  Usage is
+decided first, by ``verify.usage``, and exits 2.  After that a fault in a
+verify suite becomes a ``<suite>/raised`` record, and a fault in a table row
+builder raises with its traceback.  Exit codes: 0 all checks pass (documented
+discrepancies allowed), 1 at least one check failed, 2 usage error, 3 output
+I/O error.  Identical configurations (including the seed) produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -79,23 +83,6 @@ def _write(text: str, path: str | None) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    config = RunConfig(s=args.s, omega=args.omega, order=args.order,
-                       nmax=args.nmax,
-                       suites=tuple(args.suite or SUITE_NAMES), seed=args.seed)
-    try:
-        report = run_suites(config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    text = {"json": report.to_json, "csv": report.to_csv,
-            "text": report.to_text}[args.fmt]()
-    status = _write(text, args.out)
-    if status != EXIT_OK:
-        return status
-    return EXIT_OK if report.ok else EXIT_VERIFICATION_FAILED
-
-
 def _poly_rows(ctx: QContext, nmax: int, order: int) -> list[dict]:
     rows = [family.basis.elements(ctx, nmax + 1) for family in FAMILIES]
     return [{"family": family.name, "n": n, "variable": family.basis.var,
@@ -154,32 +141,22 @@ def _table_rows(ctx: QContext, kind: str, nmax: int, order: int) -> list[dict]:
     return TABLE_ROWS[kind](ctx, nmax, order)
 
 
-def cmd_table(args) -> int:
-    # only usage exits 2; a fault in a row builder raises with its traceback
-    suites = ("matrixelements",) if args.kind == "matel" else ()
-    try:
-        ctx = usage(RunConfig(args.s, args.omega, args.order, args.nmax, suites))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    rows = _table_rows(ctx, args.kind, args.nmax, args.order)
-    payload = {"context": context_dict(ctx), "kind": args.kind, "rows": rows}
-    if args.fmt == "json":
-        text = json_text(payload)
-    elif args.fmt == "csv":
+def _table_text(ctx: QContext, kind: str, rows: list[dict], fmt: str) -> str:
+    payload = {"context": context_dict(ctx), "kind": kind, "rows": rows}
+    if fmt == "json":
+        return json_text(payload)
+    if fmt == "csv":
         buf = io.StringIO()
         fieldnames = sorted({k for row in rows for k in row})
         writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()
         writer.writerows({k: fmt_exact(v) for k, v in row.items()}
                          for row in rows)
-        text = buf.getvalue()
-    else:
-        lines = [f"# kind={args.kind} q={ctx.q} omega={ctx.omega}"]
-        for row in rows:
-            lines.append(" ".join(f"{k}={fmt_exact(v)}" for k, v in row.items()))
-        text = "\n".join(lines) + "\n"
-    return _write(text, args.out)
+        return buf.getvalue()
+    lines = [f"# kind={kind} q={ctx.q} omega={ctx.omega}"]
+    for row in rows:
+        lines.append(" ".join(f"{k}={fmt_exact(v)}" for k, v in row.items()))
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
@@ -194,9 +171,28 @@ def main(argv=None) -> int:
         else:
             words.append(word)
     args = build_parser().parse_args(words)
-    if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_table(args)
+    verify = args.command == "verify"
+    if verify:
+        suites, seed = tuple(args.suite or SUITE_NAMES), args.seed
+    else:
+        suites = ("matrixelements",) if args.kind == "matel" else ()
+        seed = RunConfig.seed
+    config = RunConfig(args.s, args.omega, args.order, args.nmax, suites, seed)
+    try:
+        result = run_suites(config) if verify else usage(config)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if verify:
+        text = {"json": result.to_json, "csv": result.to_csv,
+                "text": result.to_text}[args.fmt]()
+    else:
+        rows = _table_rows(result, args.kind, args.nmax, args.order)
+        text = _table_text(result, args.kind, rows, args.fmt)
+    status = _write(text, args.out)
+    if status == EXIT_OK and verify and not result.ok:
+        return EXIT_VERIFICATION_FAILED
+    return status
 
 
 if __name__ == "__main__":

@@ -335,6 +335,22 @@ class TestVerifyCommand:
         assert code == cli.EXIT_IO
         assert "cannot write" in err
 
+    def test_failure_with_unwritable_out_is_io_error(self, capsys,
+                                                     monkeypatch):
+        # a report with a fail that cannot be written exits 3, not 1
+        import qoscpoly.verify as verify
+
+        def broken_suite(ctx, nmax, order, rng):
+            return [record("stub/forced-failure", {}, False, 0, 1)]
+
+        monkeypatch.setitem(verify.SUITES, "qkernel", broken_suite)
+        code, out, err = run_cli(
+            capsys, ["verify", "--suite", "qkernel",
+                     "--out", "/nonexistent-dir/report.txt"] + FAST)
+        assert code == cli.EXIT_IO
+        assert out == ""
+        assert "cannot write" in err
+
 
 class TestTableCommand:
     def test_poly_json(self, capsys):
@@ -394,3 +410,20 @@ class TestTableCommand:
                      "--s", "3/4", "--omega", "1/8"])
         ctx = json.loads(out)["context"]
         assert ctx == {"s": "3/4", "q": "9/16", "omega": "1/8", "omega0": "2/7"}
+
+    def test_out_file(self, capsys, tmp_path):
+        path = tmp_path / "hahn.txt"
+        argv = ["table", "hahn", "--nmax", "2"]
+        _, stdout, _ = run_cli(capsys, argv)
+        code, out, _ = run_cli(capsys, argv + ["--out", str(path)])
+        assert code == cli.EXIT_OK
+        assert out == ""
+        assert path.read_bytes() == stdout.encode("utf-8")
+
+    def test_out_unwritable(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["table", "poly", "--nmax", "2",
+                     "--out", "/nonexistent-dir/x"])
+        assert code == cli.EXIT_IO
+        assert out == ""
+        assert "cannot write" in err

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qoscpoly import (HalfInt, QContext, q_binomial, q_double_factorial_even,
-                      q_factorial, q_int, q_int_at, q_pochhammer,
-                      q_pochhammer_inf, qhyp_terms)
+from qoscpoly import (HalfInt, QContext, context, q_binomial,
+                      q_double_factorial_even, q_factorial, q_int, q_int_at,
+                      q_pochhammer, q_pochhammer_inf, qhyp_terms)
 from qoscpoly.context import HALF_HALF, rational_sqrt
 
 
@@ -363,6 +363,22 @@ class TestKernelTables:
         assert ctx.pow_half(HALF_HALF, 2) == F(1, 2)
         with pytest.raises(ValueError, match="base root"):
             ctx.pow_half(HALF_HALF, -3)
+
+    def test_odd_power_is_stored(self, monkeypatch):
+        # each odd exponent of s takes the base root once, then is read back
+        roots = []
+
+        def counted(x):
+            roots.append(x)
+            return rational_sqrt(x)
+
+        monkeypatch.setattr(context, "rational_sqrt", counted)
+        ctx = QContext(F(1, 2), F(1, 8))
+        assert ctx.pow_half(HALF_HALF, 3) == F(1, 8)
+        assert ctx.pow_half(HALF_HALF, 3) == F(1, 8)
+        assert ctx.s == ctx.s == F(1, 2)
+        assert len(roots) == 2
+        assert 3 in ctx.powers and 1 in ctx.powers
 
     @pytest.mark.parametrize("name", ["q", "omega", "root", *TABLES, "tables",
                                       "s", "omega0", "other"])
